@@ -18,12 +18,18 @@ File formats (version 1, header integers little-endian, symbols big-endian):
 
 The pad-length words record each block's original byte length so that
 de-striping is exact.
+
+All bulk work runs on numpy arrays through Field.matmul; the dataclasses
+hold tuples of Python ints.  srb.mbr is the one-stripe scalar reference that
+the tests compare this module against.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DecodeFailure
 from .field import Field, field_from_header
@@ -45,6 +51,11 @@ def stored_symbol_bytes(field: Field) -> int:
     return ((field.order - 1).bit_length() + 7) // 8
 
 
+def _dtype(symbol_bytes: int) -> str:
+    """numpy dtype of one big-endian symbol of the given width (1 or 2 bytes)."""
+    return ">u2" if symbol_bytes == 2 else "u1"
+
+
 def state_header_size(message_count: int) -> int:
     return len(MAGIC) + _HEADER.size + 4 * message_count
 
@@ -63,38 +74,36 @@ class StripeSet:
     pad_lengths: tuple[int, ...]          # original byte length per block
 
 
-def stripe_blocks(blocks: list[bytes], field: Field, block_size: int) -> StripeSet:
-    """Pad blocks to block_size and pack their bytes big-endian into symbols."""
+def _stripe_array(
+    blocks: list[bytes], field: Field, block_size: int
+) -> tuple[int, np.ndarray, tuple[int, ...]]:
+    """Z, the L x Z symbol array, and the block lengths; see stripe_blocks."""
     if block_size < 0:
         raise ValueError("block_size must be >= 0")
     sb = stripe_symbol_bytes(field)
     z = -(-block_size // sb)
-    padded_len = z * sb
-    must_check = 256**sb > field.order
-    symbols = []
-    lengths = []
     for i, block in enumerate(blocks):
         if len(block) > block_size:
             raise ValueError(f"block {i} is {len(block)} bytes; block_size is {block_size}")
-        padded = block + b"\x00" * (padded_len - len(block))
-        syms = tuple(
-            int.from_bytes(padded[off : off + sb], "big") for off in range(0, padded_len, sb)
-        )
-        if must_check and any(s >= field.order for s in syms):
-            raise ValueError(f"block {i} has byte values that do not fit in {field}")
-        symbols.append(syms)
-        lengths.append(len(block))
-    return StripeSet(z, sb, tuple(symbols), tuple(lengths))
+    raw = b"".join(block.ljust(z * sb, b"\0") for block in blocks)
+    symbols = np.frombuffer(raw, _dtype(sb)).reshape(len(blocks), z)
+    if 256**sb > field.order:
+        bad = np.flatnonzero((symbols >= field.order).any(axis=1))
+        if bad.size:
+            raise ValueError(f"block {bad[0]} has byte values that do not fit in {field}")
+    return z, symbols, tuple(len(block) for block in blocks)
+
+
+def stripe_blocks(blocks: list[bytes], field: Field, block_size: int) -> StripeSet:
+    """Pad blocks to block_size and pack their bytes big-endian into symbols."""
+    z, symbols, lengths = _stripe_array(blocks, field, block_size)
+    return StripeSet(z, stripe_symbol_bytes(field), tuple(map(tuple, symbols.tolist())), lengths)
 
 
 def unstripe_blocks(stripes: StripeSet) -> list[bytes]:
     """Exact inverse of stripe_blocks."""
-    sb = stripes.symbol_bytes
-    out = []
-    for syms, length in zip(stripes.symbols, stripes.pad_lengths):
-        raw = b"".join(s.to_bytes(sb, "big") for s in syms)
-        out.append(raw[:length])
-    return out
+    symbols = np.array(stripes.symbols, dtype=_dtype(stripes.symbol_bytes))
+    return [row.tobytes()[:length] for row, length in zip(symbols, stripes.pad_lengths)]
 
 
 @dataclass(frozen=True)
@@ -155,7 +164,9 @@ def encode_generation(
     """Encode one generation of L blocks into the node's alpha coded blocks.
 
     Per stripe this stores psi(gamma)^T M_s; stripes are independent and the
-    output is deterministic and byte-exact for identical inputs.
+    output is deterministic and byte-exact for identical inputs.  Over all
+    stripes at once that is one product: coded block j is the sum over the
+    cells (i, j) of M of psi_i times the message block housed there.
     """
     want = params.message_length
     if len(blocks) != want:
@@ -163,18 +174,14 @@ def encode_generation(
     if block_size is None:
         block_size = max((len(b) for b in blocks), default=0)
     field.check(gamma)
-    stripes = stripe_blocks(blocks, field, block_size)
-    grid = message_index_matrix(params)
+    z, symbols, lengths = _stripe_array(blocks, field, block_size)
     psi = field.vandermonde_row(gamma, params.alpha)
-    coded = []
-    for j in range(params.alpha):
-        acc = [0] * stripes.z
-        for i in range(params.alpha):
-            g = grid[i][j]
-            if g is None:
-                continue
-            acc = field.add_vec(acc, field.scale_vec(psi[i], stripes.symbols[g]))
-        coded.append(tuple(acc))
+    coeffs = [[0] * want for _ in range(params.alpha)]
+    for i, row in enumerate(message_index_matrix(params)):
+        for j, g in enumerate(row):
+            if g is not None:
+                coeffs[j][g] = psi[i]
+    coded = field.matmul(coeffs, symbols)
     return CodedNodeState(
         field=field,
         k=params.k,
@@ -182,9 +189,9 @@ def encode_generation(
         gamma=gamma,
         generation=generation,
         block_size=block_size,
-        z=stripes.z,
-        pad_lengths=stripes.pad_lengths,
-        blocks=tuple(coded),
+        z=z,
+        pad_lengths=lengths,
+        blocks=tuple(map(tuple, coded.tolist())),
     )
 
 
@@ -194,9 +201,7 @@ def serve_repair(state: CodedNodeState, target_gamma: int) -> RepairShare:
         raise ValueError("a node cannot serve a repair share to itself")
     f = state.field
     tv = f.vandermonde_row(target_gamma, state.alpha)
-    acc = [0] * state.z
-    for j in range(state.alpha):
-        acc = f.add_vec(acc, f.scale_vec(tv[j], state.blocks[j]))
+    (symbols,) = f.matmul([tv], np.array(state.blocks).reshape(state.alpha, state.z)).tolist()
     return RepairShare(
         field=f,
         k=state.k,
@@ -207,7 +212,7 @@ def serve_repair(state: CodedNodeState, target_gamma: int) -> RepairShare:
         z=state.z,
         pad_lengths=state.pad_lengths,
         target_gamma=target_gamma,
-        symbols=tuple(acc),
+        symbols=tuple(symbols),
     )
 
 
@@ -247,12 +252,12 @@ def bootstrap_node(shares: list[RepairShare], target_gamma: int, p: int = 0) -> 
         raise ValueError("duplicate helper coefficients")
     if target_gamma in xs:
         raise ValueError("the target cannot be one of its own helpers")
-    ys_list = [[s.symbols[stripe] for s in shares] for stripe in range(z)]
+    received = np.array([s.symbols for s in shares]).reshape(len(shares), z)
     try:
-        rows = rs_decode_many(f, xs, ys_list, alpha)
+        rows = rs_decode_many(f, xs, received.T, alpha)
     except DecodeFailure as exc:
         raise DecodeFailure("repair failed: error budget exceeded") from exc
-    coded = tuple(tuple(rows[s][j] for s in range(z)) for j in range(alpha))
+    coded = tuple(zip(*rows)) if z else ((),) * alpha
     return CodedNodeState(
         field=f,
         k=k,
@@ -306,11 +311,7 @@ def state_to_bytes(state: CodedNodeState) -> bytes:
         state.message_count,
     )
     head += struct.pack(f"<{state.message_count}I", *state.pad_lengths)
-    sb = stored_symbol_bytes(state.field)
-    payload = b"".join(
-        sym.to_bytes(sb, "big") for block in state.blocks for sym in block
-    )
-    return head + payload
+    return head + _symbol_bytes(state.blocks, state.field)
 
 
 def share_to_bytes(share: RepairShare) -> bytes:
@@ -328,8 +329,12 @@ def share_to_bytes(share: RepairShare) -> bytes:
     )
     head += struct.pack(f"<{len(share.pad_lengths)}I", *share.pad_lengths)
     head += struct.pack("<I", share.target_gamma)
-    sb = stored_symbol_bytes(share.field)
-    return head + b"".join(sym.to_bytes(sb, "big") for sym in share.symbols)
+    return head + _symbol_bytes(share.symbols, share.field)
+
+
+def _symbol_bytes(symbols, field: Field) -> bytes:
+    """Symbols (nested in row order) as stored_symbol_bytes-wide big-endian words."""
+    return np.array(symbols, dtype=_dtype(stored_symbol_bytes(field))).tobytes()
 
 
 def _parse_header(data: bytes, what: str):
@@ -354,26 +359,27 @@ def _parse_header(data: bytes, what: str):
     return field, k, alpha, gamma, generation, block_size, z, pads, off
 
 
-def _read_symbols(data: bytes, off: int, count: int, field: Field, what: str) -> tuple[int, ...]:
+def _read_symbols(
+    data: bytes, off: int, rows: int, z: int, field: Field, what: str
+) -> list[list[int]]:
+    """rows x z symbols from the payload at off, as nested lists of ints."""
     sb = stored_symbol_bytes(field)
-    end = off + count * sb
-    if len(data) < end:
+    if len(data) < off + rows * z * sb:
         raise ValueError(f"truncated {what} payload")
-    syms = tuple(
-        int.from_bytes(data[i : i + sb], "big") for i in range(off, end, sb)
-    )
-    if any(s >= field.order for s in syms):
+    syms = np.frombuffer(data, _dtype(sb), rows * z, off)
+    if syms.size and syms.max() >= field.order:
         raise ValueError(f"{what} payload has symbols outside {field}")
-    return syms
+    return syms.reshape(rows, z).tolist()
 
 
 def state_from_bytes(data: bytes) -> CodedNodeState:
     field, k, alpha, gamma, generation, block_size, z, pads, off = _parse_header(data, "state")
-    flat = _read_symbols(data, off, alpha * z, field, "state")
+    blocks = _read_symbols(data, off, alpha, z, field, "state")
     if len(data) != off + alpha * z * stored_symbol_bytes(field):
         raise ValueError("trailing bytes after state payload")
-    blocks = tuple(flat[j * z : (j + 1) * z] for j in range(alpha))
-    return CodedNodeState(field, k, alpha, gamma, generation, block_size, z, pads, blocks)
+    return CodedNodeState(
+        field, k, alpha, gamma, generation, block_size, z, pads, tuple(map(tuple, blocks))
+    )
 
 
 def share_from_bytes(data: bytes) -> RepairShare:
@@ -382,7 +388,9 @@ def share_from_bytes(data: bytes) -> RepairShare:
         raise ValueError("truncated share header")
     (target_gamma,) = struct.unpack_from("<I", data, off)
     off += 4
-    syms = _read_symbols(data, off, z, field, "share")
+    (syms,) = _read_symbols(data, off, 1, z, field, "share")
     if len(data) != off + z * stored_symbol_bytes(field):
         raise ValueError("trailing bytes after share payload")
-    return RepairShare(field, k, alpha, gamma, generation, block_size, z, pads, target_gamma, syms)
+    return RepairShare(
+        field, k, alpha, gamma, generation, block_size, z, pads, target_gamma, tuple(syms)
+    )

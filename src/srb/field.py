@@ -3,8 +3,10 @@
 Field elements are plain ints in ``[0, order)``.  A :class:`Field` instance
 carries the defining parameters and implements the operations: prime fields
 use modular arithmetic, binary extension fields GF(2^m) use log/exp tables
-built over an irreducible reduction polynomial (with a carry-less multiply
-fallback when the polynomial is irreducible but not primitive).
+over a generator of the multiplicative group of GF(2)[x] modulo an
+irreducible reduction polynomial.  Scalar operations take and return Python
+ints; :meth:`Field.matmul` is the one bulk kernel, multiplying a small
+coefficient matrix by a numpy array of symbols.
 
 Fields larger than 2^16 are rejected: two-byte symbols are the largest this
 package stripes blocks into, and 65536 distinct encoder coefficients cover
@@ -16,10 +18,12 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 MAX_ORDER = 1 << 16
 
-# Reduction polynomial bitmasks (the x^m term included).  All are primitive,
-# so log/exp tables with generator x cover the full multiplicative group.
+# Reduction polynomial bitmasks (the x^m term included).  All are primitive:
+# x itself generates the multiplicative group.
 DEFAULT_REDUCTION_POLY = {
     2: 0b111,
     3: 0b1011,
@@ -41,17 +45,6 @@ def is_prime(n: int) -> bool:
         if n % d == 0:
             return False
     return True
-
-
-def gf2_mul_nomod(a: int, b: int) -> int:
-    """Carry-less product of two polynomials over GF(2)."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
 
 
 def gf2_mod(a: int, mod: int) -> int:
@@ -147,13 +140,37 @@ class Field:
             acc = self.add(self.mul(acc, x), c)
         return acc
 
-    # -- bulk helpers (inputs assumed valid; used on hot paths) -------------
+    # -- bulk kernel -----------------------------------------------------------
+
+    def matmul(self, coeffs, data) -> np.ndarray:
+        """The product coeffs x data over this field.
+
+        coeffs is a small rows x n matrix of field elements, data an n x words
+        integer array (or nested sequences of ints).  Returns a rows x words
+        integer array; convert it with ``.tolist()`` before its values reach
+        the scalar operations, which accept only Python ints.  Raises
+        ValueError if an operand has an entry outside the field.
+        """
+        raise NotImplementedError
+
+    def _operands(self, coeffs, data) -> tuple[np.ndarray, np.ndarray]:
+        """matmul's operands as int64 arrays of shape (rows, n) and (n, words)."""
+        data = np.asarray(data, dtype=np.int64)
+        if data.ndim != 2:
+            raise ValueError(f"data must be 2-dimensional, got shape {data.shape}")
+        coeffs = np.asarray(coeffs, dtype=np.int64).reshape(len(coeffs), data.shape[0])
+        for arr in (coeffs, data):
+            if arr.size and (arr.min() < 0 or arr.max() >= self.order):
+                raise ValueError(f"matmul operand has entries outside {self}")
+        return coeffs, data
 
     def scale_vec(self, c: int, vec: list[int]) -> list[int]:
-        raise NotImplementedError
+        """[c * v for v in vec]."""
+        return self.matmul([[c]], [vec])[0].tolist()
 
     def add_vec(self, a: list[int], b: list[int]) -> list[int]:
-        raise NotImplementedError
+        """Element-wise a + b of two equal-length vectors."""
+        return self.matmul([[1, 1]], [a, b])[0].tolist()
 
     # -- identity / serialization -------------------------------------------
 
@@ -223,13 +240,15 @@ class PrimeField(Field):
             raise ValueError("negative exponent; invert explicitly")
         return pow(self.check(a), e, self.order)
 
-    def scale_vec(self, c, vec):
-        q = self.order
-        return [(c * v) % q for v in vec]
+    def matmul(self, coeffs, data):
+        # Entries are below 2^16, so n products sum below 2^63 for any n < 2^31.
+        coeffs, data = self._operands(coeffs, data)
+        return coeffs @ data % self.order
 
-    def add_vec(self, a, b):
-        q = self.order
-        return [(x + y) % q for x, y in zip(a, b)]
+    # Bound on each field class, like its other operations, so that
+    # per-class instrumentation finds them.
+    scale_vec = Field.scale_vec
+    add_vec = Field.add_vec
 
     @property
     def header_param(self) -> int:
@@ -263,24 +282,51 @@ class BinaryField(Field):
         self._build_tables()
 
     def _build_tables(self):
+        """Log/exp tables over the first generator found, trying x first.
+
+        Python lists serve the scalar operations; numpy copies serve matmul.
+        In the numpy tables log(0) is 2(q-1), and exp is zero from 2(q-1) on,
+        so any product with a zero factor gathers a zero.
+        """
         q = self.order
-        log = [-1] * q
-        exp = [0] * (2 * (q - 1))
-        v = 1
-        primitive = True
-        for i in range(q - 1):
-            if log[v] != -1:
-                primitive = False
+        for g in range(1, q):  # 1 generates only GF(2)'s group; x is 2
+            powers = self._powers(g)
+            if len(powers) == q - 1:
                 break
-            log[v] = i
-            exp[i] = v
-            exp[i + q - 1] = v
+        self._primitive = g == gf2_mod(0b10, self.poly)
+        exp_np = np.array(powers, dtype=np.intp)
+        log_np = np.empty(q, dtype=np.intp)
+        log_np[exp_np] = np.arange(q - 1)
+        log_np[0] = 2 * (q - 1)
+        self._log = log_np.tolist()
+        self._exp = powers + powers
+        self._log_np = log_np
+        self._exp_np = np.zeros(3 * (q - 1), dtype=np.uint16)
+        self._exp_np[: q - 1] = exp_np
+        self._exp_np[q - 1 : 2 * (q - 1)] = exp_np
+
+    def _powers(self, g: int) -> list[int]:
+        """[1, g, g^2, ...] up to the first power equal to 1, excluded.
+
+        Multiplying by g is linear over GF(2), so it is tabulated for the low
+        and high byte of the multiplicand.
+        """
+        q = self.order
+        basis = []  # g * x^j for j = 0 .. 15
+        v = g
+        for _ in range(16):
+            basis.append(v)
             v <<= 1
             if v & q:
                 v ^= self.poly
-        self._primitive = primitive and min(log[1:]) >= 0
-        self._log = log
-        self._exp = exp
+        lo, hi = _xor_span(basis[:8]), _xor_span(basis[8:])
+        out = []
+        v = 1
+        while True:
+            out.append(v)
+            v = lo[v & 0xFF] ^ hi[v >> 8]
+            if v == 1:
+                return out
 
     def add(self, a, b):
         q = self.order
@@ -296,30 +342,31 @@ class BinaryField(Field):
             raise ValueError(f"operands {a!r}, {b!r} out of range for {self}")
         if a == 0 or b == 0:
             return 0
-        if self._primitive:
-            return self._exp[self._log[a] + self._log[b]]
-        return gf2_mod(gf2_mul_nomod(a, b), self.poly)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
         self.check(a)
-        if self._primitive:
-            return self._exp[self.order - 1 - self._log[a]]
-        return self.pow_(a, self.order - 2)
+        return self._exp[self.order - 1 - self._log[a]]
 
-    def scale_vec(self, c, vec):
-        if c == 0:
-            return [0] * len(vec)
-        if not self._primitive:
-            return [self.mul(c, v) if v else 0 for v in vec]
-        exp = self._exp
-        log = self._log
-        logc = log[c]
-        return [exp[logc + log[v]] if v else 0 for v in vec]
+    def matmul(self, coeffs, data):
+        # Each row: gather exp[log(c) + log(v)] for its nonzero coefficients c,
+        # then XOR the terms together.  take() beats fancy indexing here.
+        coeffs, data = self._operands(coeffs, data)
+        log, exp = self._log_np, self._exp_np
+        logd = log.take(data)
+        out = np.zeros((coeffs.shape[0], data.shape[1]), dtype=np.uint16)
+        for r, row in enumerate(coeffs):
+            cols = np.flatnonzero(row)
+            if cols.size:
+                index = logd.take(cols, axis=0)
+                index += log.take(row[cols])[:, None]
+                out[r] = np.bitwise_xor.reduce(exp.take(index), axis=0)
+        return out
 
-    def add_vec(self, a, b):
-        return [x ^ y for x, y in zip(a, b)]
+    scale_vec = Field.scale_vec
+    add_vec = Field.add_vec
 
     @property
     def header_param(self) -> int:
@@ -327,6 +374,14 @@ class BinaryField(Field):
 
     def describe(self) -> str:
         return f"binary:{self.degree}:{self.poly:#x}"
+
+
+def _xor_span(vectors: list[int]) -> list[int]:
+    """XOR of every subset of vectors, indexed by the subset's bitmask."""
+    out = [0]
+    for vec in vectors:
+        out += [u ^ vec for u in out]
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,6 +13,8 @@ so a success is never a silently wrong answer within the error budget.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DecodeFailure
 from .field import Field
 
@@ -176,13 +178,17 @@ def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int
 def rs_decode_many(
     field: Field,
     xs: list[int],
-    ys_list: list[list[int]],
+    ys_list,
     dim: int,
 ) -> list[list[int]]:
     """Decode many received words sharing one evaluation-point set.
 
-    Amortizes the interpolation matrix across words; words that fail the
-    fast zero-error path fall back to the full Welch-Berlekamp decode.
+    ys_list holds one word of len(xs) values per row: nested sequences of
+    ints or a 2-d integer array.  Every word is first interpolated from its
+    first dim points and evaluated at the rest, as two products over all
+    words at once; a word that agrees with fewer than n - e points falls back
+    to the full Welch-Berlekamp decode.  Returns one coefficient list of
+    Python ints per word.
     """
     n = len(xs)
     if dim < 1:
@@ -195,14 +201,11 @@ def rs_decode_many(
     base = invert_matrix(field, [field.vandermonde_row(x, dim) for x in xs[:dim]])
     if base is None:  # distinct xs make the Vandermonde block regular
         raise DecodeFailure("interpolation failed")
-    tail = xs[dim:]
-    need_tail = (n - e) - dim
-    out = []
-    for ys in ys_list:
-        coeffs = mat_vec(field, base, ys[:dim])
-        hits = sum(1 for x, y in zip(tail, ys[dim:]) if field.poly_eval(coeffs, x) == y)
-        if hits >= need_tail:
-            out.append(coeffs)
-        else:
-            out.append(rs_decode(field, list(zip(xs, ys)), dim))
+    received = np.asarray(ys_list, dtype=np.int64).reshape(len(ys_list), n).T
+    coeffs = field.matmul(base, received[:dim])
+    tail = [field.vandermonde_row(x, dim) for x in xs[dim:]]
+    hits = (field.matmul(tail, coeffs) == received[dim:]).sum(axis=0)
+    out = coeffs.T.tolist()
+    for w in np.flatnonzero(hits < (n - e) - dim).tolist():
+        out[w] = rs_decode(field, list(zip(xs, received[:, w].tolist())), dim)
     return out

@@ -248,6 +248,20 @@ def test_end_to_end_with_bootstrapped_node():
     assert recovered == blocks
 
 
+def test_round_trip_in_field_with_non_primitive_polynomial():
+    f = binary_field(8, 0x11B)  # AES polynomial: x does not generate the group
+    params = MbrParams(2, 3, n=7, p=1)
+    rng = random.Random(12)
+    blocks, states = make_generation(f, params, rng, 17)
+    target = 7
+    shares = [codec.serve_repair(states[g], target) for g in range(5)]
+    shares[1] = replace(shares[1], symbols=tuple(rng.randrange(256) for _ in range(shares[1].z)))
+    fresh = codec.bootstrap_node(shares, target, p=1)
+    direct = codec.encode_generation(blocks, target, params, f, block_size=17)
+    assert codec.state_to_bytes(fresh) == codec.state_to_bytes(direct)
+    assert codec.reconstruct_generation([fresh, states[0], states[2], states[6]], p=1) == blocks
+
+
 def test_state_serialization_round_trip_and_sizes():
     rng = random.Random(10)
     for f in (binary_field(16), prime_field(257), prime_field(13)):
@@ -314,6 +328,21 @@ def test_malformed_files_rejected():
     bad_version = data[:4] + (9).to_bytes(2, "little") + data[6:]
     with pytest.raises(ValueError):
         codec.state_from_bytes(bad_version)
+
+
+def test_payload_symbols_outside_field_rejected():
+    params = MbrParams(2, 3, n=5)
+    state = codec.encode_generation([b"\x01\x02"] * 5, 1, params, prime_field(13), block_size=2)
+    data = bytearray(codec.state_to_bytes(state))
+    data[-1] = 13  # one-byte symbols; 13 is not an element of GF(13)
+    with pytest.raises(ValueError):
+        codec.state_from_bytes(bytes(data))
+
+    state = codec.encode_generation([b"\x01\x02"] * 5, 1, params, prime_field(257), block_size=2)
+    data = bytearray(codec.share_to_bytes(codec.serve_repair(state, 4)))
+    data[-2:] = (257).to_bytes(2, "big")  # two-byte symbols; 257 is outside GF(257)
+    with pytest.raises(ValueError):
+        codec.share_from_bytes(bytes(data))
 
 
 def test_encode_deterministic():

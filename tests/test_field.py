@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from srb.field import (
@@ -143,12 +144,52 @@ def test_pow():
 
 def test_bulk_helpers_match_scalar_ops():
     rng = random.Random(5)
-    for f in (prime_field(257), binary_field(16)):
+    for f in (prime_field(257), binary_field(16), binary_field(8, 0x11B)):
         vec_a = [rng.randrange(f.order) for _ in range(64)]
         vec_b = [rng.randrange(f.order) for _ in range(64)]
         c = rng.randrange(f.order)
         assert f.scale_vec(c, vec_a) == [f.mul(c, v) for v in vec_a]
         assert f.add_vec(vec_a, vec_b) == [f.add(x, y) for x, y in zip(vec_a, vec_b)]
+
+
+@pytest.mark.parametrize(
+    "f", [prime_field(13), prime_field(257), binary_field(8), binary_field(8, 0x11B), binary_field(16)]
+)
+def test_matmul_matches_scalar_products(f):
+    rng = random.Random(12)
+    for rows, n, words in ((1, 1, 0), (3, 4, 7), (5, 2, 33), (0, 3, 4)):
+        coeffs = [[rng.choice((0, 1, rng.randrange(f.order))) for _ in range(n)] for _ in range(rows)]
+        if coeffs:
+            coeffs[0] = [0] * n  # an all-zero row yields zeros
+        data = [[rng.choice((0, rng.randrange(f.order))) for _ in range(words)] for _ in range(n)]
+        expect = []
+        for row in coeffs:
+            out = []
+            for w in range(words):
+                acc = 0
+                for c, vec in zip(row, data):
+                    acc = f.add(acc, f.mul(c, vec[w]))
+                out.append(acc)
+            expect.append(out)
+        got = f.matmul(coeffs, np.array(data, dtype=np.uint16).reshape(n, words))
+        assert got.shape == (rows, words)
+        assert got.tolist() == expect
+    with pytest.raises(ValueError):
+        f.matmul([[1]], [[f.order]])
+    with pytest.raises(ValueError):
+        f.matmul([[f.order]], [[1]])
+
+
+def test_aes_polynomial_matches_clmul_oracle_exhaustive():
+    # x^8 + x^4 + x^3 + x + 1 is irreducible, but x has order 51, not 255:
+    # the log/exp tables are built over another generator.
+    f = binary_field(8, 0x11B)
+    assert not f._primitive
+    for a in range(256):
+        for b in range(256):
+            assert f.mul(a, b) == clmul_oracle(a, b, 0x11B)
+        if a:
+            assert clmul_oracle(a, f.inv(a), 0x11B) == 1
 
 
 def test_prime_validation():
