@@ -19,6 +19,15 @@ File formats (version 1, header integers little-endian, symbols big-endian):
 The pad-length words record each block's original byte length so that
 de-striping is exact.
 
+Every header is untrusted input (up to p helpers are Byzantine), so
+GenerationHeader checks it whenever one is built, parsed or replaced:
+  - (k, alpha) are valid MBR parameters (1 <= k <= alpha) and fit u16;
+  - gamma, and a share's target gamma, are elements of the field;
+  - generation and block_size fit u32;
+  - Z = ceil(block_size / stripe symbol bytes);
+  - there are exactly L = k*alpha - k(k-1)/2 pad lengths, each in
+    [0, block_size].
+
 All bulk work runs on numpy arrays through Field.matmul; the dataclasses
 hold tuples of Python ints.  srb.mbr is the one-stripe scalar reference that
 the tests compare this module against.
@@ -27,23 +36,30 @@ the tests compare this module against.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DecodeFailure
 from .field import Field, field_from_header
-from .mbr import MbrParams, NodeRow, message_index_matrix, secure_reconstruct
+from .mbr import MbrParams, NodeRow, message_index_matrix, message_length, secure_reconstruct
 from .rs import rs_decode_many
 
 MAGIC = b"SRB1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<HBIHHIIIII")
+_U16_MAX = 0xFFFF
+_U32_MAX = 0xFFFFFFFF
 
 
 def stripe_symbol_bytes(field: Field) -> int:
     """Raw block bytes packed into one symbol when striping."""
     return max(1, (field.order.bit_length() - 1) // 8)
+
+
+def symbols_per_block(field: Field, block_size: int) -> int:
+    """Z: the stripe symbols one block of block_size bytes packs into."""
+    return -(-block_size // stripe_symbol_bytes(field))
 
 
 def stored_symbol_bytes(field: Field) -> int:
@@ -81,7 +97,7 @@ def _stripe_array(
     if block_size < 0:
         raise ValueError("block_size must be >= 0")
     sb = stripe_symbol_bytes(field)
-    z = -(-block_size // sb)
+    z = symbols_per_block(field, block_size)
     for i, block in enumerate(blocks):
         if len(block) > block_size:
             raise ValueError(f"block {i} is {len(block)} bytes; block_size is {block_size}")
@@ -107,8 +123,12 @@ def unstripe_blocks(stripes: StripeSet) -> list[bytes]:
 
 
 @dataclass(frozen=True)
-class CodedNodeState:
-    """One node's stored data for one generation."""
+class GenerationHeader:
+    """The generation a node state or repair share belongs to, and its gamma.
+
+    Every instance is a valid header: __post_init__ runs on construction, on
+    parse and on dataclasses.replace, and is the one place that decides.
+    """
 
     field: Field
     k: int
@@ -118,11 +138,51 @@ class CodedNodeState:
     block_size: int
     z: int
     pad_lengths: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]  # alpha coded blocks of Z symbols
+
+    def __post_init__(self):
+        MbrParams(self.k, self.alpha)
+        if self.alpha > _U16_MAX:  # k <= alpha
+            raise ValueError(f"alpha={self.alpha} does not fit a u16 header field")
+        self.field.check(self.gamma)
+        for name in ("generation", "block_size"):
+            if not 0 <= getattr(self, name) <= _U32_MAX:
+                raise ValueError(f"{name}={getattr(self, name)} does not fit a u32 header field")
+        want_z = symbols_per_block(self.field, self.block_size)
+        if self.z != want_z:
+            raise ValueError(f"Z={self.z} does not match block_size={self.block_size} (Z={want_z})")
+        want_l = message_length(self.k, self.alpha)
+        if self.message_count != want_l:
+            raise ValueError(
+                f"{self.message_count} pad lengths; (k, alpha) = ({self.k}, {self.alpha}) "
+                f"needs L = {want_l}"
+            )
+        for pad in self.pad_lengths:
+            if not 0 <= pad <= self.block_size:
+                raise ValueError(f"pad length {pad} is outside [0, block_size={self.block_size}]")
 
     @property
     def message_count(self) -> int:
         return len(self.pad_lengths)
+
+    def same_generation(self) -> tuple:
+        """Every header field but gamma; equal for all inputs of one decode."""
+        return (self.field, self.k, self.alpha, self.generation, self.block_size, self.z,
+                self.pad_lengths)
+
+
+_HEADER_FIELDS = tuple(f.name for f in fields(GenerationHeader))
+
+
+def _header_of(h: GenerationHeader, **changes) -> dict:
+    """h's header fields as constructor keywords, with changes applied."""
+    return {name: getattr(h, name) for name in _HEADER_FIELDS} | changes
+
+
+@dataclass(frozen=True)
+class CodedNodeState(GenerationHeader):
+    """One node's stored data for one generation."""
+
+    blocks: tuple[tuple[int, ...], ...]  # alpha coded blocks of Z symbols
 
     def payload_bytes(self) -> int:
         return self.alpha * self.z * stored_symbol_bytes(self.field)
@@ -132,25 +192,24 @@ class CodedNodeState:
 
 
 @dataclass(frozen=True)
-class RepairShare:
-    """One helper's contribution to a bootstrap: one coded block of Z symbols."""
+class RepairShare(GenerationHeader):
+    """One helper's contribution to a bootstrap: one coded block of Z symbols.
 
-    field: Field
-    k: int
-    alpha: int
-    gamma: int            # the helper's coefficient
-    generation: int
-    block_size: int
-    z: int
-    pad_lengths: tuple[int, ...]
+    gamma is the helper's coefficient, target_gamma the joining node's.
+    """
+
     target_gamma: int
     symbols: tuple[int, ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.field.check(self.target_gamma)
 
     def payload_bytes(self) -> int:
         return self.z * stored_symbol_bytes(self.field)
 
     def header_bytes(self) -> int:
-        return share_header_size(len(self.pad_lengths))
+        return share_header_size(self.message_count)
 
 
 def encode_generation(
@@ -173,7 +232,6 @@ def encode_generation(
         raise ValueError(f"a generation encodes exactly L = {want} blocks, got {len(blocks)}")
     if block_size is None:
         block_size = max((len(b) for b in blocks), default=0)
-    field.check(gamma)
     z, symbols, lengths = _stripe_array(blocks, field, block_size)
     psi = field.vandermonde_row(gamma, params.alpha)
     coeffs = [[0] * want for _ in range(params.alpha)]
@@ -202,32 +260,13 @@ def serve_repair(state: CodedNodeState, target_gamma: int) -> RepairShare:
     f = state.field
     tv = f.vandermonde_row(target_gamma, state.alpha)
     (symbols,) = f.matmul([tv], np.array(state.blocks).reshape(state.alpha, state.z)).tolist()
-    return RepairShare(
-        field=f,
-        k=state.k,
-        alpha=state.alpha,
-        gamma=state.gamma,
-        generation=state.generation,
-        block_size=state.block_size,
-        z=state.z,
-        pad_lengths=state.pad_lengths,
-        target_gamma=target_gamma,
-        symbols=tuple(symbols),
-    )
+    return RepairShare(**_header_of(state), target_gamma=target_gamma, symbols=tuple(symbols))
 
 
-def _common_header(items, what: str):
-    head = (
-        items[0].field,
-        items[0].k,
-        items[0].alpha,
-        items[0].generation,
-        items[0].block_size,
-        items[0].z,
-        items[0].pad_lengths,
-    )
+def _common_header(items: list[GenerationHeader], what: str) -> tuple:
+    head = items[0].same_generation()
     for it in items[1:]:
-        if (it.field, it.k, it.alpha, it.generation, it.block_size, it.z, it.pad_lengths) != head:
+        if it.same_generation() != head:
             raise ValueError(f"{what} headers disagree")
     return head
 
@@ -258,17 +297,7 @@ def bootstrap_node(shares: list[RepairShare], target_gamma: int, p: int = 0) -> 
     except DecodeFailure as exc:
         raise DecodeFailure("repair failed: error budget exceeded") from exc
     coded = tuple(zip(*rows)) if z else ((),) * alpha
-    return CodedNodeState(
-        field=f,
-        k=k,
-        alpha=alpha,
-        gamma=target_gamma,
-        generation=generation,
-        block_size=block_size,
-        z=z,
-        pad_lengths=pads,
-        blocks=coded,
-    )
+    return CodedNodeState(**_header_of(shares[0], gamma=target_gamma), blocks=coded)
 
 
 def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[bytes]:
@@ -297,38 +326,28 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
 # -- serialization -----------------------------------------------------------
 
 
-def state_to_bytes(state: CodedNodeState) -> bytes:
+def _pack_header(h: GenerationHeader) -> bytes:
     head = MAGIC + _HEADER.pack(
         FORMAT_VERSION,
-        state.field.header_kind,
-        state.field.header_param,
-        state.k,
-        state.alpha,
-        state.gamma,
-        state.generation,
-        state.block_size,
-        state.z,
-        state.message_count,
+        h.field.header_kind,
+        h.field.header_param,
+        h.k,
+        h.alpha,
+        h.gamma,
+        h.generation,
+        h.block_size,
+        h.z,
+        h.message_count,
     )
-    head += struct.pack(f"<{state.message_count}I", *state.pad_lengths)
-    return head + _symbol_bytes(state.blocks, state.field)
+    return head + struct.pack(f"<{h.message_count}I", *h.pad_lengths)
+
+
+def state_to_bytes(state: CodedNodeState) -> bytes:
+    return _pack_header(state) + _symbol_bytes(state.blocks, state.field)
 
 
 def share_to_bytes(share: RepairShare) -> bytes:
-    head = MAGIC + _HEADER.pack(
-        FORMAT_VERSION,
-        share.field.header_kind,
-        share.field.header_param,
-        share.k,
-        share.alpha,
-        share.gamma,
-        share.generation,
-        share.block_size,
-        share.z,
-        len(share.pad_lengths),
-    )
-    head += struct.pack(f"<{len(share.pad_lengths)}I", *share.pad_lengths)
-    head += struct.pack("<I", share.target_gamma)
+    head = _pack_header(share) + struct.pack("<I", share.target_gamma)
     return head + _symbol_bytes(share.symbols, share.field)
 
 
@@ -337,7 +356,11 @@ def _symbol_bytes(symbols, field: Field) -> bytes:
     return np.array(symbols, dtype=_dtype(stored_symbol_bytes(field))).tobytes()
 
 
-def _parse_header(data: bytes, what: str):
+def _parse_header(data: bytes, what: str) -> tuple[dict, int]:
+    """The header at the start of data as constructor keywords, and its end.
+
+    Only the framing is checked here; the constructor validates the values.
+    """
     if data[: len(MAGIC)] != MAGIC:
         raise ValueError(f"not an SRB1 {what} file")
     off = len(MAGIC)
@@ -353,19 +376,19 @@ def _parse_header(data: bytes, what: str):
     if len(data) < off + 4 * count:
         raise ValueError(f"truncated {what} header")
     pads = struct.unpack_from(f"<{count}I", data, off)
-    off += 4 * count
-    if k < 1 or alpha < k:
-        raise ValueError(f"invalid parameters in {what} header (k={k}, alpha={alpha})")
-    return field, k, alpha, gamma, generation, block_size, z, pads, off
+    head = dict(field=field, k=k, alpha=alpha, gamma=gamma, generation=generation,
+                block_size=block_size, z=z, pad_lengths=pads)
+    return head, off + 4 * count
 
 
-def _read_symbols(
-    data: bytes, off: int, rows: int, z: int, field: Field, what: str
-) -> list[list[int]]:
-    """rows x z symbols from the payload at off, as nested lists of ints."""
+def _read_payload(data: bytes, off: int, rows: int, z: int, field: Field, what: str) -> list:
+    """The rows x z symbols from off to the end of data, as nested lists of ints."""
     sb = stored_symbol_bytes(field)
-    if len(data) < off + rows * z * sb:
+    end = off + rows * z * sb
+    if len(data) < end:
         raise ValueError(f"truncated {what} payload")
+    if len(data) > end:
+        raise ValueError(f"trailing bytes after {what} payload")
     syms = np.frombuffer(data, _dtype(sb), rows * z, off)
     if syms.size and syms.max() >= field.order:
         raise ValueError(f"{what} payload has symbols outside {field}")
@@ -373,24 +396,15 @@ def _read_symbols(
 
 
 def state_from_bytes(data: bytes) -> CodedNodeState:
-    field, k, alpha, gamma, generation, block_size, z, pads, off = _parse_header(data, "state")
-    blocks = _read_symbols(data, off, alpha, z, field, "state")
-    if len(data) != off + alpha * z * stored_symbol_bytes(field):
-        raise ValueError("trailing bytes after state payload")
-    return CodedNodeState(
-        field, k, alpha, gamma, generation, block_size, z, pads, tuple(map(tuple, blocks))
-    )
+    head, off = _parse_header(data, "state")
+    blocks = _read_payload(data, off, head["alpha"], head["z"], head["field"], "state")
+    return CodedNodeState(**head, blocks=tuple(map(tuple, blocks)))
 
 
 def share_from_bytes(data: bytes) -> RepairShare:
-    field, k, alpha, gamma, generation, block_size, z, pads, off = _parse_header(data, "share")
+    head, off = _parse_header(data, "share")
     if len(data) < off + 4:
         raise ValueError("truncated share header")
     (target_gamma,) = struct.unpack_from("<I", data, off)
-    off += 4
-    (syms,) = _read_symbols(data, off, 1, z, field, "share")
-    if len(data) != off + z * stored_symbol_bytes(field):
-        raise ValueError("trailing bytes after share payload")
-    return RepairShare(
-        field, k, alpha, gamma, generation, block_size, z, pads, target_gamma, tuple(syms)
-    )
+    (syms,) = _read_payload(data, off + 4, 1, head["z"], head["field"], "share")
+    return RepairShare(**head, target_gamma=target_gamma, symbols=tuple(syms))

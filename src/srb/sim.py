@@ -463,7 +463,7 @@ def _measured_storage(net: Network) -> tuple[int, int]:
 def _expected_storage(net: Network) -> tuple[int, ...]:
     cfg = net.config
     sb = codec.stored_symbol_bytes(net.field)
-    z = -(-cfg.block_size // codec.stripe_symbol_bytes(net.field))
+    z = codec.symbols_per_block(net.field, cfg.block_size)
     per_state = cfg.alpha * z * sb + codec.state_header_size(cfg.generation_blocks)
     return tuple(gens * per_state for gens in net.generations_done)
 
@@ -540,7 +540,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     helper_rng = random.Random(f"{config.seed}:helpers")
     l_blocks = config.generation_blocks
     sb = codec.stored_symbol_bytes(net.field)
-    z = -(-config.block_size // codec.stripe_symbol_bytes(net.field))
+    z = codec.symbols_per_block(net.field, config.block_size)
     share_payload = z * sb
 
     epoch_stats = []

@@ -2,12 +2,12 @@
 
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from srb import codec
 from srb.field import parse_field
-from srb.mbr import MbrParams, build_message_matrix, encode_node, repair_share
+from srb.mbr import MbrParams, NodeRow, build_message_matrix, encode_node, repair_share
 
 FIELDS = ["prime:13", "prime:257", "binary:8", "binary:8:0x11b", "binary:16"]
 
@@ -69,4 +69,68 @@ def test_bulk_path_matches_scalar_oracle(case):
 
     fresh = codec.bootstrap_node(shares, target, params.p)
     assert all_ints(fresh.blocks)
+    assert fresh == codec.encode_generation(blocks, target, params, f, block_size=block_size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generations(), st.integers(0, 2**32 - 1))
+def test_serialization_round_trip(case, generation):
+    f, params, block_size, blocks, target, helpers, _ = case
+    state = codec.encode_generation(blocks, helpers[0], params, f, generation, block_size)
+    assert codec.state_from_bytes(codec.state_to_bytes(state)) == state
+    share = codec.serve_repair(state, target)
+    assert codec.share_from_bytes(codec.share_to_bytes(share)) == share
+
+
+def mutate(data, draw):
+    """data with one byte replaced by a different value."""
+    i = draw(st.integers(0, len(data) - 1))
+    return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1 :]
+
+
+@settings(max_examples=150, deadline=None)
+@given(generations(), st.data())
+def test_mutated_file_is_rejected_or_handled_exactly(case, data):
+    """A one-byte change is rejected at parse, or handled exactly or with ValueError.
+
+    The changed file is at most one liar among otherwise honest peers, within
+    the budget p >= 1, so reconstruct and bootstrap never raise DecodeFailure.
+    """
+    f, params, block_size, blocks, target, helpers, _ = case
+    assume(params.p >= 1)
+    p = params.p
+    states = [codec.encode_generation(blocks, g, params, f, block_size=block_size) for g in helpers]
+    shares = [codec.serve_repair(state, target) for state in states]
+
+    mutated = mutate(codec.state_to_bytes(states[0]), data.draw)
+    try:
+        state = codec.state_from_bytes(mutated)
+    except ValueError:
+        pass
+    else:
+        assert codec.state_to_bytes(state) == mutated
+        try:
+            share = codec.serve_repair(state, target)
+        except ValueError:
+            pass
+        else:
+            rows = [NodeRow(state.gamma, column) for column in zip(*state.blocks)]
+            assert share.symbols == tuple(repair_share(state.field, r, target) for r in rows)
+        try:
+            got = codec.reconstruct_generation([state] + states[1 : params.k + 2 * p], p)
+        except ValueError:
+            pass
+        else:
+            assert got == blocks
+
+    mutated = mutate(codec.share_to_bytes(shares[0]), data.draw)
+    try:
+        share = codec.share_from_bytes(mutated)
+    except ValueError:
+        return
+    assert codec.share_to_bytes(share) == mutated
+    try:
+        fresh = codec.bootstrap_node([share] + shares[1:], target, p)
+    except ValueError:
+        return
     assert fresh == codec.encode_generation(blocks, target, params, f, block_size=block_size)

@@ -59,6 +59,25 @@ def test_encode_wrong_file_count_exit_2(tmp_path, capsys):
         assert "L = 1" in err
 
 
+def test_encode_generation_out_of_range_exit_2(tmp_path, capsys):
+    write_blocks(tmp_path / "blocks", [b"x"])
+    for gen in ("-1", "4294967296"):  # a generation is a u32 in the file header
+        rc = main(
+            [
+                "encode",
+                "--blocks", str(tmp_path / "blocks"),
+                "--k", "1",
+                "--alpha", "1",
+                "--gamma", "0",
+                "--block-size", "1",
+                "--gen", gen,
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert rc == 2
+        assert "error: generation" in capsys.readouterr().err
+
+
 def test_encode_deterministic(tmp_path, capsys):
     rng = random.Random(0)
     blocks = [rng.randbytes(16) for _ in range(5)]

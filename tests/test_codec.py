@@ -345,6 +345,47 @@ def test_payload_symbols_outside_field_rejected():
         codec.share_from_bytes(bytes(data))
 
 
+# Byte offsets of header words in a version-1 file (layout as in
+# test_state_file_golden_bytes); a share's target gamma follows the pads.
+GAMMA, BLOCK_SIZE, COUNT, PADS = 15, 23, 31, 35
+
+
+def _put_u32(data, off, value):
+    return data[:off] + value.to_bytes(4, "little") + data[off + 4 :]
+
+
+@pytest.mark.parametrize(
+    "what, patch",
+    [
+        ("state", lambda d: _put_u32(d, PADS, 5)),
+        ("state", lambda d: _put_u32(d, COUNT, 4)[: PADS + 16] + d[PADS + 20 :]),
+        ("state", lambda d: _put_u32(d, GAMMA, 1 << 16)),
+        ("share", lambda d: _put_u32(d, PADS + 20, 1 << 16)),
+        ("state", lambda d: _put_u32(d, BLOCK_SIZE, 8)),
+    ],
+    ids=["pad-over-block-size", "count-not-L", "gamma", "target-gamma", "z-not-block-size"],
+)
+def test_invalid_header_rejected(what, patch):
+    """Each patch leaves a well-formed file whose header breaks one rule."""
+    params = MbrParams(2, 3, n=5)  # L = 5
+    state = codec.encode_generation([b"abcd"] * 5, 1, params, binary_field(16), block_size=4)
+    if what == "state":
+        with pytest.raises(ValueError):
+            codec.state_from_bytes(patch(codec.state_to_bytes(state)))
+    else:
+        with pytest.raises(ValueError):
+            codec.share_from_bytes(patch(codec.share_to_bytes(codec.serve_repair(state, 4))))
+
+
+@pytest.mark.parametrize(
+    "changes", [{"k": 70000, "alpha": 70000}, {"generation": -1}, {"generation": 1 << 32}]
+)
+def test_header_values_must_fit_the_format(changes):
+    state = codec.encode_generation([b"\x01"], 2, MbrParams(1, 1), prime_field(13), block_size=1)
+    with pytest.raises(ValueError):
+        codec.state_to_bytes(replace(state, **changes))
+
+
 def test_encode_deterministic():
     f = binary_field(16)
     params = MbrParams(3, 4, n=6)
