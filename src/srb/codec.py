@@ -28,9 +28,16 @@ GenerationHeader checks it whenever one is built, parsed or replaced:
   - there are exactly L = k*alpha - k(k-1)/2 pad lengths, each in
     [0, block_size].
 
+A node state's payload is alpha rows of Z symbols and a share's is Z
+symbols; both are checked on construction too.
+
 All bulk work runs on numpy arrays through Field.matmul; the dataclasses
-hold tuples of Python ints.  srb.mbr is the one-stripe scalar reference that
-the tests compare this module against.
+hold tuples of Python ints.  Decoding goes through srb.rs.rs_decode_many,
+batched over every word of a generation: bootstrap decodes the Z words of
+the shares, reconstruct the (alpha-k)*Z words of V and then the k*Z words
+of U.  Its blame-then-erasure step keeps a decode against p liars to at most
+p Welch-Berlekamp runs.  srb.mbr is the one-stripe scalar reference that the
+tests compare this module against.
 """
 
 from __future__ import annotations
@@ -40,9 +47,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DecodeFailure
+from .errors import DecodeFailure, IntegrityError
 from .field import Field, field_from_header
-from .mbr import MbrParams, NodeRow, message_index_matrix, message_length, secure_reconstruct
+from .mbr import MbrParams, message_index_matrix, message_length
 from .rs import rs_decode_many
 
 MAGIC = b"SRB1"
@@ -184,6 +191,11 @@ class CodedNodeState(GenerationHeader):
 
     blocks: tuple[tuple[int, ...], ...]  # alpha coded blocks of Z symbols
 
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.blocks) != self.alpha or any(len(b) != self.z for b in self.blocks):
+            raise ValueError(f"a node state carries alpha={self.alpha} blocks of Z={self.z} symbols")
+
     def payload_bytes(self) -> int:
         return self.alpha * self.z * stored_symbol_bytes(self.field)
 
@@ -204,6 +216,8 @@ class RepairShare(GenerationHeader):
     def __post_init__(self):
         super().__post_init__()
         self.field.check(self.target_gamma)
+        if len(self.symbols) != self.z:
+            raise ValueError(f"a repair share carries Z={self.z} symbols, got {len(self.symbols)}")
 
     def payload_bytes(self) -> int:
         return self.z * stored_symbol_bytes(self.field)
@@ -301,7 +315,14 @@ def bootstrap_node(shares: list[RepairShare], target_gamma: int, p: int = 0) -> 
 
 
 def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[bytes]:
-    """Recover the original L raw blocks from k + 2p coded node states."""
+    """Recover the original L raw blocks from k + 2p coded node states.
+
+    Two batched decodes over all stripes, as srb.mbr.secure_reconstruct does
+    per stripe: first V's columns, then, with the V^T term subtracted, U's.
+    Raises DecodeFailure when more than p states are corrupt and no codeword
+    is within budget, IntegrityError when the recovered U is not symmetric,
+    ValueError on inconsistent state headers.
+    """
     if not states:
         raise ValueError("no states supplied")
     f, k, alpha, generation, block_size, z, pads = _common_header(states, "state")
@@ -310,16 +331,31 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
     gammas = [s.gamma for s in states]
     if len(set(gammas)) != len(gammas):
         raise ValueError("duplicate node coefficients")
-    params = MbrParams(k, alpha, n=None, p=p)
-    message_symbols: list[list[int]] = [[] for _ in range(params.message_length)]
-    for stripe in range(z):
-        rows = [
-            NodeRow(st.gamma, tuple(st.blocks[j][stripe] for j in range(alpha))) for st in states
-        ]
-        msg = secure_reconstruct(f, rows, params)
-        for i, v in enumerate(msg):
-            message_symbols[i].append(v)
-    stripes = StripeSet(z, stripe_symbol_bytes(f), tuple(map(tuple, message_symbols)), pads)
+    params = MbrParams(k, alpha, p=p)
+    n, width = len(states), alpha - k
+    received = np.array([st.blocks for st in states], dtype=np.int64).reshape(n, alpha, z)
+    try:
+        # V: the words of node i's trailing alpha-k coordinates, one per
+        # (column, stripe), are evaluations at gamma_i of V's columns.
+        v = np.array(rs_decode_many(f, gammas, received[:, k:].reshape(n, -1).T, k))
+        v = v.reshape(width * z, k).T.reshape(k, width, z)
+        # U: node i's leading coordinate c is psi_i[:k] . U[:, c] plus
+        # psi_i[k:] . V[c, :]; subtract the V^T term, then decode U's columns.
+        powers = [f.vandermonde_row(g, alpha)[k:] for g in gammas]
+        vt_term = f.matmul(powers, v.transpose(1, 0, 2).reshape(width, k * z))
+        lead = received[:, :k].reshape(n, k * z)
+        u_words = f.matmul([[1, f.neg(1)]], np.stack([lead.ravel(), vt_term.ravel()]))
+        u = np.array(rs_decode_many(f, gammas, u_words.reshape(n, k * z).T, k))
+        u = u.reshape(k * z, k).T.reshape(k, k, z)
+    except DecodeFailure as exc:
+        raise DecodeFailure("reconstruction failed: error budget exceeded") from exc
+    if not np.array_equal(u, u.transpose(1, 0, 2)):
+        raise IntegrityError("recovered U block is not symmetric")
+    top = np.concatenate([u, v], axis=1)  # the first k rows of M, per stripe
+    grid = message_index_matrix(params)  # each index once on or above the diagonal
+    _, rows, cols = zip(*sorted((grid[i][j], i, j) for i in range(k) for j in range(i, alpha)))
+    message = top[list(rows), list(cols)]
+    stripes = StripeSet(z, stripe_symbol_bytes(f), tuple(map(tuple, message.tolist())), pads)
     return unstripe_blocks(stripes)
 
 

@@ -9,6 +9,14 @@ points, so this works for any set of node encoder coefficients.
 A decoded polynomial is accepted only if it agrees with at least n - e of
 the supplied points; with at most e corruptions that polynomial is unique,
 so a success is never a silently wrong answer within the error budget.
+
+rs_decode decodes one word; rs_decode_many is the one batched decoder, for
+many words sharing one point set.  It interpolates every word in one
+product, and decodes the words that fail the agreement check by
+blame-then-erasure: Welch-Berlekamp on one of them names the lying points,
+and the rest are interpolated from points outside that blame set.  Against
+at most e lying points it runs Welch-Berlekamp at most e times, however
+many words they corrupt, and its results equal rs_decode word for word.
 """
 
 from __future__ import annotations
@@ -175,6 +183,14 @@ def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int
     return coeffs
 
 
+def _interpolate_from(field: Field, powers: list[list[int]], points: list[int], words):
+    """Coefficients of every word (a column of words) from its values at points."""
+    base = invert_matrix(field, [powers[i] for i in points])
+    if base is None:  # distinct xs make the Vandermonde block regular
+        raise DecodeFailure("interpolation failed")
+    return field.matmul(base, words[points])
+
+
 def rs_decode_many(
     field: Field,
     xs: list[int],
@@ -184,11 +200,21 @@ def rs_decode_many(
     """Decode many received words sharing one evaluation-point set.
 
     ys_list holds one word of len(xs) values per row: nested sequences of
-    ints or a 2-d integer array.  Every word is first interpolated from its
-    first dim points and evaluated at the rest, as two products over all
-    words at once; a word that agrees with fewer than n - e points falls back
-    to the full Welch-Berlekamp decode.  Returns one coefficient list of
-    Python ints per word.
+    ints or a 2-d integer array.  Returns exactly what rs_decode returns for
+    each word, as one coefficient list of Python ints per word, and raises
+    DecodeFailure exactly when rs_decode fails on some word.
+
+    Every word is first interpolated from its first dim points and evaluated
+    at the rest, as two products over all words at once.  A word that agrees
+    with fewer than n - e points is dirty.  While dirty words are left, the
+    first one is decoded by Welch-Berlekamp (rs_decode), and the positions
+    where its codeword differs from it join a blame set: within the error
+    budget they are lying evaluation points.  The remaining dirty words are
+    then interpolated in one product from the first dim points outside the
+    blame set, i.e. decoded as erasures, and each is accepted if it agrees
+    with at least n - e points.  Words that corrupt a fixed set of at most e
+    positions (Byzantine helpers or nodes) thus cost at most e Welch-Berlekamp
+    runs per call, however many words they touch.
     """
     n = len(xs)
     if dim < 1:
@@ -197,15 +223,27 @@ def rs_decode_many(
         raise ValueError(f"need at least dim={dim} points, got {n}")
     if len(set(xs)) != n:
         raise ValueError("duplicate evaluation points")
-    e = (n - dim) // 2
-    base = invert_matrix(field, [field.vandermonde_row(x, dim) for x in xs[:dim]])
-    if base is None:  # distinct xs make the Vandermonde block regular
-        raise DecodeFailure("interpolation failed")
+    threshold = n - (n - dim) // 2
+    powers = [field.vandermonde_row(x, dim) for x in xs]
     received = np.asarray(ys_list, dtype=np.int64).reshape(len(ys_list), n).T
-    coeffs = field.matmul(base, received[:dim])
-    tail = [field.vandermonde_row(x, dim) for x in xs[dim:]]
-    hits = (field.matmul(tail, coeffs) == received[dim:]).sum(axis=0)
+    coeffs = _interpolate_from(field, powers, list(range(dim)), received)
+    hits = (field.matmul(powers[dim:], coeffs) == received[dim:]).sum(axis=0)
     out = coeffs.T.tolist()
-    for w in np.flatnonzero(hits < (n - e) - dim).tolist():
-        out[w] = rs_decode(field, list(zip(xs, received[:, w].tolist())), dim)
+    dirty = np.flatnonzero(hits < threshold - dim)
+    blamed: set[int] = set()
+    while dirty.size:
+        w, dirty = dirty[0], dirty[1:]
+        word = received[:, w].tolist()
+        out[w] = rs_decode(field, list(zip(xs, word)), dim)
+        codeword = field.matmul(powers, [[c] for c in out[w]])[:, 0].tolist()
+        blamed.update(i for i in range(n) if codeword[i] != word[i])
+        trusted = [i for i in range(n) if i not in blamed][:dim]
+        if not dirty.size or len(trusted) < dim:
+            continue
+        words = received[:, dirty]
+        fixed = _interpolate_from(field, powers, trusted, words)
+        ok = (field.matmul(powers, fixed) == words).sum(axis=0) >= threshold
+        for j, coeffs_j in zip(dirty[ok].tolist(), fixed[:, ok].T.tolist()):
+            out[j] = coeffs_j
+        dirty = dirty[~ok]
     return out

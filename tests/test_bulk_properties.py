@@ -2,19 +2,34 @@
 
 from dataclasses import replace
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from srb import codec
+from srb.errors import DecodeFailure, IntegrityError
 from srb.field import parse_field
-from srb.mbr import MbrParams, NodeRow, build_message_matrix, encode_node, repair_share
+from srb.mbr import (
+    MbrParams,
+    NodeRow,
+    build_message_matrix,
+    encode_node,
+    repair_share,
+    secure_reconstruct,
+)
+from srb.rs import rs_decode, rs_decode_many
 
 FIELDS = ["prime:13", "prime:257", "binary:8", "binary:8:0x11b", "binary:16"]
 
 
 @st.composite
-def generations(draw):
-    """A field, parameters, one generation of blocks, a target, helpers and <= p lies."""
+def generations(draw, over_budget=False):
+    """A field, parameters, one generation of blocks, a target, helpers and lies.
+
+    lies replaces the shares of some of the alpha + 2p helpers, state_lies the
+    states of some of the first k + 2p of them; at most p of each, or any
+    number if over_budget.
+    """
     f = parse_field(draw(st.sampled_from(FIELDS)))
     k = draw(st.integers(1, 4))
     alpha = draw(st.integers(k, 6))
@@ -30,9 +45,13 @@ def generations(draw):
     )
     z = -(-block_size // codec.stripe_symbol_bytes(f))
     symbol = st.integers(0, f.order - 1)
-    liars = draw(st.lists(st.integers(0, n - 1), max_size=p, unique=True))
-    lies = {i: tuple(draw(st.lists(symbol, min_size=z, max_size=z))) for i in liars}
-    return f, params, block_size, blocks, target, helpers, lies
+    word = st.lists(symbol, min_size=z, max_size=z).map(tuple)
+    liars = draw(st.lists(st.integers(0, n - 1), max_size=n if over_budget else p, unique=True))
+    lies = {i: draw(word) for i in liars}
+    m = k + 2 * p
+    liars = draw(st.lists(st.integers(0, m - 1), max_size=m if over_budget else p, unique=True))
+    state_lies = {i: tuple(draw(word) for _ in range(alpha)) for i in liars}
+    return f, params, block_size, blocks, target, helpers, lies, state_lies
 
 
 def stripe_messages(f, blocks, block_size):
@@ -49,15 +68,22 @@ def all_ints(rows):
 
 @settings(max_examples=80, deadline=None)
 @given(generations())
+# alpha == k with one lying state and one lying share; block size 0 with liars
+@example((parse_field("prime:257"), MbrParams(2, 2, p=1), 3, [b"abc", b"de", b""], 1,
+          [2, 3, 4, 5], {0: (7, 8, 9)}, {1: ((1, 2, 3), (4, 5, 6))}))
+@example((parse_field("binary:16"), MbrParams(1, 2, p=1), 0, [b"", b""], 9,
+          [2, 3, 4, 5], {3: ()}, {0: ((), ())}))
 def test_bulk_path_matches_scalar_oracle(case):
-    f, params, block_size, blocks, target, helpers, lies = case
-    matrices = [build_message_matrix(f, msg, params) for msg in stripe_messages(f, blocks, block_size)]
+    f, params, block_size, blocks, target, helpers, lies, state_lies = case
+    messages = stripe_messages(f, blocks, block_size)
+    matrices = [build_message_matrix(f, msg, params) for msg in messages]
     assert all_ints(codec.stripe_blocks(blocks, f, block_size).symbols)
 
-    shares = []
+    states, shares = [], []
     for i, gamma in enumerate(helpers):
         state = codec.encode_generation(blocks, gamma, params, f, block_size=block_size)
         assert all_ints(state.blocks)
+        states.append(replace(state, blocks=state_lies[i]) if i in state_lies else state)
         oracle = [encode_node(f, m, gamma) for m in matrices]
         for s, row in enumerate(oracle):
             assert tuple(block[s] for block in state.blocks) == row.symbols
@@ -71,11 +97,20 @@ def test_bulk_path_matches_scalar_oracle(case):
     assert all_ints(fresh.blocks)
     assert fresh == codec.encode_generation(blocks, target, params, f, block_size=block_size)
 
+    nodes = states[: params.reconstruct_degree]
+    oracle = [
+        secure_reconstruct(f, [NodeRow(st.gamma, tuple(b[s] for b in st.blocks)) for st in nodes], params)
+        for s in range(len(messages))
+    ]
+    got = codec.reconstruct_generation(nodes, params.p)
+    assert stripe_messages(f, got, block_size) == oracle
+    assert got == blocks
+
 
 @settings(max_examples=60, deadline=None)
 @given(generations(), st.integers(0, 2**32 - 1))
 def test_serialization_round_trip(case, generation):
-    f, params, block_size, blocks, target, helpers, _ = case
+    f, params, block_size, blocks, target, helpers, _, _ = case
     state = codec.encode_generation(blocks, helpers[0], params, f, generation, block_size)
     assert codec.state_from_bytes(codec.state_to_bytes(state)) == state
     share = codec.serve_repair(state, target)
@@ -96,7 +131,7 @@ def test_mutated_file_is_rejected_or_handled_exactly(case, data):
     The changed file is at most one liar among otherwise honest peers, within
     the budget p >= 1, so reconstruct and bootstrap never raise DecodeFailure.
     """
-    f, params, block_size, blocks, target, helpers, _ = case
+    f, params, block_size, blocks, target, helpers, _, _ = case
     assume(params.p >= 1)
     p = params.p
     states = [codec.encode_generation(blocks, g, params, f, block_size=block_size) for g in helpers]
@@ -134,3 +169,77 @@ def test_mutated_file_is_rejected_or_handled_exactly(case, data):
     except ValueError:
         return
     assert fresh == codec.encode_generation(blocks, target, params, f, block_size=block_size)
+
+
+@st.composite
+def received_words(draw):
+    """A field, distinct points, dim, and codewords with corrupted positions.
+
+    Each word corrupts its own subset of a shared liar set, like the shares
+    of Byzantine helpers, plus up to two positions of its own, so some words
+    carry more than e = (n - dim) // 2 errors.
+    """
+    f = parse_field(draw(st.sampled_from(FIELDS)))
+    dim = draw(st.integers(1, 4))
+    n = dim + draw(st.integers(0, 4))
+    xs = draw(st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n, unique=True))
+    symbol = st.integers(0, f.order - 1)
+    position = st.integers(0, n - 1)
+    liars = draw(st.lists(position, max_size=n, unique=True))
+    words = []
+    for _ in range(draw(st.integers(0, 8))):
+        coeffs = draw(st.lists(symbol, min_size=dim, max_size=dim))
+        word = [f.poly_eval(coeffs, x) for x in xs]
+        shared = draw(st.sets(st.sampled_from(liars))) if liars else set()
+        for i in shared | draw(st.sets(position, max_size=2)):
+            word[i] = draw(symbol)
+        words.append(word)
+    return f, xs, words, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(received_words())
+def test_decode_many_matches_per_word_decode(case):
+    """rs_decode_many is rs_decode on every word: same results, same failures."""
+    f, xs, words, dim = case
+    try:
+        expect = [rs_decode(f, list(zip(xs, word)), dim) for word in words]
+    except DecodeFailure:
+        with pytest.raises(DecodeFailure):
+            rs_decode_many(f, xs, words, dim)
+        return
+    assert rs_decode_many(f, xs, words, dim) == expect
+
+
+@settings(max_examples=80, deadline=None)
+@given(generations(over_budget=True))
+def test_decode_contract(case):
+    """Within p liars the result is exact; beyond, a result or a decode error.
+
+    Reconstruct may also report a non-symmetric U block (IntegrityError); any
+    other exception is a fault.
+    """
+    f, params, block_size, blocks, target, helpers, lies, state_lies = case
+    p = params.p
+    states = [codec.encode_generation(blocks, g, params, f, block_size=block_size) for g in helpers]
+    shares = [codec.serve_repair(state, target) for state in states]
+    liars = sum(1 for i, lie in lies.items() if lie != shares[i].symbols)
+    shares = [replace(s, symbols=lies[i]) if i in lies else s for i, s in enumerate(shares)]
+    try:
+        fresh = codec.bootstrap_node(shares, target, p)
+    except DecodeFailure:
+        assert liars > p
+    else:
+        if liars <= p:
+            assert fresh == codec.encode_generation(blocks, target, params, f, block_size=block_size)
+
+    nodes = states[: params.reconstruct_degree]
+    liars = sum(1 for i, lie in state_lies.items() if lie != nodes[i].blocks)
+    nodes = [replace(s, blocks=state_lies[i]) if i in state_lies else s for i, s in enumerate(nodes)]
+    try:
+        got = codec.reconstruct_generation(nodes, p)
+    except (DecodeFailure, IntegrityError):
+        assert liars > p
+    else:
+        if liars <= p:
+            assert got == blocks

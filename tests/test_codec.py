@@ -386,6 +386,55 @@ def test_header_values_must_fit_the_format(changes):
         codec.state_to_bytes(replace(state, **changes))
 
 
+@pytest.mark.parametrize(
+    "blocks", [((1,), (2,), (3,)), ((1, 2), (3, 4)), ((1, 2), (3, 4), (5, 6), (7, 8))],
+    ids=["short-blocks", "too-few-blocks", "too-many-blocks"],
+)
+def test_state_payload_must_be_alpha_by_z(blocks):
+    params = MbrParams(2, 3, n=5)  # alpha = 3, L = 5
+    state = codec.encode_generation([b"abcd"] * 5, 1, params, binary_field(16), block_size=4)
+    assert state.z == 2
+    with pytest.raises(ValueError):
+        replace(state, blocks=blocks)
+
+
+@pytest.mark.parametrize("symbols", [(1,), (1, 2, 3)])
+def test_share_payload_must_be_z_symbols(symbols):
+    params = MbrParams(2, 3, n=5)
+    state = codec.encode_generation([b"abcd"] * 5, 1, params, binary_field(16), block_size=4)
+    share = codec.serve_repair(state, 4)
+    assert share.z == 2
+    with pytest.raises(ValueError):
+        replace(share, symbols=symbols)
+
+
+def test_paper_geometry_decodes_one_liar_exactly():
+    """k=30, alpha=50, p=1 in GF(2^16), 64-byte blocks (L=1065, Z=32).
+
+    The liars sit among the first k nodes and the first alpha helpers, the
+    points the decoder interpolates from, so both decodes take the dirty-word
+    path: blame by Welch-Berlekamp, then erasure decoding.
+    """
+    f = binary_field(16)
+    params = MbrParams(30, 50, p=1)
+    assert params.message_length == 1065
+    rng = random.Random(30)
+    blocks = [rng.randbytes(64) for _ in range(params.message_length)]
+    gammas = rng.sample(range(1, f.order), params.repair_degree + 1)
+    target, helpers = gammas[0], gammas[1:]
+    states = [codec.encode_generation(blocks, g, params, f, block_size=64) for g in helpers]
+
+    nodes = states[: params.reconstruct_degree]
+    lie = tuple(tuple(rng.randrange(f.order) for _ in range(32)) for _ in range(50))
+    nodes[7] = replace(nodes[7], blocks=lie)
+    assert codec.reconstruct_generation(nodes, p=1) == blocks
+
+    shares = [codec.serve_repair(state, target) for state in states]
+    shares[11] = replace(shares[11], symbols=tuple(rng.randrange(f.order) for _ in range(32)))
+    fresh = codec.bootstrap_node(shares, target, p=1)
+    assert fresh == codec.encode_generation(blocks, target, params, f, block_size=64)
+
+
 def test_encode_deterministic():
     f = binary_field(16)
     params = MbrParams(3, 4, n=6)

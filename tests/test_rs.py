@@ -163,6 +163,33 @@ def test_decode_many_matches_single_decode():
     assert rs_decode_many(f, xs, ys_list, dim) == expect
 
 
+@pytest.mark.parametrize("f", [prime_field(257), binary_field(16)])
+def test_decode_many_runs_welch_berlekamp_once_per_liar(f, monkeypatch):
+    """Liars blamed on one word are erased from the rest: at most p WB runs."""
+    rng = random.Random(32)
+    dim, p = 5, 2
+    n = dim + 2 * p
+    xs = rng.sample(range(f.order), n)
+    liars = [1, 3]  # among the first dim points, which the fast path uses
+    ys_list, expect = [], []
+    for _ in range(200):
+        coeffs = [rng.randrange(f.order) for _ in range(dim)]
+        ys = [f.poly_eval(coeffs, x) for x in xs]
+        for bad in rng.sample(liars, rng.randint(0, p)):
+            ys[bad] = (ys[bad] + 1 + rng.randrange(f.order - 1)) % f.order
+        ys_list.append(ys)
+        expect.append(coeffs)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rs_decode(*args)
+
+    monkeypatch.setattr("srb.rs.rs_decode", counted)
+    assert rs_decode_many(f, xs, ys_list, dim) == expect
+    assert 1 <= len(calls) <= p
+
+
 def test_solve_linear_inconsistent_and_underdetermined():
     f = prime_field(13)
     assert solve_linear(f, [[1, 1], [2, 2]], [3, 7]) is None
