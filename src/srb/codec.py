@@ -194,7 +194,8 @@ class CodedNodeState(GenerationHeader):
     def __post_init__(self):
         super().__post_init__()
         if len(self.blocks) != self.alpha or any(len(b) != self.z for b in self.blocks):
-            raise ValueError(f"a node state carries alpha={self.alpha} blocks of Z={self.z} symbols")
+            raise ValueError(f"a node state carries alpha={self.alpha} blocks of Z={self.z} "
+                             "symbols")
 
     def payload_bytes(self) -> int:
         return self.alpha * self.z * stored_symbol_bytes(self.field)
@@ -334,21 +335,24 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
     params = MbrParams(k, alpha, p=p)
     n, width = len(states), alpha - k
     received = np.array([st.blocks for st in states], dtype=np.int64).reshape(n, alpha, z)
-    try:
-        # V: the words of node i's trailing alpha-k coordinates, one per
-        # (column, stripe), are evaluations at gamma_i of V's columns.
-        v = np.array(rs_decode_many(f, gammas, received[:, k:].reshape(n, -1).T, k))
-        v = v.reshape(width * z, k).T.reshape(k, width, z)
-        # U: node i's leading coordinate c is psi_i[:k] . U[:, c] plus
-        # psi_i[k:] . V[c, :]; subtract the V^T term, then decode U's columns.
-        powers = [f.vandermonde_row(g, alpha)[k:] for g in gammas]
-        vt_term = f.matmul(powers, v.transpose(1, 0, 2).reshape(width, k * z))
-        lead = received[:, :k].reshape(n, k * z)
-        u_words = f.matmul([[1, f.neg(1)]], np.stack([lead.ravel(), vt_term.ravel()]))
-        u = np.array(rs_decode_many(f, gammas, u_words.reshape(n, k * z).T, k))
-        u = u.reshape(k * z, k).T.reshape(k, k, z)
-    except DecodeFailure as exc:
-        raise DecodeFailure("reconstruction failed: error budget exceeded") from exc
+
+    def decode(words):
+        """The k coefficients of each column of words (n x words), as k x words."""
+        try:
+            return np.array(rs_decode_many(f, gammas, words.T, k)).reshape(-1, k).T
+        except DecodeFailure as exc:
+            raise DecodeFailure("reconstruction failed: error budget exceeded") from exc
+
+    # V: node i's trailing alpha-k coordinates, one word per (column, stripe),
+    # are evaluations at gamma_i of V's columns.
+    v = decode(received[:, k:].reshape(n, width * z)).reshape(k, width, z)
+    # U: node i's leading coordinate c is psi_i[:k] . U[:, c] plus
+    # psi_i[k:] . V[c, :]; subtract the V^T term, then decode U's columns.
+    powers = [f.vandermonde_row(g, alpha)[k:] for g in gammas]
+    vt_term = f.matmul(powers, v.transpose(1, 0, 2).reshape(width, k * z))
+    lead = received[:, :k].reshape(n, k * z)
+    u_words = f.matmul([[1, f.neg(1)]], np.stack([lead.ravel(), vt_term.ravel()]))
+    u = decode(u_words.reshape(n, k * z)).reshape(k, k, z)
     if not np.array_equal(u, u.transpose(1, 0, 2)):
         raise IntegrityError("recovered U block is not symmetric")
     top = np.concatenate([u, v], axis=1)  # the first k rows of M, per stripe

@@ -10,13 +10,10 @@ A decoded polynomial is accepted only if it agrees with at least n - e of
 the supplied points; with at most e corruptions that polynomial is unique,
 so a success is never a silently wrong answer within the error budget.
 
-rs_decode decodes one word; rs_decode_many is the one batched decoder, for
-many words sharing one point set.  It interpolates every word in one
-product, and decodes the words that fail the agreement check by
-blame-then-erasure: Welch-Berlekamp on one of them names the lying points,
-and the rest are interpolated from points outside that blame set.  Against
-at most e lying points it runs Welch-Berlekamp at most e times, however
-many words they corrupt, and its results equal rs_decode word for word.
+rs_decode decodes one word.  rs_decode_many, the one batched decoder, decodes
+many words sharing one point set, word for word as rs_decode would; words
+that fail its fast path are decoded by blame-then-erasure, which against at
+most e lying points runs Welch-Berlekamp at most e times.
 """
 
 from __future__ import annotations
