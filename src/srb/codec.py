@@ -123,10 +123,15 @@ def stripe_blocks(blocks: list[bytes], field: Field, block_size: int) -> StripeS
     return StripeSet(z, stripe_symbol_bytes(field), tuple(map(tuple, symbols.tolist())), lengths)
 
 
+def _unstripe_array(symbols, symbol_bytes: int, pad_lengths: tuple[int, ...]) -> list[bytes]:
+    """The blocks behind an L x Z symbol array; see unstripe_blocks."""
+    rows = np.array(symbols, dtype=_dtype(symbol_bytes))
+    return [row.tobytes()[:length] for row, length in zip(rows, pad_lengths)]
+
+
 def unstripe_blocks(stripes: StripeSet) -> list[bytes]:
     """Exact inverse of stripe_blocks."""
-    symbols = np.array(stripes.symbols, dtype=_dtype(stripes.symbol_bytes))
-    return [row.tobytes()[:length] for row, length in zip(symbols, stripes.pad_lengths)]
+    return _unstripe_array(stripes.symbols, stripes.symbol_bytes, stripes.pad_lengths)
 
 
 @dataclass(frozen=True)
@@ -321,8 +326,9 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
     Two batched decodes over all stripes, as srb.mbr.secure_reconstruct does
     per stripe: first V's columns, then, with the V^T term subtracted, U's.
     Raises DecodeFailure when more than p states are corrupt and no codeword
-    is within budget, IntegrityError when the recovered U is not symmetric,
-    ValueError on inconsistent state headers.
+    is within budget, IntegrityError when the recovered U is not symmetric or
+    a recovered symbol does not fit in block bytes, ValueError on
+    inconsistent state headers.
     """
     if not states:
         raise ValueError("no states supplied")
@@ -359,8 +365,10 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
     grid = message_index_matrix(params)  # each index once on or above the diagonal
     _, rows, cols = zip(*sorted((grid[i][j], i, j) for i in range(k) for j in range(i, alpha)))
     message = top[list(rows), list(cols)]
-    stripes = StripeSet(z, stripe_symbol_bytes(f), tuple(map(tuple, message.tolist())), pads)
-    return unstripe_blocks(stripes)
+    sb = stripe_symbol_bytes(f)
+    if message.max(initial=0) >= 256**sb:
+        raise IntegrityError("recovered message symbols do not fit in block bytes")
+    return _unstripe_array(message, sb, pads)
 
 
 # -- serialization -----------------------------------------------------------

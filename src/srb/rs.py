@@ -10,10 +10,14 @@ A decoded polynomial is accepted only if it agrees with at least n - e of
 the supplied points; with at most e corruptions that polynomial is unique,
 so a success is never a silently wrong answer within the error budget.
 
-rs_decode decodes one word.  rs_decode_many, the one batched decoder, decodes
-many words sharing one point set, word for word as rs_decode would; words
-that fail its fast path are decoded by blame-then-erasure, which against at
-most e lying points runs Welch-Berlekamp at most e times.
+rs_decode decodes one word by Welch-Berlekamp alone; with zero slack
+(e = 0) its system is plain interpolation with a consistency check.
+rs_decode_many, the one batched decoder, decodes many words sharing one
+point set, word for word as rs_decode would.  It holds the only fast path
+(interpolate every word from its first dim points, check the rest); words
+that fail it are decoded by blame-then-erasure, which against at most e
+lying points runs Welch-Berlekamp at most e times.  solve_linear and
+invert_matrix share one Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
@@ -24,18 +28,17 @@ from .errors import DecodeFailure
 from .field import Field
 
 
-def solve_linear(field: Field, rows: list[list[int]], rhs: list[int]) -> list[int] | None:
-    """One solution of rows * x = rhs by Gauss-Jordan, or None if inconsistent.
+def _row_reduce(field: Field, aug: list[list[int]], n_cols: int) -> list[int]:
+    """Gauss-Jordan on the first n_cols columns of aug, in place.
 
-    Free variables are set to zero. The system may be over- or
-    under-determined.
+    Each pivot row is scaled to a leading 1 and cleared from every other
+    row; rows without a pivot end up below the pivot rows.  Returns the
+    pivot columns, one per pivot row, in row order.
     """
-    aug = [row[:] + [r] for row, r in zip(rows, rhs)]
     n_rows = len(aug)
-    n_cols = len(rows[0]) if rows else 0
-    pivot_cols = []
-    rank = 0
+    pivot_cols: list[int] = []
     for col in range(n_cols):
+        rank = len(pivot_cols)
         pivot = next((i for i in range(rank, n_rows) if aug[i][col] != 0), None)
         if pivot is None:
             continue
@@ -48,15 +51,25 @@ def solve_linear(field: Field, rows: list[list[int]], rhs: list[int]) -> list[in
                 f = aug[i][col]
                 aug[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(aug[i], lead)]
         pivot_cols.append(col)
-        rank += 1
-        if rank == n_rows:
+        if len(pivot_cols) == n_rows:
             break
-    for i in range(rank, n_rows):
-        if aug[i][-1] != 0:
-            return None
+    return pivot_cols
+
+
+def solve_linear(field: Field, rows: list[list[int]], rhs: list[int]) -> list[int] | None:
+    """One solution of rows * x = rhs by Gauss-Jordan, or None if inconsistent.
+
+    Free variables are set to zero. The system may be over- or
+    under-determined.
+    """
+    n_cols = len(rows[0]) if rows else 0
+    aug = [row[:] + [r] for row, r in zip(rows, rhs)]
+    pivot_cols = _row_reduce(field, aug, n_cols)
+    if any(row[-1] != 0 for row in aug[len(pivot_cols):]):
+        return None
     solution = [0] * n_cols
-    for r, col in enumerate(pivot_cols):
-        solution[col] = aug[r][-1]
+    for row, col in zip(aug, pivot_cols):
+        solution[col] = row[-1]
     return solution
 
 
@@ -64,29 +77,9 @@ def invert_matrix(field: Field, matrix: list[list[int]]) -> list[list[int]] | No
     """Inverse of a square matrix, or None if singular."""
     n = len(matrix)
     aug = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [field.mul(inv, v) for v in aug[col]]
-        lead = aug[col]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(aug[i], lead)]
+    if len(_row_reduce(field, aug, n)) < n:
+        return None
     return [row[n:] for row in aug]
-
-
-def mat_vec(field: Field, matrix: list[list[int]], vec: list[int]) -> list[int]:
-    out = []
-    for row in matrix:
-        acc = 0
-        for c, v in zip(row, vec):
-            acc = field.add(acc, field.mul(c, v))
-        out.append(acc)
-    return out
 
 
 def poly_divmod(field: Field, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -116,14 +109,6 @@ def poly_divmod(field: Field, num: list[int], den: list[int]) -> tuple[list[int]
     return quot, rem
 
 
-def _interpolate(field: Field, xs: list[int], ys: list[int]) -> list[int]:
-    rows = [field.vandermonde_row(x, len(xs)) for x in xs]
-    solution = solve_linear(field, rows, ys)
-    if solution is None:  # distinct xs make the system regular
-        raise DecodeFailure("interpolation failed")
-    return solution
-
-
 def _agreement(field: Field, coeffs: list[int], points: list[tuple[int, int]]) -> int:
     return sum(1 for x, y in points if field.poly_eval(coeffs, x) == y)
 
@@ -131,8 +116,8 @@ def _agreement(field: Field, coeffs: list[int], points: list[tuple[int, int]]) -
 def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int]:
     """Recover the length-dim coefficient vector behind noisy evaluations.
 
-    Corrects up to (len(points) - dim) // 2 wrong values; with zero slack it
-    degenerates to plain interpolation.  Raises DecodeFailure when no
+    Corrects up to (len(points) - dim) // 2 wrong values; with zero slack the
+    Welch-Berlekamp system is plain interpolation.  Raises DecodeFailure when no
     polynomial of degree < dim agrees with enough points, ValueError on
     malformed input (too few points, duplicate evaluation points).
     """
@@ -146,13 +131,6 @@ def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int
     if len(set(xs)) != n:
         raise ValueError("duplicate evaluation points")
     e = (n - dim) // 2
-    threshold = n - e
-
-    coeffs = _interpolate(field, xs[:dim], ys[:dim])
-    if _agreement(field, coeffs, points) >= threshold:
-        return coeffs
-    if e == 0:
-        raise DecodeFailure("received word is not a codeword and there is no error budget")
 
     # Welch-Berlekamp: find Q, E with deg Q < dim + e, E monic of degree e,
     # such that Q(x_i) = y_i * E(x_i) for all i; then the message is Q / E.
@@ -175,7 +153,7 @@ def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int
     if len(quot) > dim:
         raise DecodeFailure("no consistent codeword within the error budget")
     coeffs = quot + [0] * (dim - len(quot))
-    if _agreement(field, coeffs, points) < threshold:
+    if _agreement(field, coeffs, points) < n - e:
         raise DecodeFailure("no consistent codeword within the error budget")
     return coeffs
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
+from typing import get_type_hints
 
 from . import analytics, codec
 from .errors import DecodeFailure, IntegrityError, ShardUnderflowError
@@ -27,27 +28,6 @@ from .mbr import MbrParams, message_length
 STRATEGIES = ("flip-random-symbols", "zero-out", "consistent-wrong-polynomial")
 
 CONFIG_VERSION = 1
-
-_CONFIG_FIELDS: dict[str, type] = {
-    "total_nodes": int,
-    "shards": int,
-    "malicious": int,
-    "k": int,
-    "alpha": int,
-    "p": int,
-    "block_size": int,
-    "blocks_per_epoch": int,
-    "joins_per_epoch": int,
-    "leaves_per_epoch": int,
-    "cuckoo_eps": float,
-    "strategy": str,
-    "seed": int,
-    "epochs": int,
-    "field_spec": str,
-    "cap_malicious_per_shard": bool,
-    "balance_ratio_limit": float,
-}
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -110,7 +90,7 @@ class SimConfig:
 
     def to_text(self) -> str:
         lines = [f"config_version={CONFIG_VERSION}"]
-        for name in _CONFIG_FIELDS:
+        for name in get_type_hints(SimConfig):
             value = getattr(self, name)
             if isinstance(value, bool):
                 value = "true" if value else "false"
@@ -119,6 +99,7 @@ class SimConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "SimConfig":
+        types = get_type_hints(cls)
         seen: dict[str, object] = {}
         version = None
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -133,9 +114,9 @@ class SimConfig:
             if key == "config_version":
                 version = int(value)
                 continue
-            if key not in _CONFIG_FIELDS:
+            if key not in types:
                 raise ValueError(f"line {lineno}: unknown config key {key!r}")
-            typ = _CONFIG_FIELDS[key]
+            typ = types[key]
             if typ is bool:
                 if value.lower() not in ("true", "false"):
                     raise ValueError(f"line {lineno}: {key} must be true or false")
@@ -510,22 +491,20 @@ def _bootstrap_one(
         return BootstrapEvent(
             epoch, rec.node_id, rec.shard, generation, False, corrupted, payload, headers
         )
-    encoded = codec.state_to_bytes(state)
-    expected = codec.state_to_bytes(
-        codec.encode_generation(
-            net.generation_blocks[(rec.shard, generation)],
-            rec.gamma,
-            params,
-            net.field,
-            generation=generation,
-            block_size=cfg.block_size,
-        )
+    expected = codec.encode_generation(
+        net.generation_blocks[(rec.shard, generation)],
+        rec.gamma,
+        params,
+        net.field,
+        generation=generation,
+        block_size=cfg.block_size,
     )
-    if encoded != expected:
+    # The file bytes are a function of the fields, so object equality is byte equality.
+    if state != expected:
         raise IntegrityError(
             f"bootstrap of node {rec.node_id} returned state differing from direct encoding"
         )
-    rec.states[generation] = encoded
+    rec.states[generation] = codec.state_to_bytes(state)
     return BootstrapEvent(
         epoch, rec.node_id, rec.shard, generation, True, corrupted, payload, headers
     )
@@ -655,33 +634,17 @@ def run_simulation(config: SimConfig) -> SimReport:
     )
 
 
+def _report_value(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else repr(value)
+
+
 def render_report(report: SimReport) -> str:
     """Structured text: config echo, one record per epoch, totals, comparison."""
     lines = ["# shard simulation report", "report_version=1", ""]
     lines.append(report.config.to_text().rstrip("\n"))
     lines.append("")
     for st in report.epochs:
-        pairs = [
-            f"epoch={st.epoch}",
-            f"nodes={st.nodes}",
-            "shard_sizes=" + ",".join(map(str, st.shard_sizes)),
-            "shard_malicious=" + ",".join(map(str, st.shard_malicious)),
-            f"joins={st.joins}",
-            f"leaves={st.leaves}",
-            f"displaced={st.displaced}",
-            f"shard_moves={st.shard_moves}",
-            f"bootstraps_attempted={st.bootstraps_attempted}",
-            f"bootstraps_succeeded={st.bootstraps_succeeded}",
-            f"bootstraps_failed={st.bootstraps_failed}",
-            f"bootstrap_payload_bytes={st.bootstrap_payload_bytes}",
-            f"bootstrap_header_bytes={st.bootstrap_header_bytes}",
-            "generations_done=" + ",".join(map(str, st.generations_done)),
-            f"storage_total_min={st.storage_total_min}",
-            f"storage_total_max={st.storage_total_max}",
-            "expected_storage_per_node=" + ",".join(map(str, st.expected_storage_per_node)),
-            f"expected_bootstrap_payload_per_generation={st.expected_bootstrap_payload_per_generation}",
-            f"balance_ratio={st.balance_ratio!r}",
-        ]
+        pairs = (f"{f.name}={_report_value(getattr(st, f.name))}" for f in fields(st))
         lines.append(" ".join(pairs))
     lines.append("")
     lines.append(

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from srb import codec
-from srb.errors import DecodeFailure
+from srb.errors import DecodeFailure, IntegrityError
 from srb.field import binary_field, prime_field
 from srb.mbr import MbrParams, build_message_matrix, encode_node, repair_share
 
@@ -235,6 +235,21 @@ def test_reconstruct_generation_reference_parameters_any_subset():
 
     for subset in itertools.combinations(range(5), 3):
         assert codec.reconstruct_generation([states[i] for i in subset], p=0) == blocks
+
+
+def test_reconstruct_symbol_outside_block_bytes_is_integrity_error():
+    """States that all lie consistently may decode to a symbol no byte packs into."""
+    f = prime_field(257)
+    params = MbrParams(2, 3, p=1)
+    blocks = [b"\x01"] * params.message_length
+    shift = build_message_matrix(f, [255] + [0] * (params.message_length - 1), params)
+    states = []
+    for g in range(1, 5):
+        st = codec.encode_generation(blocks, g, params, f, block_size=1)
+        lie = encode_node(f, shift, g).symbols  # adds 255 to the first byte: 256
+        states.append(replace(st, blocks=tuple((f.add(b, d),) for (b,), d in zip(st.blocks, lie))))
+    with pytest.raises(IntegrityError):
+        codec.reconstruct_generation(states, p=1)
 
 
 def test_end_to_end_with_bootstrapped_node():

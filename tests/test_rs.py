@@ -6,7 +6,7 @@ import pytest
 
 from srb.errors import DecodeFailure
 from srb.field import binary_field, prime_field
-from srb.rs import invert_matrix, mat_vec, poly_divmod, rs_decode, rs_decode_many, solve_linear
+from srb.rs import invert_matrix, poly_divmod, rs_decode, rs_decode_many, solve_linear
 
 
 def exhaustive_decode_oracle(f, points, dim, min_agree):
@@ -32,6 +32,13 @@ def test_zero_errors_is_interpolation():
     coeffs = [4, 0, 7]
     points = [(x, f.poly_eval(coeffs, x)) for x in (2, 5, 11)]
     assert rs_decode(f, points, 3) == coeffs
+    # zero slack (n = dim + 1, e = 0): a wrong value is detected, never corrected
+    points = [(x, f.poly_eval(coeffs, x)) for x in (2, 5, 11, 7)]
+    assert rs_decode(f, points, 3) == coeffs
+    for bad in range(len(points)):
+        x, y = points[bad]
+        with pytest.raises(DecodeFailure):
+            rs_decode(f, points[:bad] + [(x, (y + 1) % 13)] + points[bad + 1:], 3)
 
 
 def test_majority_vote_dim_one():
@@ -39,7 +46,7 @@ def test_majority_vote_dim_one():
     points = [(1, 6), (2, 6), (3, 9)]
     majority = Counter(y for _, y in points).most_common(1)[0][0]
     assert rs_decode(f, points, 1) == [majority]
-    # outlier first: forces the fall-back past the fast interpolation path
+    # outlier first: the one wrong value sits among the first dim points
     assert rs_decode(f, [(3, 9), (1, 6), (2, 6)], 1) == [6]
 
 
@@ -201,7 +208,7 @@ def test_invert_matrix():
     f = prime_field(13)
     m = [[1, 2], [3, 4]]
     inv = invert_matrix(f, m)
-    assert mat_vec(f, inv, mat_vec(f, m, [5, 9])) == [5, 9]
+    assert f.matmul(inv, m).tolist() == [[1, 0], [0, 1]]
     assert invert_matrix(f, [[1, 2], [2, 4]]) is None
 
 

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -305,6 +306,26 @@ def test_run_simulation_budget_exceeded_reports_failure():
         assert event.corrupted_shares > cfg.p  # attribution invariant
     succeeded = [e for e in report.bootstrap_events if e.ok]
     assert succeeded
+
+
+def test_render_report_golden_text():
+    """Pins the report bytes: a failed bootstrap, unequal storage, every config key."""
+    cfg = small_config(
+        total_nodes=12,
+        shards=1,
+        malicious=2,
+        p=1,
+        k=2,
+        alpha=3,
+        blocks_per_epoch=5,
+        joins_per_epoch=2,
+        epochs=6,
+        strategy="zero-out",
+        seed=11,
+        cap_malicious_per_shard=False,
+    )
+    golden = Path(__file__).with_name("data") / "sim_report_budget_exceeded.txt"
+    assert render_report(run_simulation(cfg)) == golden.read_text()
 
 
 def test_run_simulation_deterministic():
