@@ -28,16 +28,19 @@ GenerationHeader checks it whenever one is built, parsed or replaced:
   - there are exactly L = k*alpha - k(k-1)/2 pad lengths, each in
     [0, block_size].
 
-A node state's payload is alpha rows of Z symbols and a share's is Z
-symbols; both are checked on construction too.
+A node state's payload is one read-only alpha x Z uint16 array and a
+share's one of length Z.  The constructor copies it and checks, once, its
+shape and that every symbol is in the field; encode, serve, decode and the
+file I/O then use that array as it stands and never build Python ints in
+bulk.  The .blocks and .symbols views return tuples of Python ints, built on
+each access, for scalar code and tests.
 
-All bulk work runs on numpy arrays through Field.matmul; the dataclasses
-hold tuples of Python ints.  Decoding goes through srb.rs.rs_decode_many,
-batched over every word of a generation: bootstrap decodes the Z words of
-the shares, reconstruct the (alpha-k)*Z words of V and then the k*Z words
-of U.  Its blame-then-erasure step keeps a decode against p liars to at most
-p Welch-Berlekamp runs.  srb.mbr is the one-stripe scalar reference that the
-tests compare this module against.
+Decoding goes through srb.rs.rs_decode_many, batched over every word of a
+generation: bootstrap decodes the Z words of the shares, reconstruct the
+(alpha-k)*Z words of V and then the k*Z words of U.  Its blame-then-erasure
+step keeps a decode against p liars to at most p Welch-Berlekamp runs.
+srb.mbr is the one-stripe scalar reference that the tests compare this
+module against.
 """
 
 from __future__ import annotations
@@ -125,12 +128,18 @@ def stripe_blocks(blocks: list[bytes], field: Field, block_size: int) -> StripeS
 
 def _unstripe_array(symbols, symbol_bytes: int, pad_lengths: tuple[int, ...]) -> list[bytes]:
     """The blocks behind an L x Z symbol array; see unstripe_blocks."""
-    rows = np.array(symbols, dtype=_dtype(symbol_bytes))
+    rows = np.asarray(symbols)
+    if rows.size and (rows.min() < 0 or rows.max() >= 256**symbol_bytes):
+        raise ValueError(f"a stripe symbol does not fit in {symbol_bytes} block byte(s)")
+    rows = rows.astype(_dtype(symbol_bytes))
     return [row.tobytes()[:length] for row, length in zip(rows, pad_lengths)]
 
 
 def unstripe_blocks(stripes: StripeSet) -> list[bytes]:
-    """Exact inverse of stripe_blocks."""
+    """Exact inverse of stripe_blocks.
+
+    Raises ValueError if a symbol does not fit in symbol_bytes bytes.
+    """
     return _unstripe_array(stripes.symbols, stripes.symbol_bytes, stripes.pad_lengths)
 
 
@@ -181,6 +190,19 @@ class GenerationHeader:
         return (self.field, self.k, self.alpha, self.generation, self.block_size, self.z,
                 self.pad_lengths)
 
+    def _identity(self) -> tuple:
+        """What == and hash compare: every field, an array payload as its bytes."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self):
+        return hash(self._identity())
+
 
 _HEADER_FIELDS = tuple(f.name for f in fields(GenerationHeader))
 
@@ -190,17 +212,48 @@ def _header_of(h: GenerationHeader, **changes) -> dict:
     return {name: getattr(h, name) for name in _HEADER_FIELDS} | changes
 
 
-@dataclass(frozen=True)
+def _frozen_payload(data, shape: tuple[int, ...], field: Field, what: str) -> np.ndarray:
+    """data (nested ints or an integer array) as a new read-only uint16 array.
+
+    The copy keeps a caller's later writes to its own array from reaching the
+    object.  Raises ValueError unless data has the given shape and every
+    entry is an element of field.
+    """
+    arr = np.asarray(data)
+    if arr.shape != shape:
+        raise ValueError(f"{what} has shape {arr.shape}; its header needs {shape}")
+    if arr.size:
+        if arr.dtype.kind not in "biu":
+            raise ValueError(f"{what} holds {arr.dtype} values, not integers")
+        if (arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= field.order:
+            raise ValueError(f"{what} has symbols outside {field}")
+    out = arr.astype(np.uint16, order="C")
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class CodedNodeState(GenerationHeader):
-    """One node's stored data for one generation."""
+    """One node's stored data for one generation.
 
-    blocks: tuple[tuple[int, ...], ...]  # alpha coded blocks of Z symbols
+    payload holds the alpha coded blocks as the rows of a read-only alpha x Z
+    uint16 array.  The constructor takes it as blocks= (nested ints or an
+    array, copied); blocks= wins over payload=, so that
+    dataclasses.replace(state, blocks=...) replaces the payload.
+    """
 
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.blocks) != self.alpha or any(len(b) != self.z for b in self.blocks):
-            raise ValueError(f"a node state carries alpha={self.alpha} blocks of Z={self.z} "
-                             "symbols")
+    payload: np.ndarray
+
+    def __init__(self, *, blocks=None, payload=None, **header):
+        super().__init__(**header)
+        data = _frozen_payload(payload if blocks is None else blocks, (self.alpha, self.z),
+                               self.field, "a node state")
+        object.__setattr__(self, "payload", data)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The payload as alpha tuples of Z Python ints, built on each access."""
+        return tuple(map(tuple, self.payload.tolist()))
 
     def payload_bytes(self) -> int:
         return self.alpha * self.z * stored_symbol_bytes(self.field)
@@ -209,21 +262,29 @@ class CodedNodeState(GenerationHeader):
         return state_header_size(self.message_count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class RepairShare(GenerationHeader):
     """One helper's contribution to a bootstrap: one coded block of Z symbols.
 
     gamma is the helper's coefficient, target_gamma the joining node's.
+    payload is the coded block as a read-only uint16 array of length Z, taken
+    as symbols= the way CodedNodeState takes blocks=.
     """
 
     target_gamma: int
-    symbols: tuple[int, ...]
+    payload: np.ndarray
 
-    def __post_init__(self):
-        super().__post_init__()
-        self.field.check(self.target_gamma)
-        if len(self.symbols) != self.z:
-            raise ValueError(f"a repair share carries Z={self.z} symbols, got {len(self.symbols)}")
+    def __init__(self, *, target_gamma, symbols=None, payload=None, **header):
+        super().__init__(**header)
+        object.__setattr__(self, "target_gamma", self.field.check(target_gamma))
+        data = _frozen_payload(payload if symbols is None else symbols, (self.z,),
+                               self.field, "a repair share")
+        object.__setattr__(self, "payload", data)
+
+    @property
+    def symbols(self) -> tuple[int, ...]:
+        """The payload as a tuple of Z Python ints, built on each access."""
+        return tuple(self.payload.tolist())
 
     def payload_bytes(self) -> int:
         return self.z * stored_symbol_bytes(self.field)
@@ -269,7 +330,7 @@ def encode_generation(
         block_size=block_size,
         z=z,
         pad_lengths=lengths,
-        blocks=tuple(map(tuple, coded.tolist())),
+        blocks=coded,
     )
 
 
@@ -279,8 +340,8 @@ def serve_repair(state: CodedNodeState, target_gamma: int) -> RepairShare:
         raise ValueError("a node cannot serve a repair share to itself")
     f = state.field
     tv = f.vandermonde_row(target_gamma, state.alpha)
-    (symbols,) = f.matmul([tv], np.array(state.blocks).reshape(state.alpha, state.z)).tolist()
-    return RepairShare(**_header_of(state), target_gamma=target_gamma, symbols=tuple(symbols))
+    (symbols,) = f.matmul([tv], state.payload)
+    return RepairShare(**_header_of(state), target_gamma=target_gamma, symbols=symbols)
 
 
 def _common_header(items: list[GenerationHeader], what: str) -> tuple:
@@ -311,13 +372,12 @@ def bootstrap_node(shares: list[RepairShare], target_gamma: int, p: int = 0) -> 
         raise ValueError("duplicate helper coefficients")
     if target_gamma in xs:
         raise ValueError("the target cannot be one of its own helpers")
-    received = np.array([s.symbols for s in shares]).reshape(len(shares), z)
+    received = np.stack([s.payload for s in shares])
     try:
         rows = rs_decode_many(f, xs, received.T, alpha)
     except DecodeFailure as exc:
         raise DecodeFailure("repair failed: error budget exceeded") from exc
-    coded = tuple(zip(*rows)) if z else ((),) * alpha
-    return CodedNodeState(**_header_of(shares[0], gamma=target_gamma), blocks=coded)
+    return CodedNodeState(**_header_of(shares[0], gamma=target_gamma), blocks=rows.T)
 
 
 def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[bytes]:
@@ -340,12 +400,12 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
         raise ValueError("duplicate node coefficients")
     params = MbrParams(k, alpha, p=p)
     n, width = len(states), alpha - k
-    received = np.array([st.blocks for st in states], dtype=np.int64).reshape(n, alpha, z)
+    received = np.stack([st.payload for st in states])
 
     def decode(words):
         """The k coefficients of each column of words (n x words), as k x words."""
         try:
-            return np.array(rs_decode_many(f, gammas, words.T, k)).reshape(-1, k).T
+            return rs_decode_many(f, gammas, words.T, k).T
         except DecodeFailure as exc:
             raise DecodeFailure("reconstruction failed: error budget exceeded") from exc
 
@@ -391,17 +451,20 @@ def _pack_header(h: GenerationHeader) -> bytes:
 
 
 def state_to_bytes(state: CodedNodeState) -> bytes:
-    return _pack_header(state) + _symbol_bytes(state.blocks, state.field)
+    return b"".join((_pack_header(state), _stored_payload(state)))
 
 
 def share_to_bytes(share: RepairShare) -> bytes:
-    head = _pack_header(share) + struct.pack("<I", share.target_gamma)
-    return head + _symbol_bytes(share.symbols, share.field)
+    return b"".join((_pack_header(share), struct.pack("<I", share.target_gamma),
+                     _stored_payload(share)))
 
 
-def _symbol_bytes(symbols, field: Field) -> bytes:
-    """Symbols (nested in row order) as stored_symbol_bytes-wide big-endian words."""
-    return np.array(symbols, dtype=_dtype(stored_symbol_bytes(field))).tobytes()
+def _stored_payload(h: CodedNodeState | RepairShare) -> np.ndarray:
+    """The payload in row order as stored_symbol_bytes-wide big-endian words.
+
+    bytes.join reads the array's buffer, so the file is built in one copy.
+    """
+    return h.payload.astype(_dtype(stored_symbol_bytes(h.field)))
 
 
 def _parse_header(data: bytes, what: str) -> tuple[dict, int]:
@@ -429,24 +492,25 @@ def _parse_header(data: bytes, what: str) -> tuple[dict, int]:
     return head, off + 4 * count
 
 
-def _read_payload(data: bytes, off: int, rows: int, z: int, field: Field, what: str) -> list:
-    """The rows x z symbols from off to the end of data, as nested lists of ints."""
+def _read_payload(data: bytes, off: int, count: int, field: Field, what: str) -> np.ndarray:
+    """The count symbols from off to the end of data, as a read-only view.
+
+    The constructor the view goes to checks that every symbol is in field.
+    """
     sb = stored_symbol_bytes(field)
-    end = off + rows * z * sb
+    end = off + count * sb
     if len(data) < end:
         raise ValueError(f"truncated {what} payload")
     if len(data) > end:
         raise ValueError(f"trailing bytes after {what} payload")
-    syms = np.frombuffer(data, _dtype(sb), rows * z, off)
-    if syms.size and syms.max() >= field.order:
-        raise ValueError(f"{what} payload has symbols outside {field}")
-    return syms.reshape(rows, z).tolist()
+    return np.frombuffer(data, _dtype(sb), count, off)
 
 
 def state_from_bytes(data: bytes) -> CodedNodeState:
     head, off = _parse_header(data, "state")
-    blocks = _read_payload(data, off, head["alpha"], head["z"], head["field"], "state")
-    return CodedNodeState(**head, blocks=tuple(map(tuple, blocks)))
+    alpha, z = head["alpha"], head["z"]
+    payload = _read_payload(data, off, alpha * z, head["field"], "state")
+    return CodedNodeState(**head, blocks=payload.reshape(alpha, z))
 
 
 def share_from_bytes(data: bytes) -> RepairShare:
@@ -454,5 +518,5 @@ def share_from_bytes(data: bytes) -> RepairShare:
     if len(data) < off + 4:
         raise ValueError("truncated share header")
     (target_gamma,) = struct.unpack_from("<I", data, off)
-    (syms,) = _read_payload(data, off + 4, 1, head["z"], head["field"], "share")
-    return RepairShare(**head, target_gamma=target_gamma, symbols=tuple(syms))
+    payload = _read_payload(data, off + 4, head["z"], head["field"], "share")
+    return RepairShare(**head, target_gamma=target_gamma, symbols=payload)

@@ -147,9 +147,11 @@ class Field:
 
         coeffs is a small rows x n matrix of field elements, data an n x words
         integer array (or nested sequences of ints).  Returns a rows x words
-        integer array; convert it with ``.tolist()`` before its values reach
-        the scalar operations, which accept only Python ints.  Raises
-        ValueError if an operand has an entry outside the field.
+        integer array, which bulk code keeps as an array.  Its values reach
+        the scalar operations only as Python ints (``.tolist()``): numpy
+        scalars overflow there, e.g. PrimeField.mul on two ``np.uint16``
+        wraps.  Raises ValueError if an operand has an entry outside the
+        field.
         """
         raise NotImplementedError
 

@@ -13,7 +13,8 @@ so a success is never a silently wrong answer within the error budget.
 rs_decode decodes one word by Welch-Berlekamp alone; with zero slack
 (e = 0) its system is plain interpolation with a consistency check.
 rs_decode_many, the one batched decoder, decodes many words sharing one
-point set, word for word as rs_decode would.  It holds the only fast path
+point set, word for word as rs_decode would, into one words x dim integer
+array; it never builds Python ints per word.  It holds the only fast path
 (interpolate every word from its first dim points, check the rest); words
 that fail it are decoded by blame-then-erasure, which against at most e
 lying points runs Welch-Berlekamp at most e times.  solve_linear and
@@ -171,12 +172,12 @@ def rs_decode_many(
     xs: list[int],
     ys_list,
     dim: int,
-) -> list[list[int]]:
+) -> np.ndarray:
     """Decode many received words sharing one evaluation-point set.
 
     ys_list holds one word of len(xs) values per row: nested sequences of
-    ints or a 2-d integer array.  Returns exactly what rs_decode returns for
-    each word, as one coefficient list of Python ints per word, and raises
+    ints or a 2-d integer array.  Returns a words x dim integer array whose
+    row w is exactly what rs_decode returns for word w, and raises
     DecodeFailure exactly when rs_decode fails on some word.
 
     Every word is first interpolated from its first dim points and evaluated
@@ -203,14 +204,15 @@ def rs_decode_many(
     received = np.asarray(ys_list, dtype=np.int64).reshape(len(ys_list), n).T
     coeffs = _interpolate_from(field, powers, list(range(dim)), received)
     hits = (field.matmul(powers[dim:], coeffs) == received[dim:]).sum(axis=0)
-    out = coeffs.T.tolist()
+    out = coeffs.T.copy()
     dirty = np.flatnonzero(hits < threshold - dim)
     blamed: set[int] = set()
     while dirty.size:
         w, dirty = dirty[0], dirty[1:]
         word = received[:, w].tolist()
-        out[w] = rs_decode(field, list(zip(xs, word)), dim)
-        codeword = field.matmul(powers, [[c] for c in out[w]])[:, 0].tolist()
+        decoded = rs_decode(field, list(zip(xs, word)), dim)
+        out[w] = decoded
+        codeword = field.matmul(powers, [[c] for c in decoded])[:, 0].tolist()
         blamed.update(i for i in range(n) if codeword[i] != word[i])
         trusted = [i for i in range(n) if i not in blamed][:dim]
         if not dirty.size or len(trusted) < dim:
@@ -218,7 +220,6 @@ def rs_decode_many(
         words = received[:, dirty]
         fixed = _interpolate_from(field, powers, trusted, words)
         ok = (field.matmul(powers, fixed) == words).sum(axis=0) >= threshold
-        for j, coeffs_j in zip(dirty[ok].tolist(), fixed[:, ok].T.tolist()):
-            out[j] = coeffs_j
+        out[dirty[ok]] = fixed[:, ok].T
         dirty = dirty[~ok]
     return out

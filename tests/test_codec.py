@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from srb import codec
@@ -67,6 +68,16 @@ def test_stripe_round_trip_random():
             blocks = [rng.randbytes(rng.randint(0, size)) for _ in range(rng.randint(1, 6))]
             got = codec.unstripe_blocks(codec.stripe_blocks(blocks, f, size))
             assert got == blocks
+
+
+@pytest.mark.parametrize(
+    "symbol_bytes, symbols", [(1, ((1, 256),)), (2, ((65536, 0),)), (1, ((-1, 0),))],
+    ids=["256-in-one-byte", "65536-in-two-bytes", "negative"],
+)
+def test_unstripe_symbol_wider_than_its_bytes_is_value_error(symbol_bytes, symbols):
+    stripes = codec.StripeSet(2, symbol_bytes, symbols, (2 * symbol_bytes,))
+    with pytest.raises(ValueError):
+        codec.unstripe_blocks(stripes)
 
 
 def test_encode_generation_reference_example():
@@ -471,3 +482,65 @@ def test_storage_accounting():
     # alpha <= L with equality iff k == 1
     assert params.alpha < params.message_length
     assert MbrParams(1, 4).alpha == 4 and MbrParams(1, 4).message_length == 4
+
+
+def _small_state_and_share():
+    """A GF(2^16) state with alpha=3, Z=2, and the share it serves to gamma 4."""
+    params = MbrParams(2, 3, n=5)
+    state = codec.encode_generation([b"abcd"] * 5, 1, params, binary_field(16), block_size=4)
+    return state, codec.serve_repair(state, 4)
+
+
+def test_payload_is_a_copy_of_a_writable_caller_array():
+    state, share = _small_state_and_share()
+    blocks = np.array(state.blocks, dtype=np.int64)
+    symbols = np.array(share.symbols, dtype=np.uint16)
+    built = replace(state, blocks=blocks)
+    sent = replace(share, symbols=symbols)
+    before = (codec.state_to_bytes(built), hash(built), codec.share_to_bytes(sent), hash(sent))
+    blocks[0, 0] ^= 1
+    symbols[1] ^= 1
+    after = (codec.state_to_bytes(built), hash(built), codec.share_to_bytes(sent), hash(sent))
+    assert after == before
+    assert built == state and sent == share
+
+
+def test_payload_is_read_only():
+    state, share = _small_state_and_share()
+    with pytest.raises(ValueError):
+        state.payload[0, 0] = 1
+    with pytest.raises(ValueError):
+        share.payload[0] = 1
+    assert state.payload.dtype == np.uint16 and state.payload.shape == (3, 2)
+
+
+def test_payload_equality_and_hash_follow_the_symbols():
+    state, share = _small_state_and_share()
+    from_tuples = replace(state, blocks=state.blocks)
+    from_array = replace(state, blocks=np.array(state.blocks))
+    assert from_tuples == from_array and hash(from_tuples) == hash(from_array)
+    changed = [list(row) for row in state.blocks]
+    changed[2][1] ^= 1
+    assert replace(state, blocks=changed) != from_array
+    assert replace(from_array, gamma=2) != from_array
+    assert replace(share, symbols=share.symbols) == share
+    assert hash(replace(share, symbols=np.array(share.symbols))) == hash(share)
+    assert replace(share, symbols=(share.symbols[0] ^ 1, share.symbols[1])) != share
+    assert replace(share, gamma=2) != share
+    assert replace(share, target_gamma=5) != share
+
+
+@pytest.mark.parametrize(
+    "f, bad", [(prime_field(13), 13), (prime_field(13), -1), (binary_field(8), 256)],
+    ids=["prime13-13", "prime13-negative", "binary8-256"],
+)
+def test_payload_symbol_outside_the_field_is_rejected(f, bad):
+    params = MbrParams(1, 2)  # L = 2
+    state = codec.encode_generation([b"\x01", b"\x02"], 3, params, f, block_size=1)
+    share = codec.serve_repair(state, 4)
+    with pytest.raises(ValueError):
+        replace(state, blocks=((bad,), (0,)))
+    with pytest.raises(ValueError):
+        replace(state, blocks=np.array(((0,), (bad,))))
+    with pytest.raises(ValueError):
+        replace(share, symbols=(bad,))
