@@ -8,6 +8,12 @@ irreducible reduction polynomial.  Scalar operations take and return Python
 ints; :meth:`Field.matmul` is the one bulk kernel, multiplying a small
 coefficient matrix by a numpy array of symbols.
 
+The kernel works in the operands' own width: an integer array (the uint16
+payloads, say) goes in as it is, GF(2^m) gathers through int32 log tables in
+column chunks of bounded size, and no temporary the size of the data is ever
+widened to 8 bytes.  GF(2^m) products come back as uint16, prime-field
+products as int64.
+
 Fields larger than 2^16 are rejected: two-byte symbols are the largest this
 package stripes blocks into, and 65536 distinct encoder coefficients cover
 any realistic shard.
@@ -21,6 +27,17 @@ import math
 import numpy as np
 
 MAX_ORDER = 1 << 16
+
+# Data entries BinaryField.matmul gathers logs for at once: 256 KB of int32
+# plus take()'s 512 KB intp copy of the indices.  Temporaries this small are
+# reused from the allocator's free lists call after call; a chunk of 2^17
+# entries already made every 4 KiB-block encode fault ~1.7 MB of fresh pages
+# in, which cost more than the gathers it saved.  A chunk is at least
+# _MIN_CHUNK_WIDTH columns wide all the same, so that with many data rows
+# (L = 1065 at k=30, alpha=50) each numpy call still has enough work to
+# outweigh its call overhead.
+_CHUNK_ELEMENTS = 1 << 16
+_MIN_CHUNK_WIDTH = 512
 
 # Reduction polynomial bitmasks (the x^m term included).  All are primitive:
 # x itself generates the multiplicative group.
@@ -146,25 +163,41 @@ class Field:
         """The product coeffs x data over this field.
 
         coeffs is a small rows x n matrix of field elements, data an n x words
-        integer array (or nested sequences of ints).  Returns a rows x words
-        integer array, which bulk code keeps as an array.  Its values reach
-        the scalar operations only as Python ints (``.tolist()``): numpy
-        scalars overflow there, e.g. PrimeField.mul on two ``np.uint16``
-        wraps.  Raises ValueError if an operand has an entry outside the
-        field.
+        integer array of any integer dtype (or nested sequences of ints); see
+        _operands for which inputs are converted.  Returns a rows x words
+        integer array, uint16 in GF(2^m) and int64 in a prime field, which
+        bulk code keeps as an array.  Its values reach the scalar operations
+        only as Python ints (``.tolist()``): numpy scalars overflow there,
+        e.g. PrimeField.mul on two ``np.uint16`` wraps.  Raises ValueError if
+        an operand has an entry outside the field.
         """
         raise NotImplementedError
 
     def _operands(self, coeffs, data) -> tuple[np.ndarray, np.ndarray]:
-        """matmul's operands as int64 arrays of shape (rows, n) and (n, words)."""
-        data = np.asarray(data, dtype=np.int64)
+        """matmul's operands as integer arrays of shape (rows, n) and (n, words).
+
+        An integer array whose values int64 holds (int8 to int64, uint8 to
+        uint32) is used in its own dtype, uncopied.  Anything else becomes
+        int64: nested ints, bool or float arrays as numpy converts them, and
+        uint64 arrays once their range is checked, since uint64 mixed with
+        int64 promotes to float64.  Raises ValueError if an entry is outside
+        the field.
+        """
+        data = self._in_field(data)
         if data.ndim != 2:
             raise ValueError(f"data must be 2-dimensional, got shape {data.shape}")
-        coeffs = np.asarray(coeffs, dtype=np.int64).reshape(len(coeffs), data.shape[0])
-        for arr in (coeffs, data):
-            if arr.size and (arr.min() < 0 or arr.max() >= self.order):
-                raise ValueError(f"matmul operand has entries outside {self}")
+        coeffs = self._in_field(coeffs).reshape(len(coeffs), data.shape[0])
         return coeffs, data
+
+    def _in_field(self, operand) -> np.ndarray:
+        arr = np.asarray(operand)
+        if arr.dtype.kind not in "iu":
+            arr = np.asarray(operand, dtype=np.int64)
+        if arr.size and (arr.min() < 0 or arr.max() >= self.order):
+            raise ValueError(f"matmul operand has entries outside {self}")
+        if not np.can_cast(arr.dtype, np.int64):
+            arr = arr.astype(np.int64)
+        return arr
 
     def scale_vec(self, c: int, vec: list[int]) -> list[int]:
         """[c * v for v in vec]."""
@@ -243,9 +276,10 @@ class PrimeField(Field):
         return pow(self.check(a), e, self.order)
 
     def matmul(self, coeffs, data):
-        # Entries are below 2^16, so n products sum below 2^63 for any n < 2^31.
+        # In int64 whatever the operands' dtypes: entries are below 2^16, so n
+        # products sum below 2^63 for any n < 2^31.
         coeffs, data = self._operands(coeffs, data)
-        return coeffs @ data % self.order
+        return coeffs.astype(np.int64, copy=False) @ data % self.order
 
     # Bound on each field class, like its other operations, so that
     # per-class instrumentation finds them.
@@ -286,9 +320,11 @@ class BinaryField(Field):
     def _build_tables(self):
         """Log/exp tables over the first generator found, trying x first.
 
-        Python lists serve the scalar operations; numpy copies serve matmul.
-        In the numpy tables log(0) is 2(q-1), and exp is zero from 2(q-1) on,
-        so any product with a zero factor gathers a zero.
+        Python lists serve the scalar operations; numpy copies serve matmul:
+        log as int32, exp as uint16.  In the numpy tables log(0) is 2(q-1),
+        and exp is zero from 2(q-1) on, so any product with a zero factor
+        gathers a zero.  A log sum is at most (q-2) + 2(q-1) < 3(q-1), the
+        length of exp, so int32 holds every index.
         """
         q = self.order
         for g in range(1, q):  # 1 generates only GF(2)'s group; x is 2
@@ -296,9 +332,9 @@ class BinaryField(Field):
             if len(powers) == q - 1:
                 break
         self._primitive = g == gf2_mod(0b10, self.poly)
-        exp_np = np.array(powers, dtype=np.intp)
-        log_np = np.empty(q, dtype=np.intp)
-        log_np[exp_np] = np.arange(q - 1)
+        exp_np = np.array(powers, dtype=np.int32)
+        log_np = np.empty(q, dtype=np.int32)
+        log_np[exp_np] = np.arange(q - 1, dtype=np.int32)
         log_np[0] = 2 * (q - 1)
         self._log = log_np.tolist()
         self._exp = powers + powers
@@ -354,17 +390,26 @@ class BinaryField(Field):
 
     def matmul(self, coeffs, data):
         # Each row: gather exp[log(c) + log(v)] for its nonzero coefficients c,
-        # then XOR the terms together.  take() beats fancy indexing here.
+        # then XOR the terms together.  take() beats fancy indexing here, but
+        # copies its int32 indices to intp, so the columns go in chunks of
+        # about _CHUNK_ELEMENTS data entries: every temporary is chunk-sized,
+        # whatever the number of words.
         coeffs, data = self._operands(coeffs, data)
         log, exp = self._log_np, self._exp_np
-        logd = log.take(data)
-        out = np.zeros((coeffs.shape[0], data.shape[1]), dtype=np.uint16)
+        terms = []  # (row, its nonzero columns, their logs as a column)
         for r, row in enumerate(coeffs):
             cols = np.flatnonzero(row)
             if cols.size:
+                terms.append((r, cols, log.take(row[cols])[:, None]))
+        out = np.zeros((coeffs.shape[0], data.shape[1]), dtype=np.uint16)
+        width = max(_MIN_CHUNK_WIDTH, _CHUNK_ELEMENTS // max(1, data.shape[0]))
+        for start in range(0, data.shape[1] if terms else 0, width):
+            part = slice(start, start + width)
+            logd = log.take(data[:, part])
+            for r, cols, logc in terms:
                 index = logd.take(cols, axis=0)
-                index += log.take(row[cols])[:, None]
-                out[r] = np.bitwise_xor.reduce(exp.take(index), axis=0)
+                index += logc
+                out[r, part] = np.bitwise_xor.reduce(exp.take(index), axis=0)
         return out
 
     scale_vec = Field.scale_vec

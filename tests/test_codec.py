@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from srb import codec
+from srb import codec, rs
 from srb.errors import DecodeFailure, IntegrityError
 from srb.field import binary_field, prime_field
 from srb.mbr import MbrParams, build_message_matrix, encode_node, repair_share
@@ -235,6 +235,24 @@ def test_reconstruct_generation():
     )
     sel[1] = replace(bad, blocks=garbage)
     assert codec.reconstruct_generation(sel, p=1) == blocks
+
+
+def test_reconstruct_runs_welch_berlekamp_once_per_liar(monkeypatch):
+    """The V decode blames the zeroed state; the U decode erases it, no WB run."""
+    f = binary_field(16)
+    params = MbrParams(3, 5, p=1)
+    blocks, states = make_generation(f, params, random.Random(9), 40, gammas=range(1, 6))
+    states[1] = replace(states[1], blocks=np.zeros((params.alpha, states[1].z), dtype=np.uint16))
+    calls = []
+    decode = rs.rs_decode
+
+    def counted(*args):
+        calls.append(args)
+        return decode(*args)
+
+    monkeypatch.setattr(rs, "rs_decode", counted)
+    assert codec.reconstruct_generation(states, p=1) == blocks
+    assert len(calls) == 1
 
 
 def test_reconstruct_generation_reference_parameters_any_subset():

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -254,3 +255,123 @@ def test_parse_field():
 def test_field_cache_returns_same_object():
     assert binary_field(16) is binary_field(16)
     assert prime_field(257) is prime_field(257)
+
+
+def scalar_matmul(f, coeffs, data):
+    """coeffs x data by the scalar operations, as nested Python ints."""
+    return [
+        [
+            functools.reduce(f.add, (f.mul(c, vec[w]) for c, vec in zip(row, data)), 0)
+            for w in range(len(data[0]) if data else 0)
+        ]
+        for row in coeffs
+    ]
+
+
+DTYPE_FIELDS = [
+    prime_field(13),
+    prime_field(257),
+    binary_field(8),
+    binary_field(8, 0x11B),
+    binary_field(16),
+    prime_field(65521),
+]
+DTYPES = [np.uint8, np.uint16, np.int32, np.int64, np.uint64]
+
+
+@pytest.mark.parametrize("f", DTYPE_FIELDS, ids=lambda f: f.describe())
+def test_matmul_dtype_contract(f):
+    """Every integer dtype gives the scalar products, as an integer array."""
+    rng = random.Random(13)
+    coeffs = [[rng.choice((0, 1, f.order - 1, rng.randrange(f.order))) for _ in range(6)]
+              for _ in range(4)]
+    data = [[rng.choice((0, 1, f.order - 1, rng.randrange(f.order))) for _ in range(9)]
+            for _ in range(6)]
+    expect = scalar_matmul(f, coeffs, data)
+    got = f.matmul(coeffs, data)
+    assert got.dtype.kind in "iu"
+    assert got.tolist() == expect
+    for dtype in DTYPES:
+        if f.order - 1 > np.iinfo(dtype).max:
+            continue
+        for c, d in ((coeffs, np.array(data, dtype)),
+                     (np.array(coeffs, dtype), np.array(data, dtype))):
+            got = f.matmul(c, d)
+            assert got.dtype.kind in "iu", (dtype, got.dtype)
+            assert got.tolist() == expect, dtype
+
+
+@pytest.mark.parametrize("f", DTYPE_FIELDS, ids=lambda f: f.describe())
+def test_matmul_rejects_entries_outside_the_field_in_every_dtype(f):
+    for dtype in DTYPES:
+        bad = [v for v in (f.order, -1, 1 << 63)
+               if np.iinfo(dtype).min <= v <= np.iinfo(dtype).max]
+        if dtype is np.uint64:
+            assert 1 << 63 in bad
+        for v in bad:
+            with pytest.raises(ValueError):
+                f.matmul([[1, 1]], np.array([[1, 2], [v, 0]], dtype))
+            with pytest.raises(ValueError):
+                f.matmul(np.array([[1, v]], dtype), np.array([[1], [2]], dtype))
+
+
+@pytest.mark.parametrize("dtype", [list, np.uint16, np.int32, np.uint32, np.int64, np.uint64])
+def test_prime_matmul_of_maximal_values_does_not_overflow(dtype):
+    # q - 1 = -1, so n products of (q - 1)^2 sum to n; the raw sum is n * 2^32.
+    f = prime_field(65521)
+    n = 4096
+    coeffs = np.full((8, n), f.order - 1)
+    data = np.full((n, 3), f.order - 1)
+    if dtype is not list:
+        coeffs, data = coeffs.astype(dtype), data.astype(dtype)
+    got = f.matmul(coeffs if dtype is not list else coeffs.tolist(),
+                   data if dtype is not list else data.tolist())
+    assert got.dtype.kind in "iu"
+    assert got.tolist() == [[n] * 3] * 8
+
+
+@pytest.mark.parametrize("poly", [0x11D, 0x11B])
+def test_matmul_is_the_mul_table_exhaustively_in_gf256(poly):
+    f = binary_field(8, poly)
+    column = [[c] for c in range(256)]
+    row = [list(range(256))]
+    table = [[f.mul(c, v) for v in range(256)] for c in range(256)]
+    for dtype in (np.uint8, np.uint16, np.int64):
+        assert f.matmul(np.array(column, dtype), np.array(row, dtype)).tolist() == table
+
+
+def test_matmul_reaches_the_table_edges_in_gf65536():
+    f = binary_field(16)
+    q = f.order
+    top = f._exp[q - 2]  # log(top) = q - 2, the largest log of a nonzero element
+    assert f._log[top] == q - 2
+    # log(top) + log(top) is the last index of exp two nonzero factors reach;
+    # log(top) + log(0), the sentinel, is the last entry of the table.
+    assert 2 * (q - 2) < 2 * (q - 1) <= (q - 2) + f._log_np[0] == len(f._exp_np) - 1
+    values = [0, 1, 2, top, q - 1, 0x8000, 0xABCD]
+    coeffs = [
+        [1, 0, 0, 0],
+        [top, 0, 0, 0],
+        [0, top, 1, 0],     # zeros mixed with nonzeros
+        [top, 0, top, 0x1234],
+        [0, 0, 0, 0],
+    ]
+    data = [values, values[::-1], [top] * len(values), [v ^ 0x5555 for v in values]]
+    got = f.matmul(coeffs, np.array(data, dtype=np.uint16))
+    assert got.dtype == np.uint16
+    assert got.tolist() == scalar_matmul(f, coeffs, data)
+    assert f.matmul([[top]], [[top]]).tolist() == [[clmul_oracle(top, top, f.poly)]]
+    assert f.matmul([[top]], [[0]]).tolist() == [[0]]
+
+
+@pytest.mark.parametrize("elements, min_width", [(1, 1), (5, 1), (64, 1), (1, 8), (1 << 16, 512)])
+def test_matmul_column_chunks_agree_with_scalar_products(elements, min_width, monkeypatch):
+    """Any chunk width (1, 1, 10, 8 and all 37 columns here), partial last chunks included."""
+    monkeypatch.setattr("srb.field._CHUNK_ELEMENTS", elements)
+    monkeypatch.setattr("srb.field._MIN_CHUNK_WIDTH", min_width)
+    rng = random.Random(14)
+    for f in (binary_field(8), binary_field(16)):
+        coeffs = [[rng.choice((0, rng.randrange(f.order))) for _ in range(6)] for _ in range(4)]
+        data = [[rng.randrange(f.order) for _ in range(37)] for _ in range(6)]
+        got = f.matmul(coeffs, np.array(data, dtype=np.uint16))
+        assert got.tolist() == scalar_matmul(f, coeffs, data)

@@ -2,11 +2,19 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from srb.errors import DecodeFailure
 from srb.field import binary_field, prime_field
-from srb.rs import invert_matrix, poly_divmod, rs_decode, rs_decode_many, solve_linear
+from srb.rs import (
+    DecodeContext,
+    invert_matrix,
+    poly_divmod,
+    rs_decode,
+    rs_decode_many,
+    solve_linear,
+)
 
 
 def exhaustive_decode_oracle(f, points, dim, min_agree):
@@ -195,6 +203,90 @@ def test_decode_many_runs_welch_berlekamp_once_per_liar(f, monkeypatch):
     monkeypatch.setattr("srb.rs.rs_decode", counted)
     assert rs_decode_many(f, xs, ys_list, dim).tolist() == expect
     assert 1 <= len(calls) <= p
+
+
+def _words_with_liars(f, rng, xs, dim, liars, count):
+    """count codewords of random messages, each lying at every position in liars."""
+    words, expect = [], []
+    for _ in range(count):
+        coeffs = [rng.randrange(f.order) for _ in range(dim)]
+        ys = [f.poly_eval(coeffs, x) for x in xs]
+        for bad in liars:
+            ys[bad] = (ys[bad] + 1 + rng.randrange(f.order - 1)) % f.order
+        words.append(ys)
+        expect.append(coeffs)
+    return words, expect
+
+
+@pytest.mark.parametrize("f", [prime_field(257), binary_field(16)])
+def test_decode_context_carries_blame_to_the_next_call(f, monkeypatch):
+    """A liar blamed in one call is erased in the next: one WB run for both."""
+    rng = random.Random(33)
+    dim, p = 4, 1
+    xs = rng.sample(range(f.order), dim + 2 * p)
+    first, expect_first = _words_with_liars(f, rng, xs, dim, [2], 30)
+    second, expect_second = _words_with_liars(f, rng, xs, dim, [2], 30)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rs_decode(*args)
+
+    monkeypatch.setattr("srb.rs.rs_decode", counted)
+    context = DecodeContext(f, xs, dim)
+    assert rs_decode_many(f, xs, first, dim, context).tolist() == expect_first
+    assert context.blamed == {2}
+    assert rs_decode_many(f, xs, second, dim, context).tolist() == expect_second
+    assert len(calls) == 1
+    # without a shared context each call runs Welch-Berlekamp again
+    rs_decode_many(f, xs, second, dim)
+    assert len(calls) == 2
+
+
+def test_decode_context_blaming_honest_points_changes_no_result():
+    """Blame only picks the points to interpolate from; results stay exact."""
+    f = binary_field(16)
+    rng = random.Random(34)
+    dim, p = 3, 2
+    xs = rng.sample(range(f.order), dim + 2 * p)
+    words, expect = _words_with_liars(f, rng, xs, dim, [0, 5], 40)
+    for blamed in ({1}, {1, 2}, {3, 4, 6}, set(range(len(xs)))):
+        context = DecodeContext(f, xs, dim)
+        context.blamed |= blamed
+        assert rs_decode_many(f, xs, words, dim, context).tolist() == expect
+    over_budget, _ = _words_with_liars(f, rng, xs, dim, [0, 1, 5], 3)
+    with pytest.raises(DecodeFailure):
+        rs_decode(f, list(zip(xs, over_budget[0])), dim)
+    context = DecodeContext(f, xs, dim)
+    context.blamed |= {2, 3}
+    with pytest.raises(DecodeFailure):
+        rs_decode_many(f, xs, over_budget, dim, context)
+
+
+def test_decode_context_must_match_the_call():
+    f = prime_field(257)
+    context = DecodeContext(f, [1, 2, 3, 4], 2)
+    words = [[5, 6, 7, 8]]
+    with pytest.raises(ValueError):
+        rs_decode_many(f, [1, 2, 3, 5], words, 2, context)
+    with pytest.raises(ValueError):
+        rs_decode_many(f, [1, 2, 3, 4], words, 3, context)
+    with pytest.raises(ValueError):
+        rs_decode_many(prime_field(13), [1, 2, 3, 4], words, 2, context)
+    with pytest.raises(ValueError):
+        DecodeContext(f, [1, 1, 2], 1)
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.int32, np.int64, np.uint64])
+def test_decode_many_keeps_the_words_in_any_integer_dtype(dtype):
+    f = binary_field(16)
+    rng = random.Random(35)
+    dim = 3
+    xs = rng.sample(range(f.order), dim + 2)
+    words, expect = _words_with_liars(f, rng, xs, dim, [1], 20)
+    got = rs_decode_many(f, xs, np.array(words, dtype=dtype), dim)
+    assert got.dtype.kind in "iu"
+    assert got.tolist() == expect
 
 
 def test_solve_linear_inconsistent_and_underdetermined():
