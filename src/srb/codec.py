@@ -37,8 +37,8 @@ each access, for scalar code and tests.
 
 Decoding goes through srb.rs.rs_decode_many, batched over every word of a
 generation: bootstrap decodes the Z words of the shares, reconstruct the
-(alpha-k)*Z words of V and then the k*Z words of U, both in one
-DecodeContext.  Its blame-then-erasure step keeps a bootstrap or a
+(alpha-k)*Z words of V and then the k*Z words of U, sharing one blame
+set.  Its blame-then-erasure step keeps a bootstrap or a
 reconstruct against p liars to at most p Welch-Berlekamp runs.  In GF(2^m)
 the payloads stay uint16 through every product and decode; nothing on this
 path widens them.
@@ -56,7 +56,7 @@ import numpy as np
 from .errors import DecodeFailure, IntegrityError
 from .field import Field, field_from_header
 from .mbr import MbrParams, message_index_matrix, message_length
-from .rs import DecodeContext, rs_decode_many
+from .rs import rs_decode_many
 
 MAGIC = b"SRB1"
 FORMAT_VERSION = 1
@@ -388,8 +388,8 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
 
     Two batched decodes over all stripes, as srb.mbr.secure_reconstruct does
     per stripe: first V's columns, then, with the V^T term subtracted, U's.
-    They share one DecodeContext, so a state blamed in the first is erased
-    in the second.
+    They share one blame set, so a state blamed in the first is erased in
+    the second.
     Raises DecodeFailure when more than p states are corrupt and no codeword
     is within budget, IntegrityError when the recovered U is not symmetric or
     a recovered symbol does not fit in block bytes, ValueError on
@@ -406,12 +406,12 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
     params = MbrParams(k, alpha, p=p)
     n, width = len(states), alpha - k
     received = np.stack([st.payload for st in states])
-    context = DecodeContext(f, gammas, k)  # a liar blamed in V is erased in U
+    blamed: set[int] = set()  # a liar blamed in V is erased in U
 
     def decode(words):
         """The k coefficients of each column of words (n x words), as k x words."""
         try:
-            return rs_decode_many(f, gammas, words.T, k, context).T
+            return rs_decode_many(f, gammas, words.T, k, blamed).T
         except DecodeFailure as exc:
             raise DecodeFailure("reconstruction failed: error budget exceeded") from exc
 

@@ -32,12 +32,8 @@ MAX_ORDER = 1 << 16
 # plus take()'s 512 KB intp copy of the indices.  Temporaries this small are
 # reused from the allocator's free lists call after call; a chunk of 2^17
 # entries already made every 4 KiB-block encode fault ~1.7 MB of fresh pages
-# in, which cost more than the gathers it saved.  A chunk is at least
-# _MIN_CHUNK_WIDTH columns wide all the same, so that with many data rows
-# (L = 1065 at k=30, alpha=50) each numpy call still has enough work to
-# outweigh its call overhead.
+# in, which cost more than the gathers it saved.
 _CHUNK_ELEMENTS = 1 << 16
-_MIN_CHUNK_WIDTH = 512
 
 # Reduction polynomial bitmasks (the x^m term included).  All are primitive:
 # x itself generates the multiplicative group.
@@ -402,7 +398,7 @@ class BinaryField(Field):
             if cols.size:
                 terms.append((r, cols, log.take(row[cols])[:, None]))
         out = np.zeros((coeffs.shape[0], data.shape[1]), dtype=np.uint16)
-        width = max(_MIN_CHUNK_WIDTH, _CHUNK_ELEMENTS // max(1, data.shape[0]))
+        width = max(1, _CHUNK_ELEMENTS // max(1, data.shape[0]))
         for start in range(0, data.shape[1] if terms else 0, width):
             part = slice(start, start + width)
             logd = log.take(data[:, part])

@@ -14,13 +14,13 @@ rs_decode decodes one word by Welch-Berlekamp alone; with zero slack
 (e = 0) its system is plain interpolation with a consistency check.
 rs_decode_many, the one batched decoder, decodes many words sharing one
 point set, word for word as rs_decode would, into one words x dim integer
-array; it never builds Python ints per word.  It holds the only fast path
-(interpolate every word from its first dim points, check the rest); words
-that fail it are decoded by blame-then-erasure, which against at most e
-lying points runs Welch-Berlekamp at most e times.  A DecodeContext carries
-the blame set and the interpolation inverses from one rs_decode_many call
-to the next over the same points.  solve_linear and invert_matrix share one
-Gauss-Jordan elimination.
+array; it never builds Python ints per word.  It holds the only
+interpolate-then-check step, which decodes every word from dim trusted
+points and checks the rest; words that fail it are decoded by
+blame-then-erasure, which against at most e lying points runs
+Welch-Berlekamp at most e times.  Its blame set can be carried from one
+call to the next over the same points.  solve_linear and invert_matrix
+share one Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
@@ -161,48 +161,22 @@ def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int
     return coeffs
 
 
-class DecodeContext:
-    """What decodes over one evaluation-point set share.
+def _interpolate_from(
+    field: Field, powers: list[list[int]], points: list[int], words, threshold: int
+):
+    """Interpolate every word (a column of words) from its values at points.
 
-    The points' Vandermonde rows, the inverse of each dim x dim block a
-    decode has interpolated from, by its positions, and the positions blamed
-    so far as lying.  rs_decode_many builds a fresh context per call unless
-    it is given one.  Passing one context to several calls over the same
-    points and dim (reconstruct's V and U decodes) lets a later call reuse
-    the inverses and erase the positions an earlier call blamed, so one liar
-    costs one Welch-Berlekamp run, not one per call.  Blame only chooses the
-    points to interpolate from; every result is still accepted by its
-    agreement count, so a context never changes what a decode returns.
+    Returns the coefficients, dim x words, and a mask of the words that agree
+    with at least threshold of their values: the dim interpolated ones and
+    enough of the others.
     """
-
-    def __init__(self, field: Field, xs: list[int], dim: int):
-        n = len(xs)
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if n < dim:
-            raise ValueError(f"need at least dim={dim} points, got {n}")
-        if len(set(xs)) != n:
-            raise ValueError("duplicate evaluation points")
-        self.field = field
-        self.xs = list(xs)
-        self.dim = dim
-        self.powers = [field.vandermonde_row(x, dim) for x in xs]
-        self.blamed: set[int] = set()
-        self._inverses: dict[tuple[int, ...], list[list[int]]] = {}
-
-    def trusted(self) -> list[int]:
-        """The first dim positions outside the blame set (fewer if too few are left)."""
-        return [i for i in range(len(self.xs)) if i not in self.blamed][: self.dim]
-
-    def interpolate(self, points: list[int], words: np.ndarray) -> np.ndarray:
-        """Coefficients of every word (a column of words) from its values at points."""
-        key = tuple(points)
-        if key not in self._inverses:
-            base = invert_matrix(self.field, [self.powers[i] for i in points])
-            if base is None:  # distinct xs make the Vandermonde block regular
-                raise DecodeFailure("interpolation failed")
-            self._inverses[key] = base
-        return self.field.matmul(self._inverses[key], words[points])
+    base = invert_matrix(field, [powers[i] for i in points])
+    if base is None:  # distinct xs make the Vandermonde block regular
+        raise DecodeFailure("interpolation failed")
+    coeffs = field.matmul(base, words[points])
+    others = [i for i in range(len(powers)) if i not in points]
+    hits = (field.matmul([powers[i] for i in others], coeffs) == words[others]).sum(axis=0)
+    return coeffs, hits >= threshold - len(points)
 
 
 def rs_decode_many(
@@ -210,7 +184,7 @@ def rs_decode_many(
     xs: list[int],
     ys_list,
     dim: int,
-    context: DecodeContext | None = None,
+    blamed: set[int] | None = None,
 ) -> np.ndarray:
     """Decode many received words sharing one evaluation-point set.
 
@@ -218,50 +192,57 @@ def rs_decode_many(
     ints or a 2-d integer array, used in its own dtype.  Returns a words x
     dim integer array whose row w is exactly what rs_decode returns for word
     w, and raises DecodeFailure exactly when rs_decode fails on some word.
-    context, if given, must have been built for the same field, xs and dim;
-    see DecodeContext.
 
-    Every word is first interpolated from its first dim points and evaluated
-    at the rest, as two products over all words at once.  A word that agrees
-    with fewer than n - e points is dirty.  Dirty words are interpolated in
-    one product from the first dim points outside the blame set, i.e.
-    decoded as erasures, and each is accepted if it agrees with at least
-    n - e points.  While dirty words are left, the first one is decoded by
-    Welch-Berlekamp (rs_decode), the positions where its codeword differs
-    from it join the blame set (within the error budget they are lying
-    evaluation points), and the rest are decoded as erasures again.  Words
-    that corrupt a fixed set of at most e positions (Byzantine helpers or
-    nodes) thus cost at most e Welch-Berlekamp runs per context, however
-    many words and calls they touch.
+    Every word is interpolated from the first dim points outside the blame
+    set (the first dim points when it is empty) and evaluated at the rest,
+    as two products over all words at once.  A word that agrees with fewer
+    than n - e points is dirty.  While dirty words are left, the first one
+    is decoded by Welch-Berlekamp (rs_decode), and the positions where its
+    codeword differs from it join the blame set: within the error budget
+    they are lying evaluation points.  If that changes the first dim
+    unblamed points, the remaining dirty words are interpolated from them
+    again, i.e. decoded as erasures.  Words that corrupt a fixed set of at
+    most e positions (Byzantine helpers or nodes) thus cost at most e
+    Welch-Berlekamp runs, however many words they touch.
+
+    blamed, if given, is the blame set to start from, as positions in xs,
+    and is updated in place: passing one set to several calls over the same
+    points (reconstruct's V and U decodes) lets a later call erase the
+    positions an earlier one blamed.  Blame only chooses the points to
+    interpolate from; every result is accepted by its agreement count, so
+    it never changes what a decode returns.
     """
-    if context is None:
-        context = DecodeContext(field, xs, dim)
-    elif (context.field, context.xs, context.dim) != (field, list(xs), dim):
-        raise ValueError("the decode context was built for other points")
     n = len(xs)
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if n < dim:
+        raise ValueError(f"need at least dim={dim} points, got {n}")
+    if len(set(xs)) != n:
+        raise ValueError("duplicate evaluation points")
+    if blamed is None:
+        blamed = set()
     threshold = n - (n - dim) // 2
-    powers = context.powers
+    powers = [field.vandermonde_row(x, dim) for x in xs]
     received = np.asarray(ys_list).reshape(len(ys_list), n).T
-    tried = list(range(dim))  # the points the fast path interpolated from
-    coeffs = context.interpolate(tried, received)
-    hits = (field.matmul(powers[dim:], coeffs) == received[dim:]).sum(axis=0)
+
+    def trusted() -> list[int]:
+        """The first dim positions, unblamed ones first."""
+        return sorted(range(n), key=blamed.__contains__)[:dim]
+
+    tried = trusted()
+    coeffs, ok = _interpolate_from(field, powers, tried, received, threshold)
     out = coeffs.T.copy()
-    dirty = np.flatnonzero(hits < threshold - dim)
+    dirty = np.flatnonzero(~ok)
     while dirty.size:
-        trusted = context.trusted()
-        if len(trusted) == dim and trusted != tried:
-            tried = trusted
-            words = received[:, dirty]
-            fixed = context.interpolate(trusted, words)
-            ok = (field.matmul(powers, fixed) == words).sum(axis=0) >= threshold
-            out[dirty[ok]] = fixed[:, ok].T
-            dirty = dirty[~ok]
-            if not dirty.size:
-                break
         w, dirty = dirty[0], dirty[1:]
         word = received[:, w].tolist()
         decoded = rs_decode(field, list(zip(xs, word)), dim)
         out[w] = decoded
         codeword = field.matmul(powers, [[c] for c in decoded])[:, 0].tolist()
-        context.blamed.update(i for i in range(n) if codeword[i] != word[i])
+        blamed.update(i for i in range(n) if codeword[i] != word[i])
+        if dirty.size and trusted() != tried:
+            tried = trusted()
+            fixed, ok = _interpolate_from(field, powers, tried, received[:, dirty], threshold)
+            out[dirty[ok]] = fixed[:, ok].T
+            dirty = dirty[~ok]
     return out

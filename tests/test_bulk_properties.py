@@ -17,7 +17,7 @@ from srb.mbr import (
     repair_share,
     secure_reconstruct,
 )
-from srb.rs import DecodeContext, rs_decode, rs_decode_many
+from srb.rs import rs_decode, rs_decode_many
 
 FIELDS = ["prime:13", "prime:257", "binary:8", "binary:8:0x11b", "binary:16"]
 
@@ -216,18 +216,17 @@ def test_decode_many_matches_per_word_decode(case):
 
 @settings(max_examples=200, deadline=None)
 @given(received_words(), st.data())
-def test_decode_context_from_earlier_calls_changes_no_result(case, data):
-    """A context whose blame set came from other words changes neither results nor failures."""
+def test_decode_many_blame_from_earlier_calls_changes_no_result(case, data):
+    """A blame set carried from other words changes neither results nor failures."""
     f, xs, words, dim = case
-    context = DecodeContext(f, xs, dim)
-    context.blamed |= data.draw(st.sets(st.integers(0, len(xs) - 1)))
+    blamed = data.draw(st.sets(st.integers(0, len(xs) - 1)))
     try:
         expect = [rs_decode(f, list(zip(xs, word)), dim) for word in words]
     except DecodeFailure:
         with pytest.raises(DecodeFailure):
-            rs_decode_many(f, xs, words, dim, context)
+            rs_decode_many(f, xs, words, dim, set(blamed))
         return
-    assert rs_decode_many(f, xs, words, dim, context).tolist() == expect
+    assert rs_decode_many(f, xs, words, dim, set(blamed)).tolist() == expect
 
 
 @settings(max_examples=80, deadline=None)

@@ -364,11 +364,10 @@ def test_matmul_reaches_the_table_edges_in_gf65536():
     assert f.matmul([[top]], [[0]]).tolist() == [[0]]
 
 
-@pytest.mark.parametrize("elements, min_width", [(1, 1), (5, 1), (64, 1), (1, 8), (1 << 16, 512)])
-def test_matmul_column_chunks_agree_with_scalar_products(elements, min_width, monkeypatch):
-    """Any chunk width (1, 1, 10, 8 and all 37 columns here), partial last chunks included."""
+@pytest.mark.parametrize("elements", [1, 5, 48, 64, 1 << 16])
+def test_matmul_column_chunks_agree_with_scalar_products(elements, monkeypatch):
+    """Any chunk width (1, 1, 8, 10 and all 37 columns here), partial last chunks included."""
     monkeypatch.setattr("srb.field._CHUNK_ELEMENTS", elements)
-    monkeypatch.setattr("srb.field._MIN_CHUNK_WIDTH", min_width)
     rng = random.Random(14)
     for f in (binary_field(8), binary_field(16)):
         coeffs = [[rng.choice((0, rng.randrange(f.order))) for _ in range(6)] for _ in range(4)]

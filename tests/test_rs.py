@@ -7,14 +7,7 @@ import pytest
 
 from srb.errors import DecodeFailure
 from srb.field import binary_field, prime_field
-from srb.rs import (
-    DecodeContext,
-    invert_matrix,
-    poly_divmod,
-    rs_decode,
-    rs_decode_many,
-    solve_linear,
-)
+from srb.rs import invert_matrix, poly_divmod, rs_decode, rs_decode_many, solve_linear
 
 
 def exhaustive_decode_oracle(f, points, dim, min_agree):
@@ -62,12 +55,18 @@ def test_duplicate_points_rejected():
     f = prime_field(13)
     with pytest.raises(ValueError):
         rs_decode(f, [(1, 3), (1, 5), (2, 4)], 1)
+    with pytest.raises(ValueError):
+        rs_decode_many(f, [1, 1, 2], [[3, 5, 4]], 1)
 
 
 def test_too_few_points_rejected():
     f = prime_field(13)
     with pytest.raises(ValueError):
         rs_decode(f, [(1, 3)], 2)
+    with pytest.raises(ValueError):
+        rs_decode_many(f, [1], [[3]], 2)
+    with pytest.raises(ValueError):
+        rs_decode_many(f, [1, 2], [[3, 4]], 0)
 
 
 @pytest.mark.parametrize("f,p", [(prime_field(13), 1), (prime_field(257), 2)])
@@ -219,7 +218,7 @@ def _words_with_liars(f, rng, xs, dim, liars, count):
 
 
 @pytest.mark.parametrize("f", [prime_field(257), binary_field(16)])
-def test_decode_context_carries_blame_to_the_next_call(f, monkeypatch):
+def test_decode_many_carries_blame_to_the_next_call(f, monkeypatch):
     """A liar blamed in one call is erased in the next: one WB run for both."""
     rng = random.Random(33)
     dim, p = 4, 1
@@ -233,17 +232,17 @@ def test_decode_context_carries_blame_to_the_next_call(f, monkeypatch):
         return rs_decode(*args)
 
     monkeypatch.setattr("srb.rs.rs_decode", counted)
-    context = DecodeContext(f, xs, dim)
-    assert rs_decode_many(f, xs, first, dim, context).tolist() == expect_first
-    assert context.blamed == {2}
-    assert rs_decode_many(f, xs, second, dim, context).tolist() == expect_second
+    blamed = set()
+    assert rs_decode_many(f, xs, first, dim, blamed).tolist() == expect_first
+    assert blamed == {2}
+    assert rs_decode_many(f, xs, second, dim, blamed).tolist() == expect_second
     assert len(calls) == 1
-    # without a shared context each call runs Welch-Berlekamp again
+    # without a shared blame set each call runs Welch-Berlekamp again
     rs_decode_many(f, xs, second, dim)
     assert len(calls) == 2
 
 
-def test_decode_context_blaming_honest_points_changes_no_result():
+def test_decode_many_blaming_honest_points_changes_no_result():
     """Blame only picks the points to interpolate from; results stay exact."""
     f = binary_field(16)
     rng = random.Random(34)
@@ -251,30 +250,12 @@ def test_decode_context_blaming_honest_points_changes_no_result():
     xs = rng.sample(range(f.order), dim + 2 * p)
     words, expect = _words_with_liars(f, rng, xs, dim, [0, 5], 40)
     for blamed in ({1}, {1, 2}, {3, 4, 6}, set(range(len(xs)))):
-        context = DecodeContext(f, xs, dim)
-        context.blamed |= blamed
-        assert rs_decode_many(f, xs, words, dim, context).tolist() == expect
+        assert rs_decode_many(f, xs, words, dim, set(blamed)).tolist() == expect
     over_budget, _ = _words_with_liars(f, rng, xs, dim, [0, 1, 5], 3)
     with pytest.raises(DecodeFailure):
         rs_decode(f, list(zip(xs, over_budget[0])), dim)
-    context = DecodeContext(f, xs, dim)
-    context.blamed |= {2, 3}
     with pytest.raises(DecodeFailure):
-        rs_decode_many(f, xs, over_budget, dim, context)
-
-
-def test_decode_context_must_match_the_call():
-    f = prime_field(257)
-    context = DecodeContext(f, [1, 2, 3, 4], 2)
-    words = [[5, 6, 7, 8]]
-    with pytest.raises(ValueError):
-        rs_decode_many(f, [1, 2, 3, 5], words, 2, context)
-    with pytest.raises(ValueError):
-        rs_decode_many(f, [1, 2, 3, 4], words, 3, context)
-    with pytest.raises(ValueError):
-        rs_decode_many(prime_field(13), [1, 2, 3, 4], words, 2, context)
-    with pytest.raises(ValueError):
-        DecodeContext(f, [1, 1, 2], 1)
+        rs_decode_many(f, xs, over_budget, dim, {2, 3})
 
 
 @pytest.mark.parametrize("dtype", [np.uint16, np.int32, np.int64, np.uint64])
