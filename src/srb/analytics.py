@@ -58,9 +58,11 @@ class ProtocolParams:
         if not 0.0 <= self.p_frac < 1.0:
             raise ValueError("p_frac must be in [0, 1)")
         for name in ("n_s", "total_blocks", "alpha", "k", "p", "block_size",
-                     "rho", "total_nodes", "shards", "malicious"):
+                     "total_nodes", "shards", "malicious"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.rho < 1:
+            raise ValueError("rho must be >= 1")
         if self.k > 0 and self.alpha > 0 and self.total_blocks > 0:
             derived = message_length(self.k, self.alpha)
             if derived != self.total_blocks:
@@ -90,6 +92,8 @@ def reference_example_params() -> ProtocolParams:
 
 def _sef_overhead_blocks(params: ProtocolParams) -> float:
     l = params.total_blocks
+    if l == 0:
+        raise ValueError("total_blocks must be > 0")
     return l + params.c * math.sqrt(l) * math.log(l / params.delta) ** 2
 
 

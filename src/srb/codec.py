@@ -39,7 +39,8 @@ Decoding goes through srb.rs.rs_decode_many, batched over every word of a
 generation: bootstrap decodes the Z words of the shares, reconstruct the
 (alpha-k)*Z words of V and then the k*Z words of U, sharing one blame
 set.  Its blame-then-erasure step keeps a bootstrap or a
-reconstruct against p liars to at most p Welch-Berlekamp runs.  In GF(2^m)
+reconstruct against p liars to at most p runs of its per-word fallback,
+rs_decode, a bounded-distance decode by Gao's algorithm.  In GF(2^m)
 the payloads stay uint16 through every product and decode; nothing on this
 path widens them.
 srb.mbr is the one-stripe scalar reference that the tests compare this

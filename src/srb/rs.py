@@ -1,6 +1,6 @@
 """Reed-Solomon decoding over arbitrary evaluation points.
 
-Welch-Berlekamp decoding of an evaluation-style codeword: given n pairs
+Bounded-distance decoding of an evaluation-style codeword: given n pairs
 (x_i, y_i) with distinct x_i, recover the coefficient vector of the unique
 polynomial of degree < dim that agrees with all but at most
 e = (n - dim) // 2 of them.  No structure is assumed on the evaluation
@@ -10,20 +10,26 @@ A decoded polynomial is accepted only if it agrees with at least n - e of
 the supplied points; with at most e corruptions that polynomial is unique,
 so a success is never a silently wrong answer within the error budget.
 
-rs_decode decodes one word by Welch-Berlekamp alone; with zero slack
-(e = 0) its system is plain interpolation with a consistency check.
-rs_decode_many, the one batched decoder, decodes many words sharing one
-point set, word for word as rs_decode would, into one words x dim integer
-array; it never builds Python ints per word.  It holds the only
-interpolate-then-check step, which decodes every word from dim trusted
-points and checks the rest; words that fail it are decoded by
-blame-then-erasure, which against at most e lying points runs
-Welch-Berlekamp at most e times.  Its blame set can be carried from one
-call to the next over the same points.  solve_linear and invert_matrix
-share one Gauss-Jordan elimination.
+Every solve is O(n^2) scalar field arithmetic; there is no elimination.
+lagrange_basis gives a point set's master polynomial prod(x - x_i) and the
+inverse of its Vandermonde block, whose columns are the Lagrange basis.
+rs_decode decodes one word by Gao's algorithm: interpolate the word, run
+the extended Euclidean algorithm on the master polynomial and the
+interpolant until the remainder has degree below (n + dim) / 2, and divide
+the remainder by its Bezout cofactor; with zero slack (e = 0) that is
+interpolation with a consistency check.  rs_decode_many, the one batched
+decoder, decodes many words sharing one point set, word for word as
+rs_decode would, into one words x dim integer array; it never builds
+Python ints per word.  It holds the only interpolate-then-check step, which
+decodes every word from dim trusted points and checks the rest; words that
+fail it are decoded by blame-then-erasure, which against at most e lying
+points runs rs_decode at most e times.  Its blame set can be carried from
+one call to the next over the same points.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 import numpy as np
 
@@ -31,70 +37,55 @@ from .errors import DecodeFailure
 from .field import Field
 
 
-def _row_reduce(field: Field, aug: list[list[int]], n_cols: int) -> list[int]:
-    """Gauss-Jordan on the first n_cols columns of aug, in place.
+def _trim(poly: list[int]) -> list[int]:
+    """poly without its trailing zero coefficients, in place."""
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
 
-    Each pivot row is scaled to a leading 1 and cleared from every other
-    row; rows without a pivot end up below the pivot rows.  Returns the
-    pivot columns, one per pivot row, in row order.
+
+def _poly_mul(field: Field, a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+    return out
+
+
+def _poly_sub(field: Field, a: list[int], b: list[int]) -> list[int]:
+    return _trim([field.sub(u, v) for u, v in zip_longest(a, b, fillvalue=0)])
+
+
+def lagrange_basis(field: Field, xs: list[int]) -> tuple[list[int], list[list[int]]]:
+    """The master polynomial prod(x - x_i) of distinct points xs, and the
+    inverse of their Vandermonde block (row i is [x_i^j for j < n]).
+
+    Column i of the inverse is the Lagrange basis polynomial of x_i, one at
+    x_i and zero at the other points: the master polynomial divided by
+    (x - x_i), scaled by the inverse of that quotient's value at x_i.
+    Coefficients ascend; O(n^2) field operations.
     """
-    n_rows = len(aug)
-    pivot_cols: list[int] = []
-    for col in range(n_cols):
-        rank = len(pivot_cols)
-        pivot = next((i for i in range(rank, n_rows) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = field.inv(aug[rank][col])
-        aug[rank] = [field.mul(inv, v) for v in aug[rank]]
-        lead = aug[rank]
-        for i in range(n_rows):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(aug[i], lead)]
-        pivot_cols.append(col)
-        if len(pivot_cols) == n_rows:
-            break
-    return pivot_cols
-
-
-def solve_linear(field: Field, rows: list[list[int]], rhs: list[int]) -> list[int] | None:
-    """One solution of rows * x = rhs by Gauss-Jordan, or None if inconsistent.
-
-    Free variables are set to zero. The system may be over- or
-    under-determined.
-    """
-    n_cols = len(rows[0]) if rows else 0
-    aug = [row[:] + [r] for row, r in zip(rows, rhs)]
-    pivot_cols = _row_reduce(field, aug, n_cols)
-    if any(row[-1] != 0 for row in aug[len(pivot_cols):]):
-        return None
-    solution = [0] * n_cols
-    for row, col in zip(aug, pivot_cols):
-        solution[col] = row[-1]
-    return solution
-
-
-def invert_matrix(field: Field, matrix: list[list[int]]) -> list[list[int]] | None:
-    """Inverse of a square matrix, or None if singular."""
-    n = len(matrix)
-    aug = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(matrix)]
-    if len(_row_reduce(field, aug, n)) < n:
-        return None
-    return [row[n:] for row in aug]
+    master = [1]
+    for x in xs:
+        master = _poly_mul(field, master, [field.neg(x), 1])
+    columns = []
+    for x in xs:
+        quot = [0] * len(xs)
+        acc = 0
+        for j in range(len(xs), 0, -1):  # synthetic division by (x - x_i)
+            acc = field.add(master[j], field.mul(acc, x))
+            quot[j - 1] = acc
+        scale = field.inv(field.poly_eval(quot, x))
+        columns.append([field.mul(scale, c) for c in quot])
+    return master, [list(row) for row in zip(*columns)]
 
 
 def poly_divmod(field: Field, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of polynomial division; coefficients ascending."""
-    den = den[:]
-    while den and den[-1] == 0:
-        den.pop()
+    den = _trim(den[:])
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
-    rem = num[:]
-    while rem and rem[-1] == 0:
-        rem.pop()
+    rem = _trim(num[:])
     if len(rem) < len(den):
         return [], rem
     lead_inv = field.inv(den[-1])
@@ -107,8 +98,7 @@ def poly_divmod(field: Field, num: list[int], den: list[int]) -> tuple[list[int]
         if coeff != 0:
             for i, d in enumerate(den):
                 rem[i + shift] = field.sub(rem[i + shift], field.mul(coeff, d))
-        while rem and rem[-1] == 0:
-            rem.pop()
+        _trim(rem)
     return quot, rem
 
 
@@ -119,10 +109,11 @@ def _agreement(field: Field, coeffs: list[int], points: list[tuple[int, int]]) -
 def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int]:
     """Recover the length-dim coefficient vector behind noisy evaluations.
 
-    Corrects up to (len(points) - dim) // 2 wrong values; with zero slack the
-    Welch-Berlekamp system is plain interpolation.  Raises DecodeFailure when no
-    polynomial of degree < dim agrees with enough points, ValueError on
-    malformed input (too few points, duplicate evaluation points).
+    Corrects up to (len(points) - dim) // 2 wrong values by Gao's algorithm;
+    with zero slack it is interpolation with a consistency check.  Raises
+    DecodeFailure when no polynomial of degree < dim agrees with enough
+    points, ValueError on malformed input (too few points, duplicate
+    evaluation points).
     """
     n = len(points)
     if dim < 1:
@@ -135,25 +126,20 @@ def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int
         raise ValueError("duplicate evaluation points")
     e = (n - dim) // 2
 
-    # Welch-Berlekamp: find Q, E with deg Q < dim + e, E monic of degree e,
-    # such that Q(x_i) = y_i * E(x_i) for all i; then the message is Q / E.
-    q_terms = dim + e
-    rows = []
-    rhs = []
-    for x, y in zip(xs, ys):
-        powers = field.vandermonde_row(x, q_terms)
-        row = powers[:q_terms] + [field.neg(field.mul(y, powers[j])) for j in range(e)]
-        rows.append(row)
-        rhs.append(field.mul(y, powers[e]))
-    solution = solve_linear(field, rows, rhs)
-    if solution is None:
-        raise DecodeFailure("no consistent codeword within the error budget")
-    q_poly = solution[:q_terms]
-    e_poly = solution[q_terms:] + [1]
-    quot, rem = poly_divmod(field, q_poly, e_poly)
-    if rem:
-        raise DecodeFailure("no consistent codeword within the error budget")
-    if len(quot) > dim:
+    # Gao: run Euclid on the master polynomial and the word's interpolant,
+    # keeping each remainder's cofactor v1 of the interpolant, until the
+    # remainder's degree first drops below (n + dim) / 2.  Within the error
+    # budget v1 vanishes at the corrupted points and divides the remainder
+    # exactly, with the message as quotient.
+    r0, inverse = lagrange_basis(field, xs)
+    r1 = _trim(field.matmul(inverse, [[y] for y in ys])[:, 0].tolist())
+    v0, v1 = [], [1]
+    while 2 * (len(r1) - 1) >= n + dim:
+        quot, rem = poly_divmod(field, r0, r1)
+        r0, r1 = r1, rem
+        v0, v1 = v1, _poly_sub(field, v0, _poly_mul(field, quot, v1))
+    quot, rem = poly_divmod(field, r1, v1)
+    if rem or len(quot) > dim:
         raise DecodeFailure("no consistent codeword within the error budget")
     coeffs = quot + [0] * (dim - len(quot))
     if _agreement(field, coeffs, points) < n - e:
@@ -162,7 +148,7 @@ def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int
 
 
 def _interpolate_from(
-    field: Field, powers: list[list[int]], points: list[int], words, threshold: int
+    field: Field, xs: list[int], powers: list[list[int]], points: list[int], words, threshold: int
 ):
     """Interpolate every word (a column of words) from its values at points.
 
@@ -170,9 +156,7 @@ def _interpolate_from(
     with at least threshold of their values: the dim interpolated ones and
     enough of the others.
     """
-    base = invert_matrix(field, [powers[i] for i in points])
-    if base is None:  # distinct xs make the Vandermonde block regular
-        raise DecodeFailure("interpolation failed")
+    _, base = lagrange_basis(field, [xs[i] for i in points])
     coeffs = field.matmul(base, words[points])
     others = [i for i in range(len(powers)) if i not in points]
     hits = (field.matmul([powers[i] for i in others], coeffs) == words[others]).sum(axis=0)
@@ -197,13 +181,13 @@ def rs_decode_many(
     set (the first dim points when it is empty) and evaluated at the rest,
     as two products over all words at once.  A word that agrees with fewer
     than n - e points is dirty.  While dirty words are left, the first one
-    is decoded by Welch-Berlekamp (rs_decode), and the positions where its
+    is decoded by rs_decode, and the positions where its
     codeword differs from it join the blame set: within the error budget
     they are lying evaluation points.  If that changes the first dim
     unblamed points, the remaining dirty words are interpolated from them
     again, i.e. decoded as erasures.  Words that corrupt a fixed set of at
     most e positions (Byzantine helpers or nodes) thus cost at most e
-    Welch-Berlekamp runs, however many words they touch.
+    rs_decode runs, however many words they touch.
 
     blamed, if given, is the blame set to start from, as positions in xs,
     and is updated in place: passing one set to several calls over the same
@@ -230,7 +214,7 @@ def rs_decode_many(
         return sorted(range(n), key=blamed.__contains__)[:dim]
 
     tried = trusted()
-    coeffs, ok = _interpolate_from(field, powers, tried, received, threshold)
+    coeffs, ok = _interpolate_from(field, xs, powers, tried, received, threshold)
     out = coeffs.T.copy()
     dirty = np.flatnonzero(~ok)
     while dirty.size:
@@ -242,7 +226,7 @@ def rs_decode_many(
         blamed.update(i for i in range(n) if codeword[i] != word[i])
         if dirty.size and trusted() != tried:
             tried = trusted()
-            fixed, ok = _interpolate_from(field, powers, tried, received[:, dirty], threshold)
+            fixed, ok = _interpolate_from(field, xs, powers, tried, received[:, dirty], threshold)
             out[dirty[ok]] = fixed[:, ok].T
             dirty = dirty[~ok]
     return out

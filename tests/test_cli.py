@@ -265,6 +265,21 @@ def test_metrics_custom_params(capsys):
     assert "shard failure prob H" in text
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--shard-nodes", "10", "--blocks", "30", "--alpha", "8", "--k", "5", "--p", "1",
+          "--block-size", "100", "--rho", "0"], "rho must be >= 1"),
+        ([], "total_blocks must be > 0"),
+    ],
+)
+def test_metrics_invalid_params_exit_2(argv, message, capsys):
+    assert main(["metrics", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err.splitlines()
+    assert "Traceback" not in err
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     config = tmp_path / "sim.cfg"
     config.write_text(

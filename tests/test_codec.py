@@ -457,7 +457,7 @@ def test_paper_geometry_decodes_one_liar_exactly():
 
     The liars sit among the first k nodes and the first alpha helpers, the
     points the decoder interpolates from, so both decodes take the dirty-word
-    path: blame by Welch-Berlekamp, then erasure decoding.
+    path: blame by the per-word rs_decode, then erasure decoding.
     """
     f = binary_field(16)
     params = MbrParams(30, 50, p=1)

@@ -4,10 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srb.errors import DecodeFailure
-from srb.field import binary_field, prime_field
-from srb.rs import invert_matrix, poly_divmod, rs_decode, rs_decode_many, solve_linear
+from srb.field import binary_field, parse_field, prime_field
+from srb.rs import lagrange_basis, poly_divmod, rs_decode, rs_decode_many
 
 
 def exhaustive_decode_oracle(f, points, dim, min_agree):
@@ -270,19 +272,50 @@ def test_decode_many_keeps_the_words_in_any_integer_dtype(dtype):
     assert got.tolist() == expect
 
 
-def test_solve_linear_inconsistent_and_underdetermined():
-    f = prime_field(13)
-    assert solve_linear(f, [[1, 1], [2, 2]], [3, 7]) is None
-    sol = solve_linear(f, [[1, 1]], [5])
-    assert sol is not None and (sol[0] + sol[1]) % 13 == 5
+@pytest.mark.parametrize(
+    "f", [prime_field(13), prime_field(257), binary_field(4), binary_field(8), binary_field(16)]
+)
+def test_lagrange_basis_inverts_vandermonde(f):
+    rng = random.Random(36)
+    point_sets = [[rng.randrange(f.order)], [0], [0, 1], rng.sample(range(f.order), min(9, f.order))]
+    if f.order == 1 << 16:
+        point_sets.append(rng.sample(range(f.order), 50))  # the paper's alpha = 50
+    for xs in point_sets:
+        n = len(xs)
+        master, inverse = lagrange_basis(f, xs)
+        vandermonde = [f.vandermonde_row(x, n) for x in xs]
+        assert f.matmul(inverse, vandermonde).tolist() == np.eye(n, dtype=int).tolist()
+        assert len(master) == n + 1 and master[-1] == 1
+        assert all(f.poly_eval(master, x) == 0 for x in xs)
 
 
-def test_invert_matrix():
-    f = prime_field(13)
-    m = [[1, 2], [3, 4]]
-    inv = invert_matrix(f, m)
-    assert f.matmul(inv, m).tolist() == [[1, 0], [0, 1]]
-    assert invert_matrix(f, [[1, 2], [2, 4]]) is None
+@st.composite
+def noisy_words(draw):
+    """A small field, dim, distinct points and a codeword with any values changed."""
+    f = parse_field(draw(st.sampled_from(["prime:13", "binary:3", "binary:4"])))
+    dim = draw(st.integers(1, 3))
+    xs = draw(st.lists(st.integers(0, f.order - 1), min_size=dim, max_size=8, unique=True))
+    symbol = st.integers(0, f.order - 1)
+    coeffs = draw(st.lists(symbol, min_size=dim, max_size=dim))
+    ys = [f.poly_eval(coeffs, x) for x in xs]
+    for i in draw(st.lists(st.integers(0, len(xs) - 1), unique=True)):
+        ys[i] = draw(symbol)
+    return f, list(zip(xs, ys)), dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(noisy_words())
+def test_decode_matches_the_exhaustive_oracle(case):
+    """rs_decode returns the unique vector within e = (n - dim) // 2 errors, or fails."""
+    f, points, dim = case
+    n = len(points)
+    oracle = exhaustive_decode_oracle(f, points, dim, n - (n - dim) // 2)
+    assert len(oracle) <= 1
+    if oracle:
+        assert rs_decode(f, points, dim) == oracle[0]
+    else:
+        with pytest.raises(DecodeFailure):
+            rs_decode(f, points, dim)
 
 
 def test_poly_divmod():
