@@ -173,6 +173,8 @@ def hoeffding_bound(population: int, malicious: int, sample: int, threshold: int
         raise ValueError("need 0 <= malicious <= population")
     if not 0 <= threshold <= sample <= population:
         raise ValueError("need 0 <= threshold <= sample <= population")
+    if sample == 0:
+        raise ValueError("bound undefined for an empty sample")
     g = malicious / population
     r = threshold / sample
     if r <= g:

@@ -2,7 +2,10 @@
 
 Raw blocks are opaque byte strings.  They are zero-padded to a common
 block_size, chunked big-endian into field symbols ("stripes"), and each
-stripe position forms an independent message matrix.  A node's coded state
+stripe position forms an independent message matrix.  stripe_blocks returns
+the symbols as one read-only L x Z array (a StripeSet), a view of the padded
+bytes that encode multiplies as it stands; reconstruct hands its recovered
+L x Z array back through unstripe_blocks.  A node's coded state
 is its alpha coded blocks (one row symbol per stripe), carried in a
 self-describing header that is sufficient to serve repair shares with no
 other context.
@@ -94,20 +97,22 @@ def share_header_size(message_count: int) -> int:
     return state_header_size(message_count) + 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StripeSet:
     """Blocks chopped into per-stripe field symbols."""
 
     z: int
     symbol_bytes: int
-    symbols: tuple[tuple[int, ...], ...]  # one symbol vector per block
-    pad_lengths: tuple[int, ...]          # original byte length per block
+    symbols: np.ndarray              # L x Z, one row of big-endian symbols per block
+    pad_lengths: tuple[int, ...]     # original byte length per block
 
 
-def _stripe_array(
-    blocks: list[bytes], field: Field, block_size: int
-) -> tuple[int, np.ndarray, tuple[int, ...]]:
-    """Z, the L x Z symbol array, and the block lengths; see stripe_blocks."""
+def stripe_blocks(blocks: list[bytes], field: Field, block_size: int) -> StripeSet:
+    """Pad blocks to block_size and pack their bytes big-endian into symbols.
+
+    symbols is a read-only view of the padded bytes.  Raises ValueError if a
+    block is longer than block_size or packs into a symbol outside field.
+    """
     if block_size < 0:
         raise ValueError("block_size must be >= 0")
     sb = stripe_symbol_bytes(field)
@@ -121,30 +126,19 @@ def _stripe_array(
         bad = np.flatnonzero((symbols >= field.order).any(axis=1))
         if bad.size:
             raise ValueError(f"block {bad[0]} has byte values that do not fit in {field}")
-    return z, symbols, tuple(len(block) for block in blocks)
-
-
-def stripe_blocks(blocks: list[bytes], field: Field, block_size: int) -> StripeSet:
-    """Pad blocks to block_size and pack their bytes big-endian into symbols."""
-    z, symbols, lengths = _stripe_array(blocks, field, block_size)
-    return StripeSet(z, stripe_symbol_bytes(field), tuple(map(tuple, symbols.tolist())), lengths)
-
-
-def _unstripe_array(symbols, symbol_bytes: int, pad_lengths: tuple[int, ...]) -> list[bytes]:
-    """The blocks behind an L x Z symbol array; see unstripe_blocks."""
-    rows = np.asarray(symbols)
-    if rows.size and (rows.min() < 0 or rows.max() >= 256**symbol_bytes):
-        raise ValueError(f"a stripe symbol does not fit in {symbol_bytes} block byte(s)")
-    rows = rows.astype(_dtype(symbol_bytes))
-    return [row.tobytes()[:length] for row, length in zip(rows, pad_lengths)]
+    return StripeSet(z, sb, symbols, tuple(len(block) for block in blocks))
 
 
 def unstripe_blocks(stripes: StripeSet) -> list[bytes]:
-    """Exact inverse of stripe_blocks.
+    """Exact inverse of stripe_blocks; symbols may be any integer array.
 
     Raises ValueError if a symbol does not fit in symbol_bytes bytes.
     """
-    return _unstripe_array(stripes.symbols, stripes.symbol_bytes, stripes.pad_lengths)
+    rows, sb = stripes.symbols, stripes.symbol_bytes
+    if rows.size and ((rows.dtype.kind != "u" and rows.min() < 0) or rows.max() >= 256**sb):
+        raise ValueError(f"a stripe symbol does not fit in {sb} block byte(s)")
+    rows = rows.astype(_dtype(sb))
+    return [row.tobytes()[:length] for row, length in zip(rows, stripes.pad_lengths)]
 
 
 @dataclass(frozen=True)
@@ -220,18 +214,13 @@ def _frozen_payload(data, shape: tuple[int, ...], field: Field, what: str) -> np
     """data (nested ints or an integer array) as a new read-only uint16 array.
 
     The copy keeps a caller's later writes to its own array from reaching the
-    object.  Raises ValueError unless data has the given shape and every
-    entry is an element of field.
+    object.  Raises ValueError unless data has the given shape and
+    field.elements accepts it.
     """
     arr = np.asarray(data)
     if arr.shape != shape:
         raise ValueError(f"{what} has shape {arr.shape}; its header needs {shape}")
-    if arr.size:
-        if arr.dtype.kind not in "biu":
-            raise ValueError(f"{what} holds {arr.dtype} values, not integers")
-        if (arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= field.order:
-            raise ValueError(f"{what} has symbols outside {field}")
-    out = arr.astype(np.uint16, order="C")
+    out = field.elements(arr).astype(np.uint16, order="C")
     out.flags.writeable = False
     return out
 
@@ -317,14 +306,14 @@ def encode_generation(
         raise ValueError(f"a generation encodes exactly L = {want} blocks, got {len(blocks)}")
     if block_size is None:
         block_size = max((len(b) for b in blocks), default=0)
-    z, symbols, lengths = _stripe_array(blocks, field, block_size)
+    stripes = stripe_blocks(blocks, field, block_size)
     psi = field.vandermonde_row(gamma, params.alpha)
     coeffs = [[0] * want for _ in range(params.alpha)]
     for i, row in enumerate(message_index_matrix(params)):
         for j, g in enumerate(row):
             if g is not None:
                 coeffs[j][g] = psi[i]
-    coded = field.matmul(coeffs, symbols)
+    coded = field.matmul(coeffs, stripes.symbols)
     return CodedNodeState(
         field=field,
         k=params.k,
@@ -332,8 +321,8 @@ def encode_generation(
         gamma=gamma,
         generation=generation,
         block_size=block_size,
-        z=z,
-        pad_lengths=lengths,
+        z=stripes.z,
+        pad_lengths=stripes.pad_lengths,
         blocks=coded,
     )
 
@@ -435,7 +424,7 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
     sb = stripe_symbol_bytes(f)
     if message.max(initial=0) >= 256**sb:
         raise IntegrityError("recovered message symbols do not fit in block bytes")
-    return _unstripe_array(message, sb, pads)
+    return unstripe_blocks(StripeSet(z, sb, message, pads))
 
 
 # -- serialization -----------------------------------------------------------

@@ -12,7 +12,8 @@ The kernel works in the operands' own width: an integer array (the uint16
 payloads, say) goes in as it is, GF(2^m) gathers through int32 log tables in
 column chunks of bounded size, and no temporary the size of the data is ever
 widened to 8 bytes.  GF(2^m) products come back as uint16, prime-field
-products as int64.
+products as int64.  :meth:`Field.elements` is the one check that an array
+holds field elements, for matmul's operands and the codec's payloads alike.
 
 Fields larger than 2^16 are rejected: two-byte symbols are the largest this
 package stripes blocks into, and 65536 distinct encoder coefficients cover
@@ -160,48 +161,44 @@ class Field:
 
         coeffs is a small rows x n matrix of field elements, data an n x words
         integer array of any integer dtype (or nested sequences of ints); see
-        _operands for which inputs are converted.  Returns a rows x words
+        elements for which inputs are converted.  Returns a rows x words
         integer array, uint16 in GF(2^m) and int64 in a prime field, which
         bulk code keeps as an array.  Its values reach the scalar operations
         only as Python ints (``.tolist()``): numpy scalars overflow there,
         e.g. PrimeField.mul on two ``np.uint16`` wraps.  Raises ValueError if
-        an operand has an entry outside the field.
+        an operand has an entry that is not an element of the field.
         """
         raise NotImplementedError
 
     def _operands(self, coeffs, data) -> tuple[np.ndarray, np.ndarray]:
-        """matmul's operands as integer arrays of shape (rows, n) and (n, words).
-
-        An integer array whose values int64 holds (int8 to int64, uint8 to
-        uint32) is used in its own dtype, uncopied.  Anything else becomes
-        int64: nested ints, bool or float arrays as numpy converts them, and
-        uint64 arrays once their range is checked, since uint64 mixed with
-        int64 promotes to float64.  Raises ValueError if an entry is outside
-        the field.
-        """
-        data = self._in_field(data)
+        """matmul's operands as elements() arrays of shape (rows, n) and (n, words)."""
+        data = self.elements(data)
         if data.ndim != 2:
             raise ValueError(f"data must be 2-dimensional, got shape {data.shape}")
-        coeffs = self._in_field(coeffs).reshape(len(coeffs), data.shape[0])
+        coeffs = self.elements(coeffs).reshape(len(coeffs), data.shape[0])
         return coeffs, data
 
-    def _in_field(self, operand) -> np.ndarray:
-        arr = np.asarray(operand)
+    def elements(self, data) -> np.ndarray:
+        """data (nested ints or an array) as an integer array of field elements.
+
+        An integer array whose values int64 holds (int8 to int64, uint8 to
+        uint32) comes back in its own dtype, uncopied.  Anything else becomes
+        int64: nested ints and bool arrays as numpy converts them, an empty
+        operand of any dtype, and uint64 arrays once their range is checked,
+        since uint64 mixed with int64 promotes to float64.  Raises ValueError
+        if an entry is not an integer or is outside the field.
+        """
+        arr = np.asarray(data)
         if arr.dtype.kind not in "iu":
-            arr = np.asarray(operand, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.order):
-            raise ValueError(f"matmul operand has entries outside {self}")
+            if arr.size and arr.dtype.kind != "b":
+                raise ValueError(f"{arr.dtype} entries are not integers, so not elements of {self}")
+            arr = arr.astype(np.int64)
+        # min() is a full pass over the data; unsigned entries skip it.
+        if arr.size and ((arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= self.order):
+            raise ValueError(f"an entry is not an element of {self}")
         if not np.can_cast(arr.dtype, np.int64):
             arr = arr.astype(np.int64)
         return arr
-
-    def scale_vec(self, c: int, vec: list[int]) -> list[int]:
-        """[c * v for v in vec]."""
-        return self.matmul([[c]], [vec])[0].tolist()
-
-    def add_vec(self, a: list[int], b: list[int]) -> list[int]:
-        """Element-wise a + b of two equal-length vectors."""
-        return self.matmul([[1, 1]], [a, b])[0].tolist()
 
     # -- identity / serialization -------------------------------------------
 
@@ -266,21 +263,11 @@ class PrimeField(Field):
         self.check(a)
         return pow(a, -1, self.order)
 
-    def pow_(self, a, e):
-        if e < 0:
-            raise ValueError("negative exponent; invert explicitly")
-        return pow(self.check(a), e, self.order)
-
     def matmul(self, coeffs, data):
         # In int64 whatever the operands' dtypes: entries are below 2^16, so n
         # products sum below 2^63 for any n < 2^31.
         coeffs, data = self._operands(coeffs, data)
         return coeffs.astype(np.int64, copy=False) @ data % self.order
-
-    # Bound on each field class, like its other operations, so that
-    # per-class instrumentation finds them.
-    scale_vec = Field.scale_vec
-    add_vec = Field.add_vec
 
     @property
     def header_param(self) -> int:
@@ -408,9 +395,6 @@ class BinaryField(Field):
                 out[r, part] = np.bitwise_xor.reduce(exp.take(index), axis=0)
         return out
 
-    scale_vec = Field.scale_vec
-    add_vec = Field.add_vec
-
     @property
     def header_param(self) -> int:
         return self.poly
@@ -427,13 +411,23 @@ def _xor_span(vectors: list[int]) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+# Fields kept built per process.  Headers are untrusted and name the field,
+# and a GF(2^16) costs about 6 MB of tables, so the caches are bounded.
+FIELD_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def prime_field(modulus: int) -> PrimeField:
     return PrimeField(modulus)
 
 
-@functools.lru_cache(maxsize=None)
 def binary_field(degree: int, poly: int | None = None) -> BinaryField:
+    """GF(2^degree) modulo poly, or modulo the degree's default polynomial."""
+    return _binary_field(degree, DEFAULT_REDUCTION_POLY.get(degree) if poly is None else poly)
+
+
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _binary_field(degree: int, poly: int | None) -> BinaryField:
     return BinaryField(degree, poly)
 
 

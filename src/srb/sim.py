@@ -77,7 +77,7 @@ class SimConfig:
             raise ValueError("epochs must be >= 0 and block_size >= 1")
         if min(self.blocks_per_epoch, self.joins_per_epoch, self.leaves_per_epoch) < 0:
             raise ValueError("per-epoch rates must be >= 0")
-        if self.balance_ratio_limit < 0.0:
+        if not self.balance_ratio_limit >= 0.0:  # NaN too
             raise ValueError("balance_ratio_limit must be >= 0 (0 disables)")
 
     @property
@@ -111,6 +111,8 @@ class SimConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
+            if key in seen or (key == "config_version" and version is not None):
+                raise ValueError(f"line {lineno}: repeated config key {key!r}")
             if key == "config_version":
                 version = int(value)
                 continue

@@ -118,6 +118,8 @@ def test_hoeffding_examples():
     assert an.hoeffding_bound(10, 4, 5, 5) == pytest.approx(0.4**5)  # r = 1 limit
     with pytest.raises(ValueError):
         an.hoeffding_bound(10, 6, 5, 3)  # r = 0.6 <= g = 0.6
+    with pytest.raises(ValueError):
+        an.hoeffding_bound(10, 4, 0, 0)  # r = t/n is undefined for an empty sample
 
 
 def test_hoeffding_dominates_hypergeom():

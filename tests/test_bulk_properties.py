@@ -77,7 +77,7 @@ def test_bulk_path_matches_scalar_oracle(case):
     f, params, block_size, blocks, target, helpers, lies, state_lies = case
     messages = stripe_messages(f, blocks, block_size)
     matrices = [build_message_matrix(f, msg, params) for msg in messages]
-    assert all_ints(codec.stripe_blocks(blocks, f, block_size).symbols)
+    assert codec.stripe_blocks(blocks, f, block_size).symbols.T.tolist() == messages
 
     states, shares = [], []
     for i, gamma in enumerate(helpers):

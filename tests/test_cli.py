@@ -280,6 +280,16 @@ def test_metrics_invalid_params_exit_2(argv, message, capsys):
     assert "Traceback" not in err
 
 
+def test_metrics_without_shard_nodes_reports_regime_na(capsys):
+    # n_s defaults to 0, so each Hoeffding bound has an empty sample
+    argv = ["--total-nodes", "100", "--shards", "4", "--malicious", "3", "--blocks", "30",
+            "--alpha", "8", "--k", "5"]
+    assert main(["metrics", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert "regime n/a" in out
+    assert "Traceback" not in err
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     config = tmp_path / "sim.cfg"
     config.write_text(
@@ -308,6 +318,23 @@ def test_simulate_deterministic(tmp_path, capsys):
 
 def test_simulate_missing_config_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("balance_ratio_limit=nan\n", "balance_ratio_limit must be >= 0"),
+        ("seed=2\n", "line 5: repeated config key 'seed'"),
+    ],
+    ids=["nan-balance-limit", "repeated-key"],
+)
+def test_simulate_malformed_config_exit_2(tmp_path, capsys, extra, message):
+    config = tmp_path / "sim.cfg"
+    config.write_text("config_version=1\ntotal_nodes=12\nshards=2\nseed=1\n" + extra)
+    assert main(["simulate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") and message in line for line in err.splitlines())
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_2(capsys):

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from srb import codec, rs
+from srb import codec, field, rs
 from srb.errors import DecodeFailure, IntegrityError
-from srb.field import binary_field, prime_field
+from srb.field import FIELD_CACHE_SIZE, binary_field, gf2_is_irreducible, is_prime, prime_field
 from srb.mbr import MbrParams, build_message_matrix, encode_node, repair_share
 
 
@@ -34,18 +34,18 @@ def test_stripe_packing_example():
     f = binary_field(16)
     got = codec.stripe_blocks([bytes([0xAA, 0xBB, 0xCC, 0xDD])], f, 4)
     assert got.z == 2
-    assert got.symbols == ((0xAABB, 0xCCDD),)
+    assert got.symbols.tolist() == [[0xAABB, 0xCCDD]]
     assert got.pad_lengths == (4,)
     # independent big-endian packing oracle
     raw = bytes([0xAA, 0xBB, 0xCC, 0xDD])
-    assert list(got.symbols[0]) == [int.from_bytes(raw[i : i + 2], "big") for i in (0, 2)]
+    assert got.symbols[0].tolist() == [int.from_bytes(raw[i : i + 2], "big") for i in (0, 2)]
 
 
 def test_stripe_empty_block_is_padding():
     f = binary_field(16)
     got = codec.stripe_blocks([b""], f, 6)
     assert got.z == 3
-    assert got.symbols == ((0, 0, 0),)
+    assert got.symbols.tolist() == [[0, 0, 0]]
     assert got.pad_lengths == (0,)
 
 
@@ -57,7 +57,7 @@ def test_stripe_oversize_rejected():
 def test_stripe_value_range_checked_for_small_fields():
     with pytest.raises(ValueError):
         codec.stripe_blocks([bytes([200])], prime_field(13), 1)
-    assert codec.stripe_blocks([bytes([12])], prime_field(13), 1).symbols == ((12,),)
+    assert codec.stripe_blocks([bytes([12])], prime_field(13), 1).symbols.tolist() == [[12]]
 
 
 def test_stripe_round_trip_random():
@@ -75,7 +75,7 @@ def test_stripe_round_trip_random():
     ids=["256-in-one-byte", "65536-in-two-bytes", "negative"],
 )
 def test_unstripe_symbol_wider_than_its_bytes_is_value_error(symbol_bytes, symbols):
-    stripes = codec.StripeSet(2, symbol_bytes, symbols, (2 * symbol_bytes,))
+    stripes = codec.StripeSet(2, symbol_bytes, np.array(symbols), (2 * symbol_bytes,))
     with pytest.raises(ValueError):
         codec.unstripe_blocks(stripes)
 
@@ -127,7 +127,7 @@ def test_encode_generation_matches_per_stripe_oracle():
     state = codec.encode_generation(blocks, 5, params, f, block_size=10)
     stripes = codec.stripe_blocks(blocks, f, 10)
     for s in range(state.z):
-        msg = [stripes.symbols[i][s] for i in range(params.message_length)]
+        msg = stripes.symbols[:, s].tolist()
         m = build_message_matrix(f, msg, params)
         row = encode_node(f, m, 5)
         assert tuple(state.blocks[j][s] for j in range(params.alpha)) == row.symbols
@@ -155,7 +155,7 @@ def test_serve_repair_per_stripe_matches_mbr():
     assert share.payload_bytes() == 4  # one coded block
     stripes = codec.stripe_blocks(blocks, f, 4)
     for s in range(state.z):
-        msg = [stripes.symbols[i][s] for i in range(params.message_length)]
+        msg = stripes.symbols[:, s].tolist()
         m = build_message_matrix(f, msg, params)
         row = encode_node(f, m, 1)
         assert share.symbols[s] == repair_share(f, row, 4)
@@ -391,7 +391,7 @@ def test_payload_symbols_outside_field_rejected():
 
 # Byte offsets of header words in a version-1 file (layout as in
 # test_state_file_golden_bytes); a share's target gamma follows the pads.
-GAMMA, BLOCK_SIZE, COUNT, PADS = 15, 23, 31, 35
+FIELD_PARAM, GAMMA, BLOCK_SIZE, COUNT, PADS = 7, 15, 23, 31, 35
 
 
 def _put_u32(data, off, value):
@@ -419,6 +419,26 @@ def test_invalid_header_rejected(what, patch):
     else:
         with pytest.raises(ValueError):
             codec.share_from_bytes(patch(codec.share_to_bytes(codec.serve_repair(state, 4))))
+
+
+@pytest.mark.parametrize(
+    "f, params, cache",
+    [
+        (binary_field(8), [p for p in range(0x100, 0x200) if gf2_is_irreducible(p)],
+         field._binary_field),
+        (prime_field(251), [q for q in range(2, 256) if is_prime(q)], field.prime_field),
+    ],
+    ids=["binary", "prime"],
+)
+def test_fields_named_by_parsed_headers_are_cached_within_a_bound(f, params, cache):
+    """Headers are untrusted; each distinct field word builds tables once, within the bound."""
+    state = codec.encode_generation([b"\0\0"], 0, MbrParams(1, 1), f, block_size=2)
+    data = codec.state_to_bytes(state)
+    assert len(params) > FIELD_CACHE_SIZE
+    for param in params:
+        parsed = codec.state_from_bytes(_put_u32(data, FIELD_PARAM, param))
+        assert parsed.field.header_param == param
+    assert cache.cache_info().currsize <= FIELD_CACHE_SIZE
 
 
 @pytest.mark.parametrize(

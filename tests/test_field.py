@@ -6,6 +6,7 @@ import pytest
 
 from srb.field import (
     DEFAULT_REDUCTION_POLY,
+    KIND_BINARY,
     binary_field,
     field_from_header,
     gf2_is_irreducible,
@@ -149,8 +150,10 @@ def test_bulk_helpers_match_scalar_ops():
         vec_a = [rng.randrange(f.order) for _ in range(64)]
         vec_b = [rng.randrange(f.order) for _ in range(64)]
         c = rng.randrange(f.order)
-        assert f.scale_vec(c, vec_a) == [f.mul(c, v) for v in vec_a]
-        assert f.add_vec(vec_a, vec_b) == [f.add(x, y) for x, y in zip(vec_a, vec_b)]
+        assert f.matmul([[c]], [vec_a])[0].tolist() == [f.mul(c, v) for v in vec_a]
+        assert f.matmul([[1, 1]], [vec_a, vec_b])[0].tolist() == [
+            f.add(x, y) for x, y in zip(vec_a, vec_b)
+        ]
 
 
 @pytest.mark.parametrize(
@@ -255,6 +258,9 @@ def test_parse_field():
 def test_field_cache_returns_same_object():
     assert binary_field(16) is binary_field(16)
     assert prime_field(257) is prime_field(257)
+    # one table build per field, however a caller spells it
+    assert binary_field(16) is field_from_header(KIND_BINARY, 0x1100B)
+    assert parse_field("binary:8") is binary_field(8, 0x11D)
 
 
 def scalar_matmul(f, coeffs, data):
@@ -313,6 +319,29 @@ def test_matmul_rejects_entries_outside_the_field_in_every_dtype(f):
                 f.matmul([[1, 1]], np.array([[1, 2], [v, 0]], dtype))
             with pytest.raises(ValueError):
                 f.matmul(np.array([[1, v]], dtype), np.array([[1], [2]], dtype))
+
+
+@pytest.mark.parametrize("f", DTYPE_FIELDS, ids=lambda f: f.describe())
+def test_matmul_rejects_non_integer_entries(f):
+    with pytest.raises(ValueError):
+        f.matmul([[1]], np.array([[1.7, 2.2]]))
+    with pytest.raises(ValueError):
+        f.matmul(np.array([[1.0]]), [[1, 2]])
+    with pytest.raises(ValueError):
+        f.matmul([[1]], [[1 << 64]])  # an object array
+    # empty operands hold no entries to reject, whatever their dtype
+    assert f.matmul([], np.zeros((2, 3), np.uint16)).shape == (0, 3)
+    assert f.matmul([[1, 1]], np.zeros((2, 0))).shape == (1, 0)
+
+
+@pytest.mark.parametrize("f", DTYPE_FIELDS, ids=lambda f: f.describe())
+def test_elements_keeps_integer_dtypes_that_int64_holds(f):
+    data = np.array([[0, 1], [2, f.order - 1]], np.uint16)
+    assert f.elements(data) is data
+    for dtype, want in ((np.uint64, np.int64), (bool, np.int64), (np.int8, np.int8)):
+        got = f.elements(np.array([[0, 1]], dtype))
+        assert got.dtype == want and got.tolist() == [[0, 1]]
+    assert f.elements([[3, 1]]).dtype == np.int64
 
 
 @pytest.mark.parametrize("dtype", [list, np.uint16, np.int32, np.uint32, np.int64, np.uint64])
