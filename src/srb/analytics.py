@@ -63,6 +63,12 @@ class ProtocolParams:
                 raise ValueError(f"{name} must be >= 0")
         if self.rho < 1:
             raise ValueError("rho must be >= 1")
+        known = 0 not in (self.n_s, self.total_nodes, self.shards)
+        if known and self.total_nodes != self.shards * self.n_s:
+            raise ValueError(
+                f"total_nodes={self.total_nodes} is not shards * n_s = "
+                f"{self.shards} * {self.n_s} (N = m * n_S)"
+            )
         if self.k > 0 and self.alpha > 0 and self.total_blocks > 0:
             derived = message_length(self.k, self.alpha)
             if derived != self.total_blocks:

@@ -117,9 +117,17 @@ def cmd_metrics(args) -> int:
     if args.paper_example:
         params = analytics.reference_example_params()
     else:
+        n_s = args.shard_nodes
+        if not n_s and args.total_nodes and args.shards:
+            if args.total_nodes % args.shards:
+                raise ValueError(
+                    f"--total-nodes {args.total_nodes} is not a multiple of --shards "
+                    f"{args.shards}; give --shard-nodes or make N = m * n_S"
+                )
+            n_s = args.total_nodes // args.shards
         params = analytics.ProtocolParams(
             protocol=analytics.SRB,
-            n_s=args.shard_nodes,
+            n_s=n_s,
             total_blocks=args.blocks,
             alpha=args.alpha,
             k=args.k,
@@ -188,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="print the protocol comparison table")
     p.add_argument("--paper-example", action="store_true", dest="paper_example",
                    help="use the published example parameters")
-    p.add_argument("--shard-nodes", type=int, default=0, dest="shard_nodes")
+    p.add_argument("--shard-nodes", type=int, default=0, dest="shard_nodes",
+                   help="n_S; default N / m when --total-nodes and --shards are given")
     p.add_argument("--blocks", type=int, default=0, help="L, blocks per shard")
     p.add_argument("--alpha", type=int, default=0)
     p.add_argument("--k", type=int, default=0)

@@ -8,7 +8,8 @@ bytes that encode multiplies as it stands; reconstruct hands its recovered
 L x Z array back through unstripe_blocks.  A node's coded state
 is its alpha coded blocks (one row symbol per stripe), carried in a
 self-describing header that is sufficient to serve repair shares with no
-other context.
+other context.  encode_nodes encodes a generation for a list of nodes with
+one striping and one product; encode_generation is its one-node case.
 
 File formats (version 1, header integers little-endian, symbols big-endian):
 
@@ -286,6 +287,49 @@ class RepairShare(GenerationHeader):
         return share_header_size(self.message_count)
 
 
+def encode_nodes(
+    blocks: list[bytes],
+    gammas: list[int],
+    params: MbrParams,
+    field: Field,
+    generation: int = 0,
+    block_size: int | None = None,
+) -> list[CodedNodeState]:
+    """Encode one generation of L blocks for every node in gammas, in order.
+
+    Per stripe, node gamma stores psi(gamma)^T M_s; stripes are independent
+    and the output is deterministic and byte-exact for identical inputs.
+    Over all stripes at once that is one product: coded block j is the sum
+    over the cells (i, j) of M of psi_i times the message block housed there.
+    The nodes share the striping and one product over their stacked alpha x L
+    coefficient rows, so each chunk of the data is gathered once for all of
+    them; each state then copies its own alpha rows of the product.
+    """
+    want, alpha = params.message_length, params.alpha
+    if len(blocks) != want:
+        raise ValueError(f"a generation encodes exactly L = {want} blocks, got {len(blocks)}")
+    if block_size is None:
+        block_size = max((len(b) for b in blocks), default=0)
+    stripes = stripe_blocks(blocks, field, block_size)
+    if not gammas:
+        return []
+    grid = message_index_matrix(params)
+    coeffs = []
+    for gamma in gammas:
+        psi = field.vandermonde_row(gamma, alpha)
+        rows = [[0] * want for _ in range(alpha)]
+        for i, row in enumerate(grid):
+            for j, g in enumerate(row):
+                if g is not None:
+                    rows[j][g] = psi[i]
+        coeffs += rows
+    coded = field.matmul(coeffs, stripes.symbols)
+    header = dict(field=field, k=params.k, alpha=alpha, generation=generation,
+                  block_size=block_size, z=stripes.z, pad_lengths=stripes.pad_lengths)
+    return [CodedNodeState(**header, gamma=gamma, blocks=coded[n * alpha : (n + 1) * alpha])
+            for n, gamma in enumerate(gammas)]
+
+
 def encode_generation(
     blocks: list[bytes],
     gamma: int,
@@ -294,37 +338,12 @@ def encode_generation(
     generation: int = 0,
     block_size: int | None = None,
 ) -> CodedNodeState:
-    """Encode one generation of L blocks into the node's alpha coded blocks.
+    """Encode one generation of L blocks into one node's alpha coded blocks.
 
-    Per stripe this stores psi(gamma)^T M_s; stripes are independent and the
-    output is deterministic and byte-exact for identical inputs.  Over all
-    stripes at once that is one product: coded block j is the sum over the
-    cells (i, j) of M of psi_i times the message block housed there.
+    encode_nodes for the single node at gamma.
     """
-    want = params.message_length
-    if len(blocks) != want:
-        raise ValueError(f"a generation encodes exactly L = {want} blocks, got {len(blocks)}")
-    if block_size is None:
-        block_size = max((len(b) for b in blocks), default=0)
-    stripes = stripe_blocks(blocks, field, block_size)
-    psi = field.vandermonde_row(gamma, params.alpha)
-    coeffs = [[0] * want for _ in range(params.alpha)]
-    for i, row in enumerate(message_index_matrix(params)):
-        for j, g in enumerate(row):
-            if g is not None:
-                coeffs[j][g] = psi[i]
-    coded = field.matmul(coeffs, stripes.symbols)
-    return CodedNodeState(
-        field=field,
-        k=params.k,
-        alpha=params.alpha,
-        gamma=gamma,
-        generation=generation,
-        block_size=block_size,
-        z=stripes.z,
-        pad_lengths=stripes.pad_lengths,
-        blocks=coded,
-    )
+    (state,) = encode_nodes(blocks, [gamma], params, field, generation, block_size)
+    return state
 
 
 def serve_repair(state: CodedNodeState, target_gamma: int) -> RepairShare:

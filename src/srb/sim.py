@@ -4,7 +4,8 @@ Models a sharded network storing coded blocks: a trusted reference
 committee emits per-epoch reference blocks (membership, shard assignment,
 encoder coefficients, epoch randomness), joins follow the cuckoo rule,
 blocks arrive at a fixed per-epoch rate and every full window of L blocks
-is encoded as an independent generation, and each joining or displaced node
+is encoded as an independent generation, for all of the shard's members at
+once (one codec.encode_nodes call), and each joining or displaced node
 obtains its coded state by bootstrap-as-repair from alpha + 2p helpers.
 Malicious helpers corrupt their shares under a configurable strategy.
 
@@ -562,15 +563,16 @@ def run_simulation(config: SimConfig) -> SimReport:
                 if len(net.pending[shard]) == l_blocks:
                     generation = net.generations_done[shard]
                     blocks = net.pending[shard]
-                    for member in net.shard_members(shard):
-                        state = codec.encode_generation(
-                            blocks,
-                            member.gamma,
-                            params,
-                            net.field,
-                            generation=generation,
-                            block_size=config.block_size,
-                        )
+                    members = net.shard_members(shard)
+                    states = codec.encode_nodes(
+                        blocks,
+                        [member.gamma for member in members],
+                        params,
+                        net.field,
+                        generation=generation,
+                        block_size=config.block_size,
+                    )
+                    for member, state in zip(members, states):
                         member.states[generation] = codec.state_to_bytes(state)
                     net.generation_blocks[(shard, generation)] = blocks
                     net.generations_done[shard] += 1

@@ -232,3 +232,10 @@ def test_format_bytes():
     assert an.format_bytes(0) == "0B"
     assert an.format_bytes(999) == "999B"
     assert an.format_bytes(2048) == "2.05kB"
+
+
+def test_total_nodes_must_be_shards_times_shard_nodes():
+    with pytest.raises(ValueError, match="N = m \\* n_S"):
+        an.ProtocolParams(n_s=25, total_nodes=100, shards=3)
+    an.ProtocolParams(n_s=25, total_nodes=100, shards=4)
+    an.ProtocolParams(n_s=25, total_nodes=100)  # m unknown: nothing to compare

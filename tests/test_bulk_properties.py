@@ -108,6 +108,31 @@ def test_bulk_path_matches_scalar_oracle(case):
     assert got == blocks
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_encode_nodes_matches_one_node_encodes_and_oracle(data):
+    f = parse_field(data.draw(st.sampled_from(FIELDS)))
+    k = data.draw(st.integers(1, 4))
+    params = MbrParams(k, data.draw(st.integers(k, 6)))
+    block_size = data.draw(st.integers(0, 9))
+    byte = st.integers(0, min(256, f.order) - 1)
+    block = st.lists(byte, max_size=block_size).map(bytes)
+    n = params.message_length
+    blocks = data.draw(st.lists(block, min_size=n, max_size=n))
+    gammas = data.draw(st.lists(st.integers(0, f.order - 1), max_size=6))  # repeats allowed
+    states = codec.encode_nodes(blocks, gammas, params, f, 2, block_size)
+    assert [codec.state_to_bytes(s) for s in states] == [
+        codec.state_to_bytes(codec.encode_generation(blocks, g, params, f, 2, block_size))
+        for g in gammas
+    ]
+    messages = stripe_messages(f, blocks, block_size)
+    matrices = [build_message_matrix(f, msg, params) for msg in messages]
+    for state, gamma in zip(states, gammas):
+        assert state.gamma == gamma
+        for s, m in enumerate(matrices):
+            assert tuple(state.payload[:, s].tolist()) == encode_node(f, m, gamma).symbols
+
+
 @settings(max_examples=60, deadline=None)
 @given(generations(), st.integers(0, 2**32 - 1))
 def test_serialization_round_trip(case, generation):

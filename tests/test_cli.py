@@ -281,13 +281,44 @@ def test_metrics_invalid_params_exit_2(argv, message, capsys):
 
 
 def test_metrics_without_shard_nodes_reports_regime_na(capsys):
-    # n_s defaults to 0, so each Hoeffding bound has an empty sample
+    # n_S is taken as N / m = 25; SeF's Hoeffding bound is outside its regime there
     argv = ["--total-nodes", "100", "--shards", "4", "--malicious", "3", "--blocks", "30",
             "--alpha", "8", "--k", "5"]
     assert main(["metrics", *argv]) == 0
     out, err = capsys.readouterr()
     assert "regime n/a" in out
     assert "Traceback" not in err
+
+
+def test_metrics_shard_nodes_default_to_total_over_shards(capsys):
+    argv = ["--total-nodes", "100", "--shards", "4", "--malicious", "3", "--blocks", "30",
+            "--alpha", "8", "--k", "5"]
+    assert main(["metrics", *argv]) == 0
+    out = capsys.readouterr().out
+    assert "n_s=25 " in out
+    rows = {line[:42].strip(): line[42:].split() for line in out.splitlines()}
+    assert float(rows["storage overhead"][-1]) > 0  # SRB's column: n_S * alpha / L
+    assert rows["security guarantee t_S"][-2:] == ["8", "nodes"]  # not "(clamped)"
+    assert float(rows["shard failure prob H"][-1]) < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--total-nodes", "100", "--shards", "3", "--shard-nodes", "25"],
+         "total_nodes=100 is not shards * n_s = 3 * 25 (N = m * n_S)"),
+        (["--total-nodes", "100", "--shards", "3"],
+         "--total-nodes 100 is not a multiple of --shards 3; give --shard-nodes or make "
+         "N = m * n_S"),
+    ],
+    ids=["inconsistent-shard-nodes", "total-not-a-multiple"],
+)
+def test_metrics_total_nodes_must_be_shards_times_shard_nodes(argv, message, capsys):
+    assert main(["metrics", *argv, "--blocks", "30", "--alpha", "8", "--k", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert f"error: {message}" in err.splitlines()
+    assert "Traceback" not in err
+    assert "protocol comparison" not in out
 
 
 def test_simulate_deterministic(tmp_path, capsys):

@@ -133,6 +133,38 @@ def test_encode_generation_matches_per_stripe_oracle():
         assert tuple(state.blocks[j][s] for j in range(params.alpha)) == row.symbols
 
 
+@pytest.mark.parametrize("spec", ["binary:8", "binary:16", "prime:257"])
+@pytest.mark.parametrize(
+    "gammas", [[], [5], [3, 7, 3], [0, 1, 2, 9, 4, 11]], ids=["none", "one", "repeated", "several"]
+)
+def test_encode_nodes_matches_one_node_encodes(spec, gammas):
+    f = field.parse_field(spec)
+    params = MbrParams(3, 5)
+    rng = random.Random(spec)
+    blocks = [rng.randbytes(rng.randint(0, 11)) for _ in range(params.message_length)]
+    states = codec.encode_nodes(blocks, gammas, params, f, generation=6, block_size=11)
+    assert [s.gamma for s in states] == gammas
+    want = [
+        codec.encode_generation(blocks, g, params, f, generation=6, block_size=11) for g in gammas
+    ]
+    assert list(map(codec.state_to_bytes, states)) == list(map(codec.state_to_bytes, want))
+    for a, b in zip(states, states[1:]):
+        assert not np.shares_memory(a.payload, b.payload)  # each state copies its slice
+
+
+def test_encode_nodes_block_size_defaults_to_longest_block():
+    f = binary_field(16)
+    params = MbrParams(2, 3)
+    blocks = [b"abc", b"", b"de", b"fghij", b"k"]
+    default = codec.encode_nodes(blocks, [1, 2], params, f)
+    assert default == codec.encode_nodes(blocks, [1, 2], params, f, block_size=5)
+
+
+def test_encode_nodes_wrong_arity_even_without_nodes():
+    with pytest.raises(ValueError):
+        codec.encode_nodes([b"x"], [], MbrParams(2, 3), binary_field(16), block_size=1)
+
+
 def test_serve_repair_examples():
     f = prime_field(13)
     params = MbrParams(2, 3, n=5)

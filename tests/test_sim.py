@@ -401,3 +401,47 @@ def test_malicious_cap_holds_under_churn():
     report = run_simulation(cfg)
     for st in report.epochs:
         assert all(c <= cfg.p for c in st.shard_malicious)
+
+
+def test_simulator_encodes_each_shard_generation_once(monkeypatch):
+    """One encode_nodes call per completed (shard, generation) for all its members,
+    and one encode_generation per bootstrap that decoded, to verify it."""
+    batched, verified, inside = [], [], []
+    encode_nodes, encode_generation = codec.encode_nodes, codec.encode_generation
+
+    def count_nodes(blocks, gammas, params, field, generation=0, block_size=None):
+        if not inside:  # count the simulator's calls, not encode_generation's
+            batched.append((generation, list(gammas)))
+        return encode_nodes(blocks, gammas, params, field, generation, block_size)
+
+    def count_generation(blocks, gamma, params, field, generation=0, block_size=None):
+        verified.append(generation)
+        inside.append(gamma)
+        try:
+            return encode_generation(blocks, gamma, params, field, generation, block_size)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(codec, "encode_nodes", count_nodes)
+    monkeypatch.setattr(codec, "encode_generation", count_generation)
+    cfg = small_config(
+        total_nodes=24,
+        shards=2,
+        malicious=3,
+        p=1,
+        joins_per_epoch=2,
+        epochs=6,
+        strategy="zero-out",
+        seed=4,
+        cap_malicious_per_shard=False,
+    )
+    report = run_simulation(cfg)
+    done = report.epochs[-1].generations_done
+    assert sum(done) > len(done)  # several generations per shard
+    assert sorted(g for g, _ in batched) == sorted(g for n in done for g in range(n))
+    for _, gammas in batched:
+        assert len(gammas) >= cfg.alpha + 2 * cfg.p + 1
+        assert len(set(gammas)) == len(gammas)
+    ok = [e.generation for e in report.bootstrap_events if e.ok]
+    assert len(ok) < len(report.bootstrap_events)  # failed decodes are not verified
+    assert sorted(verified) == sorted(ok)
