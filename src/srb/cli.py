@@ -113,7 +113,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    _print_config("metrics", args, ["paper_example"])
+    _print_config("metrics", args, ["paper_example", "shard_nodes", "blocks", "alpha", "k", "p",
+                                     "block_size", "delta", "rho", "c", "total_nodes", "shards",
+                                     "malicious", "mu", "p_frac", "v", "tau"])
     if args.paper_example:
         params = analytics.reference_example_params()
     else:

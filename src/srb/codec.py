@@ -39,14 +39,23 @@ file I/O then use that array as it stands and never build Python ints in
 bulk.  The .blocks and .symbols views return tuples of Python ints, built on
 each access, for scalar code and tests.
 
-Decoding goes through srb.rs.rs_decode_many, batched over every word of a
-generation: bootstrap decodes the Z words of the shares, reconstruct the
-(alpha-k)*Z words of V and then the k*Z words of U, sharing one blame
-set.  Its blame-then-erasure step keeps a bootstrap or a
-reconstruct against p liars to at most p runs of its per-word fallback,
-rs_decode, a bounded-distance decode by Gao's algorithm.  In GF(2^m)
-the payloads stay uint16 through every product and decode; nothing on this
-path widens them.
+Decoding goes through srb.rs.rs_decode_many, batched over the words of a
+slice of stripes.  Stripes are independent message matrices, so bootstrap
+and reconstruct walk Z in slices of _SLICE_SYMBOLS // (n * alpha) stripes
+for n shares or states, and write each slice into an output allocated up
+front: bootstrap decodes a slice's words of the shares into its alpha x Z
+state, reconstruct a slice's (alpha-k) words of V per stripe and then,
+with the V^T term subtracted by Field.subtract, its k words of U per
+stripe, into the blocks' rows.  Every temporary is slice-sized, so the
+memory a decode needs above its input and output does not grow with the
+block size.  One srb.rs.DecodeSetup (the gammas' Vandermonde rows and the
+Lagrange bases) and one blame set serve every decode of a call: its
+blame-then-erasure step keeps a bootstrap or a reconstruct against p liars
+to at most p runs of the per-word fallback, rs_decode (a bounded-distance
+decode by Gao's algorithm), however many slices they corrupt.  Integrity
+checks on the recovered message wait until every slice has decoded, so a
+decode failure anywhere wins over them.  In GF(2^m) the payloads stay
+uint16 through every product and decode; nothing on this path widens them.
 srb.mbr is the one-stripe scalar reference that the tests compare this
 module against.
 """
@@ -61,13 +70,20 @@ import numpy as np
 from .errors import DecodeFailure, IntegrityError
 from .field import Field, field_from_header
 from .mbr import MbrParams, message_index_matrix, message_length
-from .rs import rs_decode_many
+from .rs import DecodeSetup, rs_decode_many
 
 MAGIC = b"SRB1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<HBIHHIIIII")
 _U16_MAX = 0xFFFF
 _U32_MAX = 0xFFFFFFFF
+
+# Input symbols one decode slice holds: bootstrap and reconstruct take
+# _SLICE_SYMBOLS // (n * alpha) stripes at a time from n shares or states, so
+# every decode temporary is a few MB whatever the block size.  A generation
+# at k=5, alpha=8 and 2 KiB blocks (80 * 1024 symbols to bootstrap) decodes
+# in one slice; k=30, alpha=50 reconstructs 655 stripes per slice.
+_SLICE_SYMBOLS = 1 << 20
 
 
 def stripe_symbol_bytes(field: Field) -> int:
@@ -136,9 +152,10 @@ def unstripe_blocks(stripes: StripeSet) -> list[bytes]:
     Raises ValueError if a symbol does not fit in symbol_bytes bytes.
     """
     rows, sb = stripes.symbols, stripes.symbol_bytes
-    if rows.size and ((rows.dtype.kind != "u" and rows.min() < 0) or rows.max() >= 256**sb):
+    if rows.size and ((rows.dtype.kind != "u" and rows.min() < 0)
+                      or (np.iinfo(rows.dtype).max >= 256**sb and rows.max() >= 256**sb)):
         raise ValueError(f"a stripe symbol does not fit in {sb} block byte(s)")
-    rows = rows.astype(_dtype(sb))
+    rows = rows.astype(_dtype(sb), copy=False)
     return [row.tobytes()[:length] for row, length in zip(rows, stripes.pad_lengths)]
 
 
@@ -364,11 +381,19 @@ def _common_header(items: list[GenerationHeader], what: str) -> tuple:
     return head
 
 
+def _slices(z: int, n: int, alpha: int) -> list[slice]:
+    """The stripe ranges a decode over n shares or states of alpha rows walks."""
+    step = max(1, _SLICE_SYMBOLS // (n * alpha))
+    return [slice(start, start + step) for start in range(0, z, step)]
+
+
 def bootstrap_node(shares: list[RepairShare], target_gamma: int, p: int = 0) -> CodedNodeState:
     """Rebuild a node's full coded state from alpha + 2p repair shares.
 
     The result is byte-identical to what encode_generation would have
-    produced for target_gamma.  Raises DecodeFailure when more than p shares
+    produced for target_gamma.  The Z words of the shares are decoded in
+    slices of stripes, with one DecodeSetup and one blame set for all of them,
+    into one alpha x Z array.  Raises DecodeFailure when more than p shares
     are corrupt, ValueError on inconsistent share headers.
     """
     if not shares:
@@ -384,25 +409,33 @@ def bootstrap_node(shares: list[RepairShare], target_gamma: int, p: int = 0) -> 
         raise ValueError("duplicate helper coefficients")
     if target_gamma in xs:
         raise ValueError("the target cannot be one of its own helpers")
-    received = np.stack([s.payload for s in shares])
-    try:
-        rows = rs_decode_many(f, xs, received.T, alpha)
-    except DecodeFailure as exc:
-        raise DecodeFailure("repair failed: error budget exceeded") from exc
-    return CodedNodeState(**_header_of(shares[0], gamma=target_gamma), blocks=rows.T)
+    setup, blamed = DecodeSetup(f, xs, alpha), set()
+    out = np.empty((alpha, z), np.uint16)
+    for part in _slices(z, len(shares), alpha):
+        received = np.stack([s.payload[part] for s in shares])
+        try:
+            out[:, part] = rs_decode_many(f, xs, received.T, alpha, blamed, setup).T
+        except DecodeFailure as exc:
+            raise DecodeFailure("repair failed: error budget exceeded") from exc
+    return CodedNodeState(**_header_of(shares[0], gamma=target_gamma), blocks=out)
 
 
 def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[bytes]:
     """Recover the original L raw blocks from k + 2p coded node states.
 
-    Two batched decodes over all stripes, as srb.mbr.secure_reconstruct does
-    per stripe: first V's columns, then, with the V^T term subtracted, U's.
-    They share one blame set, so a state blamed in the first is erased in
-    the second.
+    Stripes are independent message matrices, so they are decoded in slices
+    of stripes.  Each slice takes two batched decodes, as srb.mbr.
+    secure_reconstruct does per stripe: first V's columns, then, with the
+    V^T term subtracted, U's.  All of them share one DecodeSetup and one
+    blame set, so a state blamed in one decode is erased in every later one.
+    The recovered message rows go into arrays of whole blocks allocated up
+    front, a group of rows each, which are turned into bytes one group at a
+    time: above its input and output, a reconstruct holds slice-sized
+    temporaries and one group.
     Raises DecodeFailure when more than p states are corrupt and no codeword
-    is within budget, IntegrityError when the recovered U is not symmetric or
-    a recovered symbol does not fit in block bytes, ValueError on
-    inconsistent state headers.
+    is within budget (in any slice, before any IntegrityError), IntegrityError
+    when the recovered U is not symmetric or a recovered symbol does not fit
+    in block bytes, ValueError on inconsistent state headers.
     """
     if not states:
         raise ValueError("no states supplied")
@@ -414,36 +447,54 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
         raise ValueError("duplicate node coefficients")
     params = MbrParams(k, alpha, p=p)
     n, width = len(states), alpha - k
-    received = np.stack([st.payload for st in states])
-    blamed: set[int] = set()  # a liar blamed in V is erased in U
+    setup, blamed = DecodeSetup(f, gammas, k, width=alpha), set()
+    vt_coeffs = [row[k:] for row in setup.rows]
 
     def decode(words):
         """The k coefficients of each column of words (n x words), as k x words."""
         try:
-            return rs_decode_many(f, gammas, words.T, k, blamed).T
+            return rs_decode_many(f, gammas, words.T, k, blamed, setup).T
         except DecodeFailure as exc:
             raise DecodeFailure("reconstruction failed: error budget exceeded") from exc
 
-    # V: node i's trailing alpha-k coordinates, one word per (column, stripe),
-    # are evaluations at gamma_i of V's columns.
-    v = decode(received[:, k:].reshape(n, width * z)).reshape(k, width, z)
-    # U: node i's leading coordinate c is psi_i[:k] . U[:, c] plus
-    # psi_i[k:] . V[c, :]; subtract the V^T term, then decode U's columns.
-    powers = [f.vandermonde_row(g, alpha)[k:] for g in gammas]
-    vt_term = f.matmul(powers, v.transpose(1, 0, 2).reshape(width, k * z))
-    lead = received[:, :k].reshape(n, k * z)
-    u_words = f.matmul([[1, f.neg(1)]], np.stack([lead.ravel(), vt_term.ravel()]))
-    u = decode(u_words.reshape(n, k * z)).reshape(k, k, z)
-    if not np.array_equal(u, u.transpose(1, 0, 2)):
-        raise IntegrityError("recovered U block is not symmetric")
-    top = np.concatenate([u, v], axis=1)  # the first k rows of M, per stripe
     grid = message_index_matrix(params)  # each index once on or above the diagonal
     _, rows, cols = zip(*sorted((grid[i][j], i, j) for i in range(k) for j in range(i, alpha)))
-    message = top[list(rows), list(cols)]
+    rows, cols = list(rows), list(cols)
     sb = stripe_symbol_bytes(f)
-    if message.max(initial=0) >= 256**sb:
+    step = max(1, _SLICE_SYMBOLS // max(1, z))
+    groups = [(start, np.empty((len(pads[start : start + step]), z), _dtype(sb)))
+              for start in range(0, len(pads), step)]
+
+    def decode_slice(part: slice) -> tuple[bool, bool]:
+        """Decode the stripes in part into the groups; is U symmetric, does every symbol fit?
+
+        Its temporaries die when it returns, before the next slice's are made.
+        """
+        received = np.stack([st.payload[:, part] for st in states])
+        s = received.shape[2]
+        # V: node i's trailing alpha-k coordinates, one word per (column,
+        # stripe), are evaluations at gamma_i of V's columns.
+        v = decode(received[:, k:].reshape(n, width * s)).reshape(k, width, s)
+        # U: node i's leading coordinate c is psi_i[:k] . U[:, c] plus
+        # psi_i[k:] . V[c, :]; subtract the V^T term, then decode U's columns.
+        vt_term = f.matmul(vt_coeffs, v.transpose(1, 0, 2).reshape(width, k * s))
+        u = decode(f.subtract(received[:, :k].reshape(n, k * s), vt_term)).reshape(k, k, s)
+        message = np.concatenate([u, v], axis=1)[rows, cols]  # the first k rows of M
+        for start, group in groups:  # a symbol too wide wraps here, and is refused below
+            group[:, part] = message[start : start + len(group)]
+        return np.array_equal(u, u.transpose(1, 0, 2)), message.max(initial=0) < 256**sb
+
+    checks = [decode_slice(part) for part in _slices(z, n, alpha)]
+    # Only now, so that a decode failure in any slice wins over these.
+    if not all(symmetric for symmetric, _ in checks):
+        raise IntegrityError("recovered U block is not symmetric")
+    if not all(fits for _, fits in checks):
         raise IntegrityError("recovered message symbols do not fit in block bytes")
-    return unstripe_blocks(StripeSet(z, sb, message, pads))
+    blocks = []
+    while groups:
+        start, group = groups.pop(0)
+        blocks += unstripe_blocks(StripeSet(z, sb, group, pads[start : start + len(group)]))
+    return blocks
 
 
 # -- serialization -----------------------------------------------------------

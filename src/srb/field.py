@@ -6,7 +6,8 @@ use modular arithmetic, binary extension fields GF(2^m) use log/exp tables
 over a generator of the multiplicative group of GF(2)[x] modulo an
 irreducible reduction polynomial.  Scalar operations take and return Python
 ints; :meth:`Field.matmul` is the one bulk kernel, multiplying a small
-coefficient matrix by a numpy array of symbols.
+coefficient matrix by a numpy array of symbols, and :meth:`Field.subtract`
+the one elementwise bulk operation.
 
 The kernel works in the operands' own width: an integer array (the uint16
 payloads, say) goes in as it is, GF(2^m) gathers through int32 log tables in
@@ -170,6 +171,23 @@ class Field:
         """
         raise NotImplementedError
 
+    def subtract(self, a, b) -> np.ndarray:
+        """a - b elementwise over this field, for two arrays of one shape.
+
+        The operands are taken as elements takes them.  One pass and no table:
+        XOR in GF(2^m), a difference reduced mod q in a prime field.  Returns
+        matmul's dtype, uint16 in GF(2^m) and int64 in a prime field.  Raises
+        ValueError if the shapes differ or an entry is not a field element.
+        """
+        raise NotImplementedError
+
+    def _pair(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """subtract's operands as elements() arrays of one shape."""
+        a, b = self.elements(a), self.elements(b)
+        if a.shape != b.shape:
+            raise ValueError(f"operands have shapes {a.shape} and {b.shape}; they must match")
+        return a, b
+
     def _operands(self, coeffs, data) -> tuple[np.ndarray, np.ndarray]:
         """matmul's operands as elements() arrays of shape (rows, n) and (n, words)."""
         data = self.elements(data)
@@ -193,8 +211,13 @@ class Field:
             if arr.size and arr.dtype.kind != "b":
                 raise ValueError(f"{arr.dtype} entries are not integers, so not elements of {self}")
             arr = arr.astype(np.int64)
-        # min() is a full pass over the data; unsigned entries skip it.
-        if arr.size and ((arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= self.order):
+        # min() and max() are full passes over the data: unsigned entries skip
+        # the first, and a dtype too narrow to hold the order (uint16 in
+        # GF(2^16)) the second.  The dtype's largest value, without np.iinfo,
+        # which costs as much as max() on a small array.
+        top = (1 << (8 * arr.itemsize - (arr.dtype.kind == "i"))) - 1
+        if arr.size and ((arr.dtype.kind == "i" and arr.min() < 0)
+                         or (top >= self.order and arr.max() >= self.order)):
             raise ValueError(f"an entry is not an element of {self}")
         if not np.can_cast(arr.dtype, np.int64):
             arr = arr.astype(np.int64)
@@ -268,6 +291,12 @@ class PrimeField(Field):
         # products sum below 2^63 for any n < 2^31.
         coeffs, data = self._operands(coeffs, data)
         return coeffs.astype(np.int64, copy=False) @ data % self.order
+
+    def subtract(self, a, b):
+        a, b = self._pair(a, b)
+        out = np.subtract(a, b, dtype=np.int64)
+        out %= self.order
+        return out
 
     @property
     def header_param(self) -> int:
@@ -394,6 +423,10 @@ class BinaryField(Field):
                 index += logc
                 out[r, part] = np.bitwise_xor.reduce(exp.take(index), axis=0)
         return out
+
+    def subtract(self, a, b):
+        a, b = self._pair(a, b)
+        return np.bitwise_xor(a, b).astype(np.uint16, copy=False)
 
     @property
     def header_param(self) -> int:

@@ -23,8 +23,14 @@ rs_decode would, into one words x dim integer array; it never builds
 Python ints per word.  It holds the only interpolate-then-check step, which
 decodes every word from dim trusted points and checks the rest; words that
 fail it are decoded by blame-then-erasure, which against at most e lying
-points runs rs_decode at most e times.  Its blame set can be carried from
-one call to the next over the same points.
+points runs rs_decode at most e times.
+
+Two things can be carried from one rs_decode_many call to the next over the
+same points, as the codec does across the stripe slices of one generation:
+the blame set, so that a liar found in one call is erased in every later
+one and costs one rs_decode run in all, and a DecodeSetup, the points'
+Vandermonde rows and the Lagrange basis of each trusted set, built once.
+Both live for one decode of the codec; no basis is cached across them.
 """
 
 from __future__ import annotations
@@ -147,20 +153,46 @@ def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int
     return coeffs
 
 
-def _interpolate_from(
-    field: Field, xs: list[int], powers: list[list[int]], points: list[int], words, threshold: int
-):
-    """Interpolate every word (a column of words) from its values at points.
+class DecodeSetup:
+    """What decoding words over one point set needs before it sees a word.
 
-    Returns the coefficients, dim x words, and a mask of the words that agree
-    with at least threshold of their values: the dim interpolated ones and
-    enough of the others.
+    Built once per decode of a generation and handed to each of its
+    rs_decode_many calls (one per slice of stripes, and reconstruct's V and
+    U decodes), so none of them rebuilds it: the points checked, each point's
+    Vandermonde row [x^j for j < max(dim, width)] in rows and its first dim
+    entries in powers, and, memoized per trusted point set, that set's
+    Lagrange basis and the powers of the other points.  It lives as long as
+    that one decode; nothing here is kept between calls of the codec.
     """
-    _, base = lagrange_basis(field, [xs[i] for i in points])
-    coeffs = field.matmul(base, words[points])
-    others = [i for i in range(len(powers)) if i not in points]
-    hits = (field.matmul([powers[i] for i in others], coeffs) == words[others]).sum(axis=0)
-    return coeffs, hits >= threshold - len(points)
+
+    def __init__(self, field: Field, xs: list[int], dim: int, width: int = 0):
+        n = len(xs)
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        if n < dim:
+            raise ValueError(f"need at least dim={dim} points, got {n}")
+        if len(set(xs)) != n:
+            raise ValueError("duplicate evaluation points")
+        self.field, self.xs, self.dim = field, list(xs), dim
+        self.rows = [field.vandermonde_row(x, max(dim, width)) for x in xs]
+        self.powers = [row[:dim] for row in self.rows]
+        self._checks: dict[tuple[int, ...], tuple] = {}
+
+    def interpolate(self, points: tuple[int, ...], words, threshold: int):
+        """Interpolate every word (a column of words) from its values at points.
+
+        Returns the coefficients, dim x words, and a mask of the words that
+        agree with at least threshold of their values: the dim interpolated
+        ones and enough of the others.
+        """
+        if points not in self._checks:
+            _, base = lagrange_basis(self.field, [self.xs[i] for i in points])
+            others = [i for i in range(len(self.xs)) if i not in points]
+            self._checks[points] = base, others, [self.powers[i] for i in others]
+        base, others, other_powers = self._checks[points]
+        coeffs = self.field.matmul(base, words[list(points)])
+        hits = (self.field.matmul(other_powers, coeffs) == words[others]).sum(axis=0)
+        return coeffs, hits >= threshold - len(points)
 
 
 def rs_decode_many(
@@ -169,6 +201,7 @@ def rs_decode_many(
     ys_list,
     dim: int,
     blamed: set[int] | None = None,
+    setup: DecodeSetup | None = None,
 ) -> np.ndarray:
     """Decode many received words sharing one evaluation-point set.
 
@@ -190,31 +223,30 @@ def rs_decode_many(
     rs_decode runs, however many words they touch.
 
     blamed, if given, is the blame set to start from, as positions in xs,
-    and is updated in place: passing one set to several calls over the same
-    points (reconstruct's V and U decodes) lets a later call erase the
-    positions an earlier one blamed.  Blame only chooses the points to
-    interpolate from; every result is accepted by its agreement count, so
-    it never changes what a decode returns.
+    and is updated in place; setup, if given, is a DecodeSetup for these xs
+    and dim.  Passing both to several calls over the same points (the
+    slices of one generation, reconstruct's V and U decodes) lets a later
+    call erase the positions an earlier one blamed and reuse its rows and
+    bases.  Blame only chooses the points to interpolate from; every result
+    is accepted by its agreement count, so it never changes what a decode
+    returns.
     """
-    n = len(xs)
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if n < dim:
-        raise ValueError(f"need at least dim={dim} points, got {n}")
-    if len(set(xs)) != n:
-        raise ValueError("duplicate evaluation points")
+    if setup is None:
+        setup = DecodeSetup(field, xs, dim)
+    elif (setup.field, setup.xs, setup.dim) != (field, list(xs), dim):
+        raise ValueError("setup was built for other points or another dim")
     if blamed is None:
         blamed = set()
+    n = len(xs)
     threshold = n - (n - dim) // 2
-    powers = [field.vandermonde_row(x, dim) for x in xs]
     received = np.asarray(ys_list).reshape(len(ys_list), n).T
 
-    def trusted() -> list[int]:
+    def trusted() -> tuple[int, ...]:
         """The first dim positions, unblamed ones first."""
-        return sorted(range(n), key=blamed.__contains__)[:dim]
+        return tuple(sorted(range(n), key=blamed.__contains__)[:dim])
 
     tried = trusted()
-    coeffs, ok = _interpolate_from(field, xs, powers, tried, received, threshold)
+    coeffs, ok = setup.interpolate(tried, received, threshold)
     out = coeffs.T.copy()
     dirty = np.flatnonzero(~ok)
     while dirty.size:
@@ -222,11 +254,11 @@ def rs_decode_many(
         word = received[:, w].tolist()
         decoded = rs_decode(field, list(zip(xs, word)), dim)
         out[w] = decoded
-        codeword = field.matmul(powers, [[c] for c in decoded])[:, 0].tolist()
+        codeword = field.matmul(setup.powers, [[c] for c in decoded])[:, 0].tolist()
         blamed.update(i for i in range(n) if codeword[i] != word[i])
         if dirty.size and trusted() != tried:
             tried = trusted()
-            fixed, ok = _interpolate_from(field, xs, powers, tried, received[:, dirty], threshold)
+            fixed, ok = setup.interpolate(tried, received[:, dirty], threshold)
             out[dirty[ok]] = fixed[:, ok].T
             dirty = dirty[~ok]
     return out

@@ -302,6 +302,41 @@ def test_metrics_shard_nodes_default_to_total_over_shards(capsys):
     assert float(rows["shard failure prob H"][-1]) < 1.0
 
 
+def replay_argv(line: str) -> list[str]:
+    """The argv an effective-config line stands for; a False flag is left out."""
+    cmd, *pairs = line.removeprefix("effective-config: ").split()
+    argv = [cmd.removeprefix("cmd=")]
+    for key, value in (pair.split("=", 1) for pair in pairs):
+        if value == "True":
+            argv.append(f"--{key}")
+        elif value != "False":
+            argv += [f"--{key}", value]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--total-nodes", "100", "--shards", "4", "--malicious", "3", "--blocks", "30",
+         "--alpha", "8", "--k", "5"],
+        ["--shard-nodes", "50", "--blocks", "18", "--alpha", "6", "--k", "4", "--p", "1",
+         "--block-size", "2048", "--delta", "0.2", "--rho", "3", "--c", "2.5", "--mu", "0.5",
+         "--p-frac", "0.1", "--v", "2", "--tau", "3"],
+        ["--paper-example"],
+    ],
+    ids=["derived-shard-nodes", "every-option", "paper-example"],
+)
+def test_metrics_effective_config_replays_byte_identically(argv, capsys):
+    assert main(["metrics", *argv]) == 0
+    out = capsys.readouterr().out
+    line = out.splitlines()[0]
+    for key in ("shard-nodes", "total-nodes", "shards", "malicious", "blocks", "alpha", "k",
+                "p", "block-size"):
+        assert f" {key}=" in line
+    assert main(replay_argv(line)) == 0
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

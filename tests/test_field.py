@@ -403,3 +403,43 @@ def test_matmul_column_chunks_agree_with_scalar_products(elements, monkeypatch):
         data = [[rng.randrange(f.order) for _ in range(37)] for _ in range(6)]
         got = f.matmul(coeffs, np.array(data, dtype=np.uint16))
         assert got.tolist() == scalar_matmul(f, coeffs, data)
+
+
+@pytest.mark.parametrize("f", DTYPE_FIELDS, ids=lambda f: f.describe())
+def test_subtract_is_scalar_sub_elementwise_in_every_dtype(f):
+    rng = random.Random(15)
+    edge = (0, 1, f.order - 1)
+    a = [[rng.choice(edge + (rng.randrange(f.order),)) for _ in range(7)] for _ in range(3)]
+    b = [[rng.choice(edge + (rng.randrange(f.order),)) for _ in range(7)] for _ in range(3)]
+    expect = [[f.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    assert f.subtract(a, b).tolist() == expect
+    fits = [d for d in DTYPES if f.order - 1 <= np.iinfo(d).max]
+    for da in fits:
+        for db in fits:
+            got = f.subtract(np.array(a, da), np.array(b, db))
+            assert got.dtype == (np.uint16 if f.kind == "binary" else np.int64), (da, db)
+            assert got.tolist() == expect, (da, db)
+
+
+@pytest.mark.parametrize("f", DTYPE_FIELDS, ids=lambda f: f.describe())
+def test_subtract_rejects_other_shapes_and_entries_outside_the_field(f):
+    with pytest.raises(ValueError):
+        f.subtract(np.zeros((2, 3), np.uint16), np.zeros((3, 2), np.uint16))
+    for bad in (f.order, -1):
+        with pytest.raises(ValueError):
+            f.subtract([[1, bad]], [[1, 2]])
+        with pytest.raises(ValueError):
+            f.subtract([[1, 2]], [[bad, 1]])
+
+
+def test_elements_range_check_depends_on_whether_the_dtype_holds_the_order():
+    # uint16 cannot hold 2^16: every value is an element of GF(2^16)
+    top = np.array([[0, 0xFFFF]], np.uint16)
+    assert binary_field(16).elements(top) is top
+    assert binary_field(8).elements(np.array([[255]], np.uint8)).tolist() == [[255]]
+    # but it holds 256 and 257, which are not elements of GF(2^8) or GF(257)
+    for f, bad in ((binary_field(8), 256), (prime_field(257), 257), (binary_field(16), 1 << 16)):
+        for dtype in (np.uint16, ">u2", np.int32, np.uint32):
+            if bad <= np.iinfo(dtype).max:
+                with pytest.raises(ValueError):
+                    f.elements(np.array([[0, bad]], dtype))
