@@ -9,7 +9,12 @@ L x Z array back through unstripe_blocks.  A node's coded state
 is its alpha coded blocks (one row symbol per stripe), carried in a
 self-describing header that is sufficient to serve repair shares with no
 other context.  encode_nodes encodes a generation for a list of nodes with
-one striping and one product; encode_generation is its one-node case.
+one striping.  One node takes one product of alpha sparse coefficient rows
+with the L x Z blocks; several nodes take two, of their stacked Vandermonde
+rows with the message blocks gathered into [S; T^T] and T, because with
+M = [[S, T], [T^T, 0]] a node's row psi^T M is [psi^T [S; T^T], psi[:k]^T T].
+The node count alone picks the form (see encode_nodes for the measured
+crossover); encode_generation is the one-node case.
 
 File formats (version 1, header integers little-endian, symbols big-endian):
 
@@ -316,13 +321,29 @@ def encode_nodes(
 
     Per stripe, node gamma stores psi(gamma)^T M_s; stripes are independent
     and the output is deterministic and byte-exact for identical inputs.
-    Over all stripes at once that is one product: coded block j is the sum
-    over the cells (i, j) of M of psi_i times the message block housed there.
-    The nodes share the striping and one product over their stacked alpha x L
-    coefficient rows, so each chunk of the data is gathered once for all of
-    them; each state then copies its own alpha rows of the product.
+    Over all stripes at once that is a product with the striped blocks, in
+    one of two forms, chosen by the number of nodes alone:
+
+      - one node: alpha sparse coefficient rows over the L x Z blocks; coded
+        block j is the sum over the cells (i, j) of M of psi_i times the
+        message block housed there.
+      - several nodes: M = [[S, T], [T^T, 0]] makes psi^T M equal to
+        [psi^T [S; T^T], phi^T T] with phi = psi[:k].  The blocks are
+        gathered once into [S; T^T] (alpha x k*Z) and T (k x (alpha-k)*Z),
+        and two products make every state: the stacked psi rows against the
+        first, the stacked phi rows against the second (none when k ==
+        alpha).  That is one row per node in each product, over k*Z and
+        (alpha-k)*Z columns, where the sparse form takes alpha rows per node
+        over Z columns.
+
+    The block form against the sparse one, in GF(2^16) on a shared 2-core
+    x86 container (medians of 61 encodes, three runs each): for one node
+    0.68-0.76x as fast at k=10, alpha=16 and 4 KiB blocks, and 0.93-0.97x
+    at k=5, alpha=8 and 2 KiB; at the latter, 1.13-1.14x for two nodes and
+    1.2-2.0x for 50 (12.0-18.0 ms down to 9.2-12.9 ms).  So one node keeps
+    the sparse form.  Each state copies its own rows of the product.
     """
-    want, alpha = params.message_length, params.alpha
+    want, k, alpha = params.message_length, params.k, params.alpha
     if len(blocks) != want:
         raise ValueError(f"a generation encodes exactly L = {want} blocks, got {len(blocks)}")
     if block_size is None:
@@ -330,21 +351,26 @@ def encode_nodes(
     stripes = stripe_blocks(blocks, field, block_size)
     if not gammas:
         return []
-    grid = message_index_matrix(params)
-    coeffs = []
-    for gamma in gammas:
-        psi = field.vandermonde_row(gamma, alpha)
+    grid, n, z = message_index_matrix(params), len(gammas), stripes.z
+    psis = [field.vandermonde_row(gamma, alpha) for gamma in gammas]
+    if n == 1:
         rows = [[0] * want for _ in range(alpha)]
         for i, row in enumerate(grid):
             for j, g in enumerate(row):
                 if g is not None:
-                    rows[j][g] = psi[i]
-        coeffs += rows
-    coded = field.matmul(coeffs, stripes.symbols)
-    header = dict(field=field, k=params.k, alpha=alpha, generation=generation,
-                  block_size=block_size, z=stripes.z, pad_lengths=stripes.pad_lengths)
-    return [CodedNodeState(**header, gamma=gamma, blocks=coded[n * alpha : (n + 1) * alpha])
-            for n, gamma in enumerate(gammas)]
+                    rows[j][g] = psis[0][i]
+        coded = field.matmul(rows, stripes.symbols).reshape(1, alpha, z)
+    else:
+        coded = np.empty((n, alpha, z), np.uint16)
+        left = stripes.symbols[[row[:k] for row in grid]].reshape(alpha, k * z)
+        coded[:, :k] = field.matmul(psis, left).reshape(n, k, z)
+        if k < alpha:
+            right = stripes.symbols[[row[k:] for row in grid[:k]]].reshape(k, (alpha - k) * z)
+            coded[:, k:] = field.matmul([psi[:k] for psi in psis], right).reshape(n, alpha - k, z)
+    header = dict(field=field, k=k, alpha=alpha, generation=generation,
+                  block_size=block_size, z=z, pad_lengths=stripes.pad_lengths)
+    return [CodedNodeState(**header, gamma=gamma, blocks=coded[i])
+            for i, gamma in enumerate(gammas)]
 
 
 def encode_generation(

@@ -5,7 +5,9 @@ carries the defining parameters and implements the operations: prime fields
 use modular arithmetic, binary extension fields GF(2^m) use log/exp tables
 over a generator of the multiplicative group of GF(2)[x] modulo an
 irreducible reduction polynomial.  Scalar operations take and return Python
-ints; :meth:`Field.matmul` is the one bulk kernel, multiplying a small
+ints and range-check every operand; :meth:`Field.unchecked_ops` gives add and
+mul without that check, for inner loops whose operands were checked once on
+entry.  :meth:`Field.matmul` is the one bulk kernel, multiplying a small
 coefficient matrix by a numpy array of symbols, and :meth:`Field.subtract`
 the one elementwise bulk operation.
 
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from typing import Callable
 
 import numpy as np
 
@@ -124,6 +128,15 @@ class Field:
             base = self.mul(base, base)
             e >>= 1
         return result
+
+    def unchecked_ops(self) -> tuple[Callable[[int, int], int], Callable[[int, int], int]]:
+        """(add, mul) without the range check that add and mul make per call.
+
+        For scalar inner loops whose operands were checked once on entry: an
+        operand outside the field gives a wrong value or an IndexError here,
+        never the ValueError that add and mul raise.
+        """
+        raise NotImplementedError
 
     def check(self, a: int) -> int:
         """Validate that a is an element of this field and return it."""
@@ -286,6 +299,10 @@ class PrimeField(Field):
         self.check(a)
         return pow(a, -1, self.order)
 
+    def unchecked_ops(self):
+        q = self.order
+        return (lambda a, b: (a + b) % q), (lambda a, b: a * b % q)
+
     def matmul(self, coeffs, data):
         # In int64 whatever the operands' dtypes: entries are below 2^16, so n
         # products sum below 2^63 for any n < 2^31.
@@ -399,6 +416,10 @@ class BinaryField(Field):
             raise ZeroDivisionError("zero has no inverse")
         self.check(a)
         return self._exp[self.order - 1 - self._log[a]]
+
+    def unchecked_ops(self):
+        log, exp = self._log, self._exp
+        return operator.xor, (lambda a, b: exp[log[a] + log[b]] if a and b else 0)
 
     def matmul(self, coeffs, data):
         # Each row: gather exp[log(c) + log(v)] for its nonzero coefficients c,

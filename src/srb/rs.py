@@ -11,6 +11,10 @@ the supplied points; with at most e corruptions that polynomial is unique,
 so a success is never a silently wrong answer within the error budget.
 
 Every solve is O(n^2) scalar field arithmetic; there is no elimination.
+Its loops check their inputs once and then use the field's unchecked_ops,
+and a product with one word (an interpolant, a codeword) is a scalar dot
+product, since Field.matmul's fixed cost per row exceeds it at every
+decode shape.
 lagrange_basis gives a point set's master polynomial prod(x - x_i) and the
 inverse of its Vandermonde block, whose columns are the Lagrange basis.
 rs_decode decodes one word by Gao's algorithm: interpolate the word, run
@@ -35,6 +39,7 @@ Both live for one decode of the codec; no basis is cached across them.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import zip_longest
 
 import numpy as np
@@ -69,21 +74,36 @@ def lagrange_basis(field: Field, xs: list[int]) -> tuple[list[int], list[list[in
     Column i of the inverse is the Lagrange basis polynomial of x_i, one at
     x_i and zero at the other points: the master polynomial divided by
     (x - x_i), scaled by the inverse of that quotient's value at x_i.
-    Coefficients ascend; O(n^2) field operations.
+    Coefficients ascend; O(n^2) field operations.  The points are checked
+    once on entry, and the inner loops use the field's unchecked_ops.
     """
-    master = [1]
     for x in xs:
-        master = _poly_mul(field, master, [field.neg(x), 1])
+        field.check(x)
+    add, mul = field.unchecked_ops()
+    n = len(xs)
+    master = [1]
+    for x in xs:  # master * (x - x_i): shift up, add the product by -x_i
+        minus_x = field.neg(x)
+        master = [add(high, mul(low, minus_x)) for high, low in zip([0] + master, master + [0])]
     columns = []
     for x in xs:
-        quot = [0] * len(xs)
+        quot = [0] * n
         acc = 0
-        for j in range(len(xs), 0, -1):  # synthetic division by (x - x_i)
-            acc = field.add(master[j], field.mul(acc, x))
+        for j in range(n, 0, -1):  # synthetic division by (x - x_i)
+            acc = add(master[j], mul(acc, x))
             quot[j - 1] = acc
-        scale = field.inv(field.poly_eval(quot, x))
-        columns.append([field.mul(scale, c) for c in quot])
+        value = 0
+        for c in reversed(quot):  # Horner: the quotient at x_i
+            value = add(mul(value, x), c)
+        scale = field.inv(value)
+        columns.append([mul(scale, c) for c in quot])
     return master, [list(row) for row in zip(*columns)]
+
+
+def _matvec(field: Field, matrix: list[list[int]], vector: list[int]) -> list[int]:
+    """matrix x vector over field, for entries known to be field elements."""
+    add, mul = field.unchecked_ops()
+    return [reduce(add, map(mul, row, vector), 0) for row in matrix]
 
 
 def poly_divmod(field: Field, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -138,7 +158,7 @@ def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int
     # budget v1 vanishes at the corrupted points and divides the remainder
     # exactly, with the message as quotient.
     r0, inverse = lagrange_basis(field, xs)
-    r1 = _trim(field.matmul(inverse, [[y] for y in ys])[:, 0].tolist())
+    r1 = _trim(_matvec(field, inverse, ys))
     v0, v1 = [], [1]
     while 2 * (len(r1) - 1) >= n + dim:
         quot, rem = poly_divmod(field, r0, r1)
@@ -254,7 +274,7 @@ def rs_decode_many(
         word = received[:, w].tolist()
         decoded = rs_decode(field, list(zip(xs, word)), dim)
         out[w] = decoded
-        codeword = field.matmul(setup.powers, [[c] for c in decoded])[:, 0].tolist()
+        codeword = _matvec(field, setup.powers, decoded)
         blamed.update(i for i in range(n) if codeword[i] != word[i])
         if dirty.size and trusted() != tried:
             tried = trusted()

@@ -133,13 +133,20 @@ def test_encode_generation_matches_per_stripe_oracle():
         assert tuple(state.blocks[j][s] for j in range(params.alpha)) == row.symbols
 
 
-@pytest.mark.parametrize("spec", ["binary:8", "binary:16", "prime:257"])
+@pytest.mark.parametrize(
+    "spec, k, alpha",
+    [
+        pytest.param(spec, k, alpha, id=spec if (k, alpha) == (3, 5) else f"{spec}-k={k}-alpha={alpha}")
+        for k, alpha in [(3, 5), (4, 4), (1, 3)]  # k < alpha, no T block, k = 1
+        for spec in ["binary:8", "binary:16", "prime:257", "prime:65521"]
+    ],
+)
 @pytest.mark.parametrize(
     "gammas", [[], [5], [3, 7, 3], [0, 1, 2, 9, 4, 11]], ids=["none", "one", "repeated", "several"]
 )
-def test_encode_nodes_matches_one_node_encodes(spec, gammas):
+def test_encode_nodes_matches_one_node_encodes(spec, k, alpha, gammas):
     f = field.parse_field(spec)
-    params = MbrParams(3, 5)
+    params = MbrParams(k, alpha)
     rng = random.Random(spec)
     blocks = [rng.randbytes(rng.randint(0, 11)) for _ in range(params.message_length)]
     states = codec.encode_nodes(blocks, gammas, params, f, generation=6, block_size=11)
@@ -150,6 +157,19 @@ def test_encode_nodes_matches_one_node_encodes(spec, gammas):
     assert list(map(codec.state_to_bytes, states)) == list(map(codec.state_to_bytes, want))
     for a, b in zip(states, states[1:]):
         assert not np.shares_memory(a.payload, b.payload)  # each state copies its slice
+
+
+def test_encode_nodes_matches_one_node_encodes_at_paper_geometry():
+    f = binary_field(16)
+    params = MbrParams(30, 50)  # L = 1065
+    rng = random.Random(30)
+    blocks = [rng.randbytes(3) for _ in range(params.message_length)]
+    gammas = [7, 1, 50, 65535]
+    states = codec.encode_nodes(blocks, gammas, params, f, generation=2, block_size=3)
+    assert [codec.state_to_bytes(s) for s in states] == [
+        codec.state_to_bytes(codec.encode_generation(blocks, g, params, f, generation=2, block_size=3))
+        for g in gammas
+    ]
 
 
 def test_encode_nodes_block_size_defaults_to_longest_block():

@@ -157,6 +157,24 @@ def test_bulk_helpers_match_scalar_ops():
 
 
 @pytest.mark.parametrize(
+    "f",
+    [prime_field(13), prime_field(257), prime_field(65521), binary_field(8), binary_field(16)],
+    ids=lambda f: f.describe(),
+)
+def test_unchecked_ops_match_checked_ops(f):
+    add, mul = f.unchecked_ops()
+    if f.order <= 257:
+        pairs = [(a, b) for a in range(f.order) for b in range(f.order)]
+    else:
+        rng = random.Random(11)
+        edges = [0, 1, 2, f.order - 2, f.order - 1]
+        pairs = [(a, b) for a in edges for b in edges]
+        pairs += [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(20000)]
+    assert [add(a, b) for a, b in pairs] == [f.add(a, b) for a, b in pairs]
+    assert [mul(a, b) for a, b in pairs] == [f.mul(a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize(
     "f", [prime_field(13), prime_field(257), binary_field(8), binary_field(8, 0x11B), binary_field(16)]
 )
 def test_matmul_matches_scalar_products(f):

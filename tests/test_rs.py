@@ -289,6 +289,13 @@ def test_lagrange_basis_inverts_vandermonde(f):
         assert all(f.poly_eval(master, x) == 0 for x in xs)
 
 
+@pytest.mark.parametrize("f", [prime_field(13), binary_field(4)])
+def test_lagrange_basis_rejects_points_outside_the_field(f):
+    for bad in (f.order, -1, 1.5):
+        with pytest.raises(ValueError):
+            lagrange_basis(f, [1, bad])
+
+
 @st.composite
 def noisy_words(draw):
     """A small field, dim, distinct points and a codeword with any values changed."""
