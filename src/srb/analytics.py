@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .mbr import message_length
+from .mbr import MbrParams, message_length
 
 RAPIDCHAIN = "rapidchain"
 SEF = "sef"
@@ -69,9 +69,10 @@ class ProtocolParams:
                 f"total_nodes={self.total_nodes} is not shards * n_s = "
                 f"{self.shards} * {self.n_s} (N = m * n_S)"
             )
-        if self.k > 0 and self.alpha > 0 and self.total_blocks > 0:
+        if self.k > 0 and self.alpha > 0:
+            MbrParams(self.k, self.alpha)  # 1 <= k <= alpha
             derived = message_length(self.k, self.alpha)
-            if derived != self.total_blocks:
+            if self.total_blocks > 0 and derived != self.total_blocks:
                 raise ValueError(
                     f"total_blocks={self.total_blocks} inconsistent with "
                     f"k={self.k}, alpha={self.alpha} (expected {derived})"

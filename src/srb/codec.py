@@ -53,14 +53,17 @@ state, reconstruct a slice's (alpha-k) words of V per stripe and then,
 with the V^T term subtracted by Field.subtract, its k words of U per
 stripe, into the blocks' rows.  Every temporary is slice-sized, so the
 memory a decode needs above its input and output does not grow with the
-block size.  One srb.rs.DecodeSetup (the gammas' Vandermonde rows and the
-Lagrange bases) and one blame set serve every decode of a call: its
-blame-then-erasure step keeps a bootstrap or a reconstruct against p liars
-to at most p runs of the per-word fallback, rs_decode (a bounded-distance
-decode by Gao's algorithm), however many slices they corrupt.  Integrity
-checks on the recovered message wait until every slice has decoded, so a
-decode failure anywhere wins over them.  In GF(2^m) the payloads stay
-uint16 through every product and decode; nothing on this path widens them.
+block size.  Each bootstrap or reconstruct builds one srb.rs.DecodeSetup,
+the one object its decode keeps from call to call: the gammas, checked
+(distinct field elements, else ValueError), their Vandermonde rows, the
+Lagrange bases and the blame set.  Every rs_decode_many call of that
+decode takes it, so blame-then-erasure keeps a bootstrap or a reconstruct
+against p liars to at most p runs of the per-word fallback, rs_decode (a
+bounded-distance decode by Gao's algorithm), however many slices they
+corrupt.  Integrity checks on the recovered message wait until every slice
+has decoded, so a decode failure anywhere wins over them.  In GF(2^m) the
+payloads stay uint16 through every product and decode; nothing on this
+path widens them.
 srb.mbr is the one-stripe scalar reference that the tests compare this
 module against.
 """
@@ -418,9 +421,9 @@ def bootstrap_node(shares: list[RepairShare], target_gamma: int, p: int = 0) -> 
 
     The result is byte-identical to what encode_generation would have
     produced for target_gamma.  The Z words of the shares are decoded in
-    slices of stripes, with one DecodeSetup and one blame set for all of them,
-    into one alpha x Z array.  Raises DecodeFailure when more than p shares
-    are corrupt, ValueError on inconsistent share headers.
+    slices of stripes, with one DecodeSetup for all of them, into one
+    alpha x Z array.  Raises DecodeFailure when more than p shares are
+    corrupt, ValueError on inconsistent share headers or helper gammas.
     """
     if not shares:
         raise ValueError("no shares supplied")
@@ -430,17 +433,14 @@ def bootstrap_node(shares: list[RepairShare], target_gamma: int, p: int = 0) -> 
     for s in shares:
         if s.target_gamma != target_gamma:
             raise ValueError("share was produced for a different target")
-    xs = [s.gamma for s in shares]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate helper coefficients")
-    if target_gamma in xs:
+    setup = DecodeSetup(f, [s.gamma for s in shares], alpha)
+    if target_gamma in setup.xs:
         raise ValueError("the target cannot be one of its own helpers")
-    setup, blamed = DecodeSetup(f, xs, alpha), set()
     out = np.empty((alpha, z), np.uint16)
     for part in _slices(z, len(shares), alpha):
         received = np.stack([s.payload[part] for s in shares])
         try:
-            out[:, part] = rs_decode_many(f, xs, received.T, alpha, blamed, setup).T
+            out[:, part] = rs_decode_many(setup, received.T).T
         except DecodeFailure as exc:
             raise DecodeFailure("repair failed: error budget exceeded") from exc
     return CodedNodeState(**_header_of(shares[0], gamma=target_gamma), blocks=out)
@@ -452,8 +452,8 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
     Stripes are independent message matrices, so they are decoded in slices
     of stripes.  Each slice takes two batched decodes, as srb.mbr.
     secure_reconstruct does per stripe: first V's columns, then, with the
-    V^T term subtracted, U's.  All of them share one DecodeSetup and one
-    blame set, so a state blamed in one decode is erased in every later one.
+    V^T term subtracted, U's.  All of them share one DecodeSetup, so a state
+    blamed in one decode is erased in every later one.
     The recovered message rows go into arrays of whole blocks allocated up
     front, a group of rows each, which are turned into bytes one group at a
     time: above its input and output, a reconstruct holds slice-sized
@@ -461,25 +461,22 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
     Raises DecodeFailure when more than p states are corrupt and no codeword
     is within budget (in any slice, before any IntegrityError), IntegrityError
     when the recovered U is not symmetric or a recovered symbol does not fit
-    in block bytes, ValueError on inconsistent state headers.
+    in block bytes, ValueError on inconsistent state headers or node gammas.
     """
     if not states:
         raise ValueError("no states supplied")
     f, k, alpha, generation, block_size, z, pads = _common_header(states, "state")
     if len(states) != k + 2 * p:
         raise ValueError(f"need k + 2p = {k + 2 * p} states, got {len(states)}")
-    gammas = [s.gamma for s in states]
-    if len(set(gammas)) != len(gammas):
-        raise ValueError("duplicate node coefficients")
     params = MbrParams(k, alpha, p=p)
     n, width = len(states), alpha - k
-    setup, blamed = DecodeSetup(f, gammas, k, width=alpha), set()
+    setup = DecodeSetup(f, [s.gamma for s in states], k, width=alpha)
     vt_coeffs = [row[k:] for row in setup.rows]
 
     def decode(words):
         """The k coefficients of each column of words (n x words), as k x words."""
         try:
-            return rs_decode_many(f, gammas, words.T, k, blamed, setup).T
+            return rs_decode_many(setup, words.T).T
         except DecodeFailure as exc:
             raise DecodeFailure("reconstruction failed: error budget exceeded") from exc
 

@@ -11,30 +11,36 @@ the supplied points; with at most e corruptions that polynomial is unique,
 so a success is never a silently wrong answer within the error budget.
 
 Every solve is O(n^2) scalar field arithmetic; there is no elimination.
-Its loops check their inputs once and then use the field's unchecked_ops,
-and a product with one word (an interpolant, a codeword) is a scalar dot
-product, since Field.matmul's fixed cost per row exceeds it at every
-decode shape.
+lagrange_basis and _matvec check their inputs once (or take entries known
+to be field elements) and run their loops through the field's
+unchecked_ops; Gao's polynomial steps (poly_divmod, _poly_mul, _poly_sub)
+and the agreement count use the checked field operations.  A product with
+one word (an interpolant, a codeword) is a scalar dot product, since
+Field.matmul's fixed cost per row exceeds it at every decode shape.
 lagrange_basis gives a point set's master polynomial prod(x - x_i) and the
 inverse of its Vandermonde block, whose columns are the Lagrange basis.
 rs_decode decodes one word by Gao's algorithm: interpolate the word, run
 the extended Euclidean algorithm on the master polynomial and the
 interpolant until the remainder has degree below (n + dim) / 2, and divide
 the remainder by its Bezout cofactor; with zero slack (e = 0) that is
-interpolation with a consistency check.  rs_decode_many, the one batched
-decoder, decodes many words sharing one point set, word for word as
-rs_decode would, into one words x dim integer array; it never builds
-Python ints per word.  It holds the only interpolate-then-check step, which
-decodes every word from dim trusted points and checks the rest; words that
-fail it are decoded by blame-then-erasure, which against at most e lying
-points runs rs_decode at most e times.
+interpolation with a consistency check.  It is the per-word reference and
+depends on nothing below it.
 
-Two things can be carried from one rs_decode_many call to the next over the
-same points, as the codec does across the stripe slices of one generation:
-the blame set, so that a liar found in one call is erased in every later
-one and costs one rs_decode run in all, and a DecodeSetup, the points'
-Vandermonde rows and the Lagrange basis of each trusted set, built once.
-Both live for one decode of the codec; no basis is cached across them.
+rs_decode_many, the one batched decoder, decodes many words over the
+point set of a DecodeSetup, word for word as rs_decode would, into one
+words x dim integer array; it never builds Python ints per word.  It holds
+the only interpolate-then-check step, which decodes every word from dim
+trusted points and checks the rest; words that fail it are decoded by
+blame-then-erasure, which against at most e lying points runs rs_decode at
+most e times.
+
+A DecodeSetup is everything one decode keeps from one rs_decode_many call
+to the next, as the codec's decode of one generation does across its
+stripe slices: the checked points and dim, their Vandermonde rows, the
+Lagrange basis of each trusted set, built once, and the blame set, so that
+a liar found in one call is erased in every later one and costs one
+rs_decode run in all.  It lives for one decode; nothing is cached across
+them.
 """
 
 from __future__ import annotations
@@ -132,6 +138,22 @@ def _agreement(field: Field, coeffs: list[int], points: list[tuple[int, int]]) -
     return sum(1 for x, y in points if field.poly_eval(coeffs, x) == y)
 
 
+def _checked_points(field: Field, xs: list[int], dim: int) -> list[int]:
+    """xs as a new list, checked as the evaluation points of words of dim
+    coefficients: dim >= 1, at least dim points, all distinct field elements.
+
+    Raises ValueError otherwise.
+    """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if len(xs) < dim:
+        raise ValueError(f"need at least dim={dim} points, got {len(xs)}")
+    xs = [field.check(x) for x in xs]
+    if len(set(xs)) != len(xs):
+        raise ValueError("duplicate evaluation points")
+    return xs
+
+
 def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int]:
     """Recover the length-dim coefficient vector behind noisy evaluations.
 
@@ -142,14 +164,8 @@ def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int
     evaluation points).
     """
     n = len(points)
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if n < dim:
-        raise ValueError(f"need at least dim={dim} points, got {n}")
-    xs = [field.check(x) for x, _ in points]
+    xs = _checked_points(field, [x for x, _ in points], dim)
     ys = [field.check(y) for _, y in points]
-    if len(set(xs)) != n:
-        raise ValueError("duplicate evaluation points")
     e = (n - dim) // 2
 
     # Gao: run Euclid on the master polynomial and the word's interpolant,
@@ -174,31 +190,35 @@ def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int
 
 
 class DecodeSetup:
-    """What decoding words over one point set needs before it sees a word.
+    """One decode over one point set: what it needs before it sees a word,
+    and what it learns about the points as it goes.
 
     Built once per decode of a generation and handed to each of its
     rs_decode_many calls (one per slice of stripes, and reconstruct's V and
-    U decodes), so none of them rebuilds it: the points checked, each point's
-    Vandermonde row [x^j for j < max(dim, width)] in rows and its first dim
-    entries in powers, and, memoized per trusted point set, that set's
-    Lagrange basis and the powers of the other points.  It lives as long as
-    that one decode; nothing here is kept between calls of the codec.
+    U decodes), so none of them rebuilds it.  It holds the points, checked,
+    and dim; each point's Vandermonde row [x^j for j < max(dim, width)] in
+    rows and its first dim entries in powers; the agreement threshold
+    n - (n - dim) // 2 that accepts a word; memoized per trusted point set,
+    that set's Lagrange basis and the powers of the other points; and
+    blamed, the positions (indices into xs) found lying so far, empty at
+    first.  It lives as long as that one decode; nothing here is kept
+    between calls of the codec.  Raises ValueError unless dim >= 1 and xs
+    are at least dim distinct field elements.
     """
 
     def __init__(self, field: Field, xs: list[int], dim: int, width: int = 0):
-        n = len(xs)
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if n < dim:
-            raise ValueError(f"need at least dim={dim} points, got {n}")
-        if len(set(xs)) != n:
-            raise ValueError("duplicate evaluation points")
-        self.field, self.xs, self.dim = field, list(xs), dim
-        self.rows = [field.vandermonde_row(x, max(dim, width)) for x in xs]
+        self.field, self.xs, self.dim = field, _checked_points(field, xs, dim), dim
+        self.threshold = len(self.xs) - (len(self.xs) - dim) // 2
+        self.blamed: set[int] = set()
+        self.rows = [field.vandermonde_row(x, max(dim, width)) for x in self.xs]
         self.powers = [row[:dim] for row in self.rows]
         self._checks: dict[tuple[int, ...], tuple] = {}
 
-    def interpolate(self, points: tuple[int, ...], words, threshold: int):
+    def trusted(self) -> tuple[int, ...]:
+        """The first dim positions, unblamed ones first."""
+        return tuple(sorted(range(len(self.xs)), key=self.blamed.__contains__)[: self.dim])
+
+    def interpolate(self, points: tuple[int, ...], words):
         """Interpolate every word (a column of words) from its values at points.
 
         Returns the coefficients, dim x words, and a mask of the words that
@@ -212,61 +232,36 @@ class DecodeSetup:
         base, others, other_powers = self._checks[points]
         coeffs = self.field.matmul(base, words[list(points)])
         hits = (self.field.matmul(other_powers, coeffs) == words[others]).sum(axis=0)
-        return coeffs, hits >= threshold - len(points)
+        return coeffs, hits >= self.threshold - len(points)
 
 
-def rs_decode_many(
-    field: Field,
-    xs: list[int],
-    ys_list,
-    dim: int,
-    blamed: set[int] | None = None,
-    setup: DecodeSetup | None = None,
-) -> np.ndarray:
-    """Decode many received words sharing one evaluation-point set.
+def rs_decode_many(setup: DecodeSetup, ys_list) -> np.ndarray:
+    """Decode many received words over setup's evaluation points.
 
-    ys_list holds one word of len(xs) values per row: nested sequences of
-    ints or a 2-d integer array, used in its own dtype.  Returns a words x
+    ys_list holds one word of len(setup.xs) values per row: nested sequences
+    of ints or a 2-d integer array, used in its own dtype.  Returns a words x
     dim integer array whose row w is exactly what rs_decode returns for word
     w, and raises DecodeFailure exactly when rs_decode fails on some word.
 
-    Every word is interpolated from the first dim points outside the blame
-    set (the first dim points when it is empty) and evaluated at the rest,
-    as two products over all words at once.  A word that agrees with fewer
-    than n - e points is dirty.  While dirty words are left, the first one
-    is decoded by rs_decode, and the positions where its
-    codeword differs from it join the blame set: within the error budget
-    they are lying evaluation points.  If that changes the first dim
-    unblamed points, the remaining dirty words are interpolated from them
-    again, i.e. decoded as erasures.  Words that corrupt a fixed set of at
-    most e positions (Byzantine helpers or nodes) thus cost at most e
-    rs_decode runs, however many words they touch.
-
-    blamed, if given, is the blame set to start from, as positions in xs,
-    and is updated in place; setup, if given, is a DecodeSetup for these xs
-    and dim.  Passing both to several calls over the same points (the
-    slices of one generation, reconstruct's V and U decodes) lets a later
-    call erase the positions an earlier one blamed and reuse its rows and
-    bases.  Blame only chooses the points to interpolate from; every result
-    is accepted by its agreement count, so it never changes what a decode
-    returns.
+    Every word is interpolated from setup.trusted(), the first dim points
+    outside the blame set, and evaluated at the rest, as two products over
+    all words at once.  A word that agrees with fewer than setup.threshold
+    points is dirty.  While dirty words are left, the first one is decoded
+    by rs_decode, and the positions where its codeword differs from it join
+    setup.blamed: within the error budget they are lying evaluation points.
+    If that changes the trusted points, the remaining dirty words are
+    interpolated from them again, i.e. decoded as erasures.  Words that
+    corrupt a fixed set of at most e positions (Byzantine helpers or nodes)
+    thus cost at most e rs_decode runs, however many words they touch, and
+    over every call that shares the setup.  Blame only chooses the points to
+    interpolate from; every result is accepted by its agreement count, so it
+    never changes what a decode returns.
     """
-    if setup is None:
-        setup = DecodeSetup(field, xs, dim)
-    elif (setup.field, setup.xs, setup.dim) != (field, list(xs), dim):
-        raise ValueError("setup was built for other points or another dim")
-    if blamed is None:
-        blamed = set()
+    field, xs, dim = setup.field, setup.xs, setup.dim
     n = len(xs)
-    threshold = n - (n - dim) // 2
     received = np.asarray(ys_list).reshape(len(ys_list), n).T
-
-    def trusted() -> tuple[int, ...]:
-        """The first dim positions, unblamed ones first."""
-        return tuple(sorted(range(n), key=blamed.__contains__)[:dim])
-
-    tried = trusted()
-    coeffs, ok = setup.interpolate(tried, received, threshold)
+    tried = setup.trusted()
+    coeffs, ok = setup.interpolate(tried, received)
     out = coeffs.T.copy()
     dirty = np.flatnonzero(~ok)
     while dirty.size:
@@ -275,10 +270,10 @@ def rs_decode_many(
         decoded = rs_decode(field, list(zip(xs, word)), dim)
         out[w] = decoded
         codeword = _matvec(field, setup.powers, decoded)
-        blamed.update(i for i in range(n) if codeword[i] != word[i])
-        if dirty.size and trusted() != tried:
-            tried = trusted()
-            fixed, ok = setup.interpolate(tried, received[:, dirty], threshold)
+        setup.blamed.update(i for i in range(n) if codeword[i] != word[i])
+        if dirty.size and setup.trusted() != tried:
+            tried = setup.trusted()
+            fixed, ok = setup.interpolate(tried, received[:, dirty])
             out[dirty[ok]] = fixed[:, ok].T
             dirty = dirty[~ok]
     return out

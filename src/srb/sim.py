@@ -57,13 +57,7 @@ class SimConfig:
             raise ValueError("need at least one shard")
         if self.total_nodes % self.shards != 0:
             raise ValueError("total_nodes must be a multiple of shards (N = m * n_S)")
-        n_s = self.total_nodes // self.shards
-        if self.alpha + 2 * self.p >= n_s:
-            raise ValueError(f"need alpha + 2p < n_S (= {n_s})")
-        if self.k + 2 * self.p > n_s:
-            raise ValueError(f"need k + 2p <= n_S (= {n_s})")
-        if self.k < 1 or self.alpha < self.k:
-            raise ValueError("need 1 <= k <= alpha")
+        MbrParams(self.k, self.alpha, n=self.n_s, p=self.p)  # k, alpha, p fit a shard of n_S
         if not 0 <= self.malicious <= self.total_nodes:
             raise ValueError("malicious count out of range")
         if self.cap_malicious_per_shard and self.malicious > self.shards * self.p:

@@ -199,6 +199,14 @@ def test_message_length_consistency():
     assert an.ProtocolParams(k=3, alpha=4, total_blocks=9).total_blocks == 9
 
 
+def test_k_above_alpha_rejected():
+    # L(5, 3) = 5 matches total_blocks, but (5, 3) is no MBR point
+    with pytest.raises(ValueError, match="alpha must be >= k"):
+        an.ProtocolParams(n_s=10, total_blocks=5, k=5, alpha=3)
+    with pytest.raises(ValueError, match="alpha must be >= k"):
+        an.ProtocolParams(k=5, alpha=3)
+
+
 def test_table1_reference_example():
     report = an.comparison_report(an.reference_example_params())
     by_protocol = {r.protocol: r for r in report.rows}

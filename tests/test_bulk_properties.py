@@ -17,7 +17,7 @@ from srb.mbr import (
     repair_share,
     secure_reconstruct,
 )
-from srb.rs import rs_decode, rs_decode_many
+from srb.rs import DecodeSetup, rs_decode, rs_decode_many
 
 FIELDS = ["prime:13", "prime:257", "binary:8", "binary:8:0x11b", "binary:16"]
 
@@ -234,9 +234,9 @@ def test_decode_many_matches_per_word_decode(case):
         expect = [rs_decode(f, list(zip(xs, word)), dim) for word in words]
     except DecodeFailure:
         with pytest.raises(DecodeFailure):
-            rs_decode_many(f, xs, words, dim)
+            rs_decode_many(DecodeSetup(f, xs, dim), words)
         return
-    assert rs_decode_many(f, xs, words, dim).tolist() == expect
+    assert rs_decode_many(DecodeSetup(f, xs, dim), words).tolist() == expect
 
 
 @settings(max_examples=200, deadline=None)
@@ -244,14 +244,15 @@ def test_decode_many_matches_per_word_decode(case):
 def test_decode_many_blame_from_earlier_calls_changes_no_result(case, data):
     """A blame set carried from other words changes neither results nor failures."""
     f, xs, words, dim = case
-    blamed = data.draw(st.sets(st.integers(0, len(xs) - 1)))
+    setup = DecodeSetup(f, xs, dim)
+    setup.blamed.update(data.draw(st.sets(st.integers(0, len(xs) - 1))))
     try:
         expect = [rs_decode(f, list(zip(xs, word)), dim) for word in words]
     except DecodeFailure:
         with pytest.raises(DecodeFailure):
-            rs_decode_many(f, xs, words, dim, set(blamed))
+            rs_decode_many(setup, words)
         return
-    assert rs_decode_many(f, xs, words, dim, set(blamed)).tolist() == expect
+    assert rs_decode_many(setup, words).tolist() == expect
 
 
 @settings(max_examples=80, deadline=None)

@@ -234,6 +234,10 @@ def test_bootstrap_header_mismatch_exit_2(tmp_path, capsys):
     rc = main(["bootstrap", "--target-gamma", "8", "--shares", *shares, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "headers disagree" in capsys.readouterr().err
+    twice = [shares[0], shares[1], shares[0]]  # one helper's share given twice
+    rc = main(["bootstrap", "--target-gamma", "8", "--shares", *twice, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "duplicate" in capsys.readouterr().err
 
 
 def test_metrics_reference_example(capsys):
@@ -271,6 +275,8 @@ def test_metrics_custom_params(capsys):
         (["--shard-nodes", "10", "--blocks", "30", "--alpha", "8", "--k", "5", "--p", "1",
           "--block-size", "100", "--rho", "0"], "rho must be >= 1"),
         ([], "total_blocks must be > 0"),
+        (["--shard-nodes", "10", "--blocks", "5", "--k", "5", "--alpha", "3"],
+         "alpha must be >= k"),
     ],
 )
 def test_metrics_invalid_params_exit_2(argv, message, capsys):

@@ -260,6 +260,23 @@ def test_bootstrap_wrong_share_count():
         codec.bootstrap_node(shares, 9, p=1)  # needs alpha + 2 = 5
 
 
+def test_bootstrap_rejects_one_helper_given_twice():
+    f = binary_field(16)
+    params = MbrParams(2, 3, n=6, p=0)
+    _, states = make_generation(f, params, random.Random(6), 8)
+    shares = [codec.serve_repair(states[g], 9) for g in (0, 1, 0)]
+    with pytest.raises(ValueError, match="duplicate"):
+        codec.bootstrap_node(shares, 9, p=0)
+
+
+def test_reconstruct_rejects_one_state_given_twice():
+    f = binary_field(16)
+    params = MbrParams(2, 3, n=6, p=1)
+    _, states = make_generation(f, params, random.Random(6), 8)
+    with pytest.raises(ValueError, match="duplicate"):
+        codec.reconstruct_generation([states[0], states[1], states[2], states[0]], p=1)
+
+
 def test_bootstrap_budget_exceeded_raises():
     f = binary_field(16)
     params = MbrParams(2, 3, n=8, p=1)

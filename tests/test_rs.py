@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from srb.errors import DecodeFailure
 from srb.field import binary_field, parse_field, prime_field
-from srb.rs import lagrange_basis, poly_divmod, rs_decode, rs_decode_many
+from srb.rs import DecodeSetup, lagrange_basis, poly_divmod, rs_decode, rs_decode_many
 
 
 def exhaustive_decode_oracle(f, points, dim, min_agree):
@@ -58,7 +58,7 @@ def test_duplicate_points_rejected():
     with pytest.raises(ValueError):
         rs_decode(f, [(1, 3), (1, 5), (2, 4)], 1)
     with pytest.raises(ValueError):
-        rs_decode_many(f, [1, 1, 2], [[3, 5, 4]], 1)
+        DecodeSetup(f, [1, 1, 2], 1)
 
 
 def test_too_few_points_rejected():
@@ -66,9 +66,17 @@ def test_too_few_points_rejected():
     with pytest.raises(ValueError):
         rs_decode(f, [(1, 3)], 2)
     with pytest.raises(ValueError):
-        rs_decode_many(f, [1], [[3]], 2)
+        DecodeSetup(f, [1], 2)
     with pytest.raises(ValueError):
-        rs_decode_many(f, [1, 2], [[3, 4]], 0)
+        DecodeSetup(f, [1, 2], 0)
+
+
+def test_points_outside_the_field_rejected():
+    f = prime_field(13)
+    with pytest.raises(ValueError):
+        rs_decode(f, [(1, 3), (13, 5), (2, 4)], 1)
+    with pytest.raises(ValueError):
+        DecodeSetup(f, [1, 13, 2], 1)
 
 
 @pytest.mark.parametrize("f,p", [(prime_field(13), 1), (prime_field(257), 2)])
@@ -176,7 +184,7 @@ def test_decode_many_matches_single_decode():
             ys[bad] = (ys[bad] + 1) % 257
         ys_list.append(ys)
         expect.append(coeffs)
-    assert rs_decode_many(f, xs, ys_list, dim).tolist() == expect
+    assert rs_decode_many(DecodeSetup(f, xs, dim), ys_list).tolist() == expect
 
 
 @pytest.mark.parametrize("f", [prime_field(257), binary_field(16)])
@@ -202,7 +210,7 @@ def test_decode_many_runs_welch_berlekamp_once_per_liar(f, monkeypatch):
         return rs_decode(*args)
 
     monkeypatch.setattr("srb.rs.rs_decode", counted)
-    assert rs_decode_many(f, xs, ys_list, dim).tolist() == expect
+    assert rs_decode_many(DecodeSetup(f, xs, dim), ys_list).tolist() == expect
     assert 1 <= len(calls) <= p
 
 
@@ -234,13 +242,15 @@ def test_decode_many_carries_blame_to_the_next_call(f, monkeypatch):
         return rs_decode(*args)
 
     monkeypatch.setattr("srb.rs.rs_decode", counted)
-    blamed = set()
-    assert rs_decode_many(f, xs, first, dim, blamed).tolist() == expect_first
-    assert blamed == {2}
-    assert rs_decode_many(f, xs, second, dim, blamed).tolist() == expect_second
+    setup = DecodeSetup(f, xs, dim)
+    assert setup.blamed == set()
+    assert rs_decode_many(setup, first).tolist() == expect_first
+    assert setup.blamed == {2}
+    assert rs_decode_many(setup, second).tolist() == expect_second
+    assert setup.blamed == {2}
     assert len(calls) == 1
-    # without a shared blame set each call runs Welch-Berlekamp again
-    rs_decode_many(f, xs, second, dim)
+    # a new setup starts with no blame, so its call runs Welch-Berlekamp again
+    rs_decode_many(DecodeSetup(f, xs, dim), second)
     assert len(calls) == 2
 
 
@@ -252,12 +262,16 @@ def test_decode_many_blaming_honest_points_changes_no_result():
     xs = rng.sample(range(f.order), dim + 2 * p)
     words, expect = _words_with_liars(f, rng, xs, dim, [0, 5], 40)
     for blamed in ({1}, {1, 2}, {3, 4, 6}, set(range(len(xs)))):
-        assert rs_decode_many(f, xs, words, dim, set(blamed)).tolist() == expect
+        setup = DecodeSetup(f, xs, dim)
+        setup.blamed.update(blamed)
+        assert rs_decode_many(setup, words).tolist() == expect
     over_budget, _ = _words_with_liars(f, rng, xs, dim, [0, 1, 5], 3)
     with pytest.raises(DecodeFailure):
         rs_decode(f, list(zip(xs, over_budget[0])), dim)
+    setup = DecodeSetup(f, xs, dim)
+    setup.blamed.update({2, 3})
     with pytest.raises(DecodeFailure):
-        rs_decode_many(f, xs, over_budget, dim, {2, 3})
+        rs_decode_many(setup, over_budget)
 
 
 @pytest.mark.parametrize("dtype", [np.uint16, np.int32, np.int64, np.uint64])
@@ -267,7 +281,7 @@ def test_decode_many_keeps_the_words_in_any_integer_dtype(dtype):
     dim = 3
     xs = rng.sample(range(f.order), dim + 2)
     words, expect = _words_with_liars(f, rng, xs, dim, [1], 20)
-    got = rs_decode_many(f, xs, np.array(words, dtype=dtype), dim)
+    got = rs_decode_many(DecodeSetup(f, xs, dim), np.array(words, dtype=dtype))
     assert got.dtype.kind in "iu"
     assert got.tolist() == expect
 

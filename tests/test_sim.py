@@ -54,6 +54,13 @@ def test_config_validation():
     small_config(malicious=1, cap_malicious_per_shard=False)
 
 
+def test_config_rejects_negative_p():
+    # with the cap on, p = -1 must not be reported as a malicious cap breach
+    for cap in (False, True):
+        with pytest.raises(ValueError, match="p must be >= 0"):
+            SimConfig(total_nodes=20, shards=1, p=-1, cap_malicious_per_shard=cap)
+
+
 def test_config_text_round_trip():
     cfg = small_config(malicious=2, p=1, strategy="zero-out", cap_malicious_per_shard=True)
     text = cfg.to_text()
