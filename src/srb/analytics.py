@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .mbr import MbrParams, message_length
+from .mbr import MbrParams
 
 RAPIDCHAIN = "rapidchain"
 SEF = "sef"
@@ -70,8 +70,7 @@ class ProtocolParams:
                 f"{self.shards} * {self.n_s} (N = m * n_S)"
             )
         if self.k > 0 and self.alpha > 0:
-            MbrParams(self.k, self.alpha)  # 1 <= k <= alpha
-            derived = message_length(self.k, self.alpha)
+            derived = MbrParams(self.k, self.alpha).message_length  # 1 <= k <= alpha
             if self.total_blocks > 0 and derived != self.total_blocks:
                 raise ValueError(
                     f"total_blocks={self.total_blocks} inconsistent with "

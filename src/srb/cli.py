@@ -16,7 +16,7 @@ from pathlib import Path
 from . import analytics, codec, sim
 from .errors import DecodeFailure, IntegrityError, ShardUnderflowError
 from .field import parse_field
-from .mbr import MbrParams, message_length
+from .mbr import MbrParams
 
 
 def _print_config(cmd: str, args: argparse.Namespace, keys: list[str]) -> None:
@@ -27,7 +27,8 @@ def _print_config(cmd: str, args: argparse.Namespace, keys: list[str]) -> None:
 def cmd_encode(args) -> int:
     _print_config("encode", args, ["blocks", "k", "alpha", "gamma", "field", "block_size", "gen", "out"])
     fld = parse_field(args.field)
-    want = message_length(args.k, args.alpha)
+    params = MbrParams(args.k, args.alpha)
+    want = params.message_length
     blocks_dir = Path(args.blocks)
     files = sorted(p for p in blocks_dir.iterdir() if p.is_file())
     if len(files) != want:
@@ -36,7 +37,6 @@ def cmd_encode(args) -> int:
             f"(k={args.k}, alpha={args.alpha}); found {len(files)}"
         )
     blocks = [p.read_bytes() for p in files]
-    params = MbrParams(args.k, args.alpha)
     state = codec.encode_generation(
         blocks, args.gamma, params, fld, generation=args.gen, block_size=args.block_size
     )

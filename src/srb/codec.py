@@ -77,7 +77,7 @@ import numpy as np
 
 from .errors import DecodeFailure, IntegrityError
 from .field import Field, field_from_header
-from .mbr import MbrParams, message_index_matrix, message_length
+from .mbr import MbrParams, message_index_matrix
 from .rs import DecodeSetup, rs_decode_many
 
 MAGIC = b"SRB1"
@@ -86,10 +86,12 @@ _HEADER = struct.Struct("<HBIHHIIIII")
 _U16_MAX = 0xFFFF
 _U32_MAX = 0xFFFFFFFF
 
-# Input symbols one decode slice holds: bootstrap and reconstruct take
-# _SLICE_SYMBOLS // (n * alpha) stripes at a time from n shares or states, so
-# every decode temporary is a few MB whatever the block size.  A generation
-# at k=5, alpha=8 and 2 KiB blocks (80 * 1024 symbols to bootstrap) decodes
+# Bootstrap and reconstruct take _SLICE_SYMBOLS // (n * alpha) stripes at a
+# time from n shares or states.  A reconstruct slice thus holds at most
+# _SLICE_SYMBOLS input symbols (alpha per state and stripe), a bootstrap
+# slice _SLICE_SYMBOLS / alpha (one per share and stripe), so every decode
+# temporary is a few MB whatever the block size.  A generation at k=5,
+# alpha=8 and 2 KiB blocks (n * alpha * Z = 80 * 1024 to bootstrap) decodes
 # in one slice; k=30, alpha=50 reconstructs 655 stripes per slice.
 _SLICE_SYMBOLS = 1 << 20
 
@@ -185,7 +187,7 @@ class GenerationHeader:
     pad_lengths: tuple[int, ...]
 
     def __post_init__(self):
-        MbrParams(self.k, self.alpha)
+        want_l = MbrParams(self.k, self.alpha).message_length
         if self.alpha > _U16_MAX:  # k <= alpha
             raise ValueError(f"alpha={self.alpha} does not fit a u16 header field")
         self.field.check(self.gamma)
@@ -195,7 +197,6 @@ class GenerationHeader:
         want_z = symbols_per_block(self.field, self.block_size)
         if self.z != want_z:
             raise ValueError(f"Z={self.z} does not match block_size={self.block_size} (Z={want_z})")
-        want_l = message_length(self.k, self.alpha)
         if self.message_count != want_l:
             raise ValueError(
                 f"{self.message_count} pad lengths; (k, alpha) = ({self.k}, {self.alpha}) "
@@ -403,6 +404,8 @@ def serve_repair(state: CodedNodeState, target_gamma: int) -> RepairShare:
 
 
 def _common_header(items: list[GenerationHeader], what: str) -> tuple:
+    if not items:
+        raise ValueError(f"no {what}s supplied")
     head = items[0].same_generation()
     for it in items[1:]:
         if it.same_generation() != head:
@@ -423,13 +426,13 @@ def bootstrap_node(shares: list[RepairShare], target_gamma: int, p: int = 0) -> 
     produced for target_gamma.  The Z words of the shares are decoded in
     slices of stripes, with one DecodeSetup for all of them, into one
     alpha x Z array.  Raises DecodeFailure when more than p shares are
-    corrupt, ValueError on inconsistent share headers or helper gammas.
+    corrupt, ValueError on a negative p, inconsistent share headers or helper
+    gammas.
     """
-    if not shares:
-        raise ValueError("no shares supplied")
     f, k, alpha, generation, block_size, z, pads = _common_header(shares, "share")
-    if len(shares) != alpha + 2 * p:
-        raise ValueError(f"need alpha + 2p = {alpha + 2 * p} shares, got {len(shares)}")
+    need = MbrParams(k, alpha, p=p).repair_degree
+    if len(shares) != need:
+        raise ValueError(f"need alpha + 2p = {need} shares, got {len(shares)}")
     for s in shares:
         if s.target_gamma != target_gamma:
             raise ValueError("share was produced for a different target")
@@ -461,14 +464,13 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
     Raises DecodeFailure when more than p states are corrupt and no codeword
     is within budget (in any slice, before any IntegrityError), IntegrityError
     when the recovered U is not symmetric or a recovered symbol does not fit
-    in block bytes, ValueError on inconsistent state headers or node gammas.
+    in block bytes, ValueError on a negative p, inconsistent state headers or
+    node gammas.
     """
-    if not states:
-        raise ValueError("no states supplied")
     f, k, alpha, generation, block_size, z, pads = _common_header(states, "state")
-    if len(states) != k + 2 * p:
-        raise ValueError(f"need k + 2p = {k + 2 * p} states, got {len(states)}")
     params = MbrParams(k, alpha, p=p)
+    if len(states) != params.reconstruct_degree:
+        raise ValueError(f"need k + 2p = {params.reconstruct_degree} states, got {len(states)}")
     n, width = len(states), alpha - k
     setup = DecodeSetup(f, [s.gamma for s in states], k, width=alpha)
     vt_coeffs = [row[k:] for row in setup.rows]

@@ -28,7 +28,9 @@ depends on nothing below it.
 
 rs_decode_many, the one batched decoder, decodes many words over the
 point set of a DecodeSetup, word for word as rs_decode would, into one
-words x dim integer array; it never builds Python ints per word.  It holds
+words x dim integer array; it never builds Python ints per word.  Like
+rs_decode, it checks that every value of every word is a field element, in
+one Field.elements call on entry.  It holds
 the only interpolate-then-check step, which decodes every word from dim
 trusted points and checks the rest; words that fail it are decoded by
 blame-then-erasure, which against at most e lying points runs rs_decode at
@@ -242,6 +244,8 @@ def rs_decode_many(setup: DecodeSetup, ys_list) -> np.ndarray:
     of ints or a 2-d integer array, used in its own dtype.  Returns a words x
     dim integer array whose row w is exactly what rs_decode returns for word
     w, and raises DecodeFailure exactly when rs_decode fails on some word.
+    Raises ValueError, before any word is decoded, if a value is not a field
+    element: rs_decode raises it for such a word.
 
     Every word is interpolated from setup.trusted(), the first dim points
     outside the blame set, and evaluated at the rest, as two products over
@@ -259,7 +263,7 @@ def rs_decode_many(setup: DecodeSetup, ys_list) -> np.ndarray:
     """
     field, xs, dim = setup.field, setup.xs, setup.dim
     n = len(xs)
-    received = np.asarray(ys_list).reshape(len(ys_list), n).T
+    received = field.elements(ys_list).reshape(len(ys_list), n).T
     tried = setup.trusted()
     coeffs, ok = setup.interpolate(tried, received)
     out = coeffs.T.copy()

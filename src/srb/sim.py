@@ -24,7 +24,7 @@ from typing import get_type_hints
 from . import analytics, codec
 from .errors import DecodeFailure, IntegrityError, ShardUnderflowError
 from .field import Field, parse_field
-from .mbr import MbrParams, message_length
+from .mbr import MbrParams
 
 STRATEGIES = ("flip-random-symbols", "zero-out", "consistent-wrong-polynomial")
 
@@ -57,7 +57,7 @@ class SimConfig:
             raise ValueError("need at least one shard")
         if self.total_nodes % self.shards != 0:
             raise ValueError("total_nodes must be a multiple of shards (N = m * n_S)")
-        MbrParams(self.k, self.alpha, n=self.n_s, p=self.p)  # k, alpha, p fit a shard of n_S
+        self.params  # k, alpha, p fit a shard of n_S
         if not 0 <= self.malicious <= self.total_nodes:
             raise ValueError("malicious count out of range")
         if self.cap_malicious_per_shard and self.malicious > self.shards * self.p:
@@ -80,8 +80,13 @@ class SimConfig:
         return self.total_nodes // self.shards
 
     @property
+    def params(self) -> MbrParams:
+        """The code parameters of one shard, checked on each access."""
+        return MbrParams(self.k, self.alpha, n=self.n_s, p=self.p)
+
+    @property
     def generation_blocks(self) -> int:
-        return message_length(self.k, self.alpha)
+        return self.params.message_length
 
     def to_text(self) -> str:
         lines = [f"config_version={CONFIG_VERSION}"]
@@ -309,7 +314,7 @@ def epoch_reconfigure(
     members, the minimum needed to serve a repair.
     """
     cfg = net.config
-    floor = cfg.alpha + 2 * cfg.p
+    floor = cfg.params.repair_degree
     randomness = rng.getrandbits(64)
 
     left = []
@@ -452,10 +457,9 @@ def _bootstrap_one(
     generation: int,
     epoch: int,
     helper_rng: random.Random,
-    params: MbrParams,
 ) -> BootstrapEvent:
     cfg = net.config
-    need = cfg.alpha + 2 * cfg.p
+    need = cfg.params.repair_degree
     pool = [
         n
         for n in net.shard_members(rec.shard)
@@ -491,7 +495,7 @@ def _bootstrap_one(
     expected = codec.encode_generation(
         net.generation_blocks[(rec.shard, generation)],
         rec.gamma,
-        params,
+        cfg.params,
         net.field,
         generation=generation,
         block_size=cfg.block_size,
@@ -510,7 +514,6 @@ def _bootstrap_one(
 def run_simulation(config: SimConfig) -> SimReport:
     """Run the configured number of epochs; fully deterministic per seed."""
     net = initial_network(config)
-    params = MbrParams(config.k, config.alpha, n=config.n_s, p=config.p)
     churn_rng = random.Random(f"{config.seed}:churn")
     payload_rng = random.Random(f"{config.seed}:payload")
     helper_rng = random.Random(f"{config.seed}:helpers")
@@ -548,7 +551,7 @@ def run_simulation(config: SimConfig) -> SimReport:
             rec = net.nodes[node_id]
             for generation in range(net.generations_done[rec.shard]):
                 epoch_events.append(
-                    _bootstrap_one(net, rec, generation, epoch, helper_rng, params)
+                    _bootstrap_one(net, rec, generation, epoch, helper_rng)
                 )
 
         for shard in range(config.shards):
@@ -561,7 +564,7 @@ def run_simulation(config: SimConfig) -> SimReport:
                     states = codec.encode_nodes(
                         blocks,
                         [member.gamma for member in members],
-                        params,
+                        config.params,
                         net.field,
                         generation=generation,
                         block_size=config.block_size,
@@ -599,7 +602,7 @@ def run_simulation(config: SimConfig) -> SimReport:
                 storage_total_min=lo,
                 storage_total_max=hi,
                 expected_storage_per_node=_expected_storage(net),
-                expected_bootstrap_payload_per_generation=(config.alpha + 2 * config.p)
+                expected_bootstrap_payload_per_generation=config.params.repair_degree
                 * share_payload,
                 balance_ratio=balance,
             )

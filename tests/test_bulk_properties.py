@@ -205,7 +205,8 @@ def received_words(draw):
 
     Each word corrupts its own subset of a shared liar set, like the shares
     of Byzantine helpers, plus up to two positions of its own, so some words
-    carry more than e = (n - dim) // 2 errors.
+    carry more than e = (n - dim) // 2 errors.  In about one case in four, one
+    value of one word is not a field element, as in a malformed input.
     """
     f = parse_field(draw(st.sampled_from(FIELDS)))
     dim = draw(st.integers(1, 4))
@@ -222,21 +223,41 @@ def received_words(draw):
         for i in shared | draw(st.sets(position, max_size=2)):
             word[i] = draw(symbol)
         words.append(word)
+    if words and draw(st.integers(0, 3)) == 0:
+        stray = draw(st.integers(-(2**31), -1) | st.integers(f.order, 2**31))
+        words[draw(st.integers(0, len(words) - 1))][draw(position)] = stray
     return f, xs, words, dim
+
+
+def check_against_per_word_decode(setup, words):
+    """rs_decode_many(setup, words) is rs_decode on every word.
+
+    It returns every word's coefficients, or raises ValueError if rs_decode
+    raises it on some word, else DecodeFailure if rs_decode raises that.
+    """
+    outcomes = []
+    for word in words:
+        try:
+            outcomes.append(rs_decode(setup.field, list(zip(setup.xs, word)), setup.dim))
+        except (ValueError, DecodeFailure) as exc:
+            outcomes.append(type(exc))
+    for error in (ValueError, DecodeFailure):
+        if error in outcomes:
+            with pytest.raises(error):
+                rs_decode_many(setup, words)
+            return
+    assert rs_decode_many(setup, words).tolist() == outcomes
 
 
 @settings(max_examples=300, deadline=None)
 @given(received_words())
+# one value outside the field where only the agreement count reads it
+@example((parse_field("binary:16"), list(range(1, 11)), [[0] * 9 + [70000]], 8))
+@example((parse_field("prime:257"), list(range(1, 11)), [[0] * 9 + [-5]], 8))
 def test_decode_many_matches_per_word_decode(case):
     """rs_decode_many is rs_decode on every word: same results, same failures."""
     f, xs, words, dim = case
-    try:
-        expect = [rs_decode(f, list(zip(xs, word)), dim) for word in words]
-    except DecodeFailure:
-        with pytest.raises(DecodeFailure):
-            rs_decode_many(DecodeSetup(f, xs, dim), words)
-        return
-    assert rs_decode_many(DecodeSetup(f, xs, dim), words).tolist() == expect
+    check_against_per_word_decode(DecodeSetup(f, xs, dim), words)
 
 
 @settings(max_examples=200, deadline=None)
@@ -246,13 +267,7 @@ def test_decode_many_blame_from_earlier_calls_changes_no_result(case, data):
     f, xs, words, dim = case
     setup = DecodeSetup(f, xs, dim)
     setup.blamed.update(data.draw(st.sets(st.integers(0, len(xs) - 1))))
-    try:
-        expect = [rs_decode(f, list(zip(xs, word)), dim) for word in words]
-    except DecodeFailure:
-        with pytest.raises(DecodeFailure):
-            rs_decode_many(setup, words)
-        return
-    assert rs_decode_many(setup, words).tolist() == expect
+    check_against_per_word_decode(setup, words)
 
 
 @settings(max_examples=80, deadline=None)

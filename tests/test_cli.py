@@ -59,6 +59,23 @@ def test_encode_wrong_file_count_exit_2(tmp_path, capsys):
         assert "L = 1" in err
 
 
+def test_encode_invalid_params_exit_2(tmp_path, capsys):
+    write_blocks(tmp_path / "blocks", [b"x"] * 15)  # k * alpha blocks, more than L = 5
+    rc = main(
+        [
+            "encode",
+            "--blocks", str(tmp_path / "blocks"),
+            "--k", "5",
+            "--alpha", "3",
+            "--gamma", "0",
+            "--block-size", "1",
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert rc == 2
+    assert "alpha must be >= k" in capsys.readouterr().err
+
+
 def test_encode_generation_out_of_range_exit_2(tmp_path, capsys):
     write_blocks(tmp_path / "blocks", [b"x"])
     for gen in ("-1", "4294967296"):  # a generation is a u32 in the file header

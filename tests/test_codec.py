@@ -277,6 +277,17 @@ def test_reconstruct_rejects_one_state_given_twice():
         codec.reconstruct_generation([states[0], states[1], states[2], states[0]], p=1)
 
 
+def test_negative_p_rejected():
+    f = binary_field(16)
+    params = MbrParams(3, 4, n=6, p=0)
+    _, states = make_generation(f, params, random.Random(6), 8)
+    shares = [codec.serve_repair(states[g], 9) for g in (0, 1)]  # alpha + 2p shares at p = -1
+    with pytest.raises(ValueError, match="p must be >= 0"):
+        codec.bootstrap_node(shares, 9, p=-1)
+    with pytest.raises(ValueError, match="p must be >= 0"):
+        codec.reconstruct_generation(states[:3], p=-1)
+
+
 def test_bootstrap_budget_exceeded_raises():
     f = binary_field(16)
     params = MbrParams(2, 3, n=8, p=1)
