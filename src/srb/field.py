@@ -5,11 +5,14 @@ carries the defining parameters and implements the operations: prime fields
 use modular arithmetic, binary extension fields GF(2^m) use log/exp tables
 over a generator of the multiplicative group of GF(2)[x] modulo an
 irreducible reduction polynomial.  Scalar operations take and return Python
-ints and range-check every operand; :meth:`Field.unchecked_ops` gives add and
-mul without that check, for inner loops whose operands were checked once on
-entry.  :meth:`Field.matmul` is the one bulk kernel, multiplying a small
-coefficient matrix by a numpy array of symbols, and :meth:`Field.subtract`
-the one elementwise bulk operation.
+ints, under one rule: check once at the boundary, then compute unchecked.
+Each field writes add, sub, mul and inv once, as closures over its modulus or
+its tables; :class:`Field` checks the operands of every public operation with
+:meth:`Field.check` and then calls them, and :meth:`Field.unchecked_ops` hands
+the same functions to inner loops whose operands were checked on entry.
+:meth:`Field.matmul` is the one bulk kernel, multiplying a small coefficient
+matrix by a numpy array of symbols, and :meth:`Field.subtract` the one
+elementwise bulk operation.
 
 The kernel works in the operands' own width: an integer array (the uint16
 payloads, say) goes in as it is, GF(2^m) gathers through int32 log tables in
@@ -89,24 +92,32 @@ def gf2_is_irreducible(poly: int) -> bool:
 
 
 class Field:
-    """A finite field; subclasses provide the scalar arithmetic."""
+    """A finite field; subclasses set the unchecked scalar arithmetic."""
 
     kind: str
     order: int
+    # add, sub, mul and inv on field elements, unchecked: each subclass sets
+    # them once as closures, which inner loops call without a bound method.
+    _add: Callable[[int, int], int]
+    _sub: Callable[[int, int], int]
+    _mul: Callable[[int, int], int]
+    _inv: Callable[[int], int]
 
     # -- scalar arithmetic ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return self._add(self.check(a), self.check(b))
 
     def sub(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return self._sub(self.check(a), self.check(b))
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return self._mul(self.check(a), self.check(b))
 
     def inv(self, a: int) -> int:
-        raise NotImplementedError
+        if a == 0:
+            raise ZeroDivisionError("zero has no inverse")
+        return self._inv(self.check(a))
 
     def div(self, a: int, b: int) -> int:
         if b == 0:
@@ -124,19 +135,20 @@ class Field:
         base = self.check(a)
         while e:
             if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self._mul(result, base)
+            base = self._mul(base, base)
             e >>= 1
         return result
 
-    def unchecked_ops(self) -> tuple[Callable[[int, int], int], Callable[[int, int], int]]:
-        """(add, mul) without the range check that add and mul make per call.
+    def unchecked_ops(self) -> tuple[Callable[[int, int], int], ...]:
+        """(add, sub, mul): the functions add, sub and mul call once their
+        operands pass check.
 
         For scalar inner loops whose operands were checked once on entry: an
         operand outside the field gives a wrong value or an IndexError here,
-        never the ValueError that add and mul raise.
+        never the ValueError that add, sub and mul raise.
         """
-        raise NotImplementedError
+        return self._add, self._sub, self._mul
 
     def check(self, a: int) -> int:
         """Validate that a is an element of this field and return it."""
@@ -154,7 +166,7 @@ class Field:
         row = [1]
         cur = 1
         for _ in range(width - 1):
-            cur = self.mul(cur, gamma)
+            cur = self._mul(cur, gamma)
             row.append(cur)
         return row
 
@@ -165,7 +177,7 @@ class Field:
         self.check(x)
         acc = 0
         for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, x), c)
+            acc = self._add(self._mul(acc, x), self.check(c))
         return acc
 
     # -- bulk kernel -----------------------------------------------------------
@@ -178,9 +190,9 @@ class Field:
         elements for which inputs are converted.  Returns a rows x words
         integer array, uint16 in GF(2^m) and int64 in a prime field, which
         bulk code keeps as an array.  Its values reach the scalar operations
-        only as Python ints (``.tolist()``): numpy scalars overflow there,
-        e.g. PrimeField.mul on two ``np.uint16`` wraps.  Raises ValueError if
-        an operand has an entry that is not an element of the field.
+        only as Python ints (``.tolist()``): numpy scalars are refused there.
+        Raises ValueError if an operand has an entry that is not an element of
+        the field.
         """
         raise NotImplementedError
 
@@ -273,35 +285,11 @@ class PrimeField(Field):
             raise ValueError(f"{modulus} is not prime")
         if modulus > MAX_ORDER:
             raise ValueError(f"fields larger than 2^16 are not supported (got {modulus})")
-        self.order = modulus
-
-    def add(self, a, b):
-        q = self.order
-        if not (0 <= a < q and 0 <= b < q):
-            raise ValueError(f"operands {a!r}, {b!r} out of range for {self}")
-        return (a + b) % q
-
-    def sub(self, a, b):
-        q = self.order
-        if not (0 <= a < q and 0 <= b < q):
-            raise ValueError(f"operands {a!r}, {b!r} out of range for {self}")
-        return (a - b) % q
-
-    def mul(self, a, b):
-        q = self.order
-        if not (0 <= a < q and 0 <= b < q):
-            raise ValueError(f"operands {a!r}, {b!r} out of range for {self}")
-        return (a * b) % q
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        self.check(a)
-        return pow(a, -1, self.order)
-
-    def unchecked_ops(self):
-        q = self.order
-        return (lambda a, b: (a + b) % q), (lambda a, b: a * b % q)
+        q = self.order = modulus
+        self._add = lambda a, b: (a + b) % q
+        self._sub = lambda a, b: (a - b) % q
+        self._mul = lambda a, b: a * b % q
+        self._inv = lambda a: pow(a, -1, q)
 
     def matmul(self, coeffs, data):
         # In int64 whatever the operands' dtypes: entries are below 2^16, so n
@@ -349,7 +337,8 @@ class BinaryField(Field):
     def _build_tables(self):
         """Log/exp tables over the first generator found, trying x first.
 
-        Python lists serve the scalar operations; numpy copies serve matmul:
+        Python lists serve the scalar operations, which are set here as
+        closures over them; numpy copies serve matmul:
         log as int32, exp as uint16.  In the numpy tables log(0) is 2(q-1),
         and exp is zero from 2(q-1) on, so any product with a zero factor
         gathers a zero.  A log sum is at most (q-2) + 2(q-1) < 3(q-1), the
@@ -360,13 +349,15 @@ class BinaryField(Field):
             powers = self._powers(g)
             if len(powers) == q - 1:
                 break
-        self._primitive = g == gf2_mod(0b10, self.poly)
         exp_np = np.array(powers, dtype=np.int32)
         log_np = np.empty(q, dtype=np.int32)
         log_np[exp_np] = np.arange(q - 1, dtype=np.int32)
         log_np[0] = 2 * (q - 1)
-        self._log = log_np.tolist()
-        self._exp = powers + powers
+        log = self._log = log_np.tolist()
+        exp = self._exp = powers + powers
+        self._add = self._sub = operator.xor  # characteristic 2
+        self._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+        self._inv = lambda a: exp[q - 1 - log[a]]
         self._log_np = log_np
         self._exp_np = np.zeros(3 * (q - 1), dtype=np.uint16)
         self._exp_np[: q - 1] = exp_np
@@ -394,32 +385,6 @@ class BinaryField(Field):
             v = lo[v & 0xFF] ^ hi[v >> 8]
             if v == 1:
                 return out
-
-    def add(self, a, b):
-        q = self.order
-        if not (0 <= a < q and 0 <= b < q):
-            raise ValueError(f"operands {a!r}, {b!r} out of range for {self}")
-        return a ^ b
-
-    sub = add  # characteristic 2
-
-    def mul(self, a, b):
-        q = self.order
-        if not (0 <= a < q and 0 <= b < q):
-            raise ValueError(f"operands {a!r}, {b!r} out of range for {self}")
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        self.check(a)
-        return self._exp[self.order - 1 - self._log[a]]
-
-    def unchecked_ops(self):
-        log, exp = self._log, self._exp
-        return operator.xor, (lambda a, b: exp[log[a] + log[b]] if a and b else 0)
 
     def matmul(self, coeffs, data):
         # Each row: gather exp[log(c) + log(v)] for its nonzero coefficients c,

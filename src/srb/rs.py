@@ -11,10 +11,11 @@ the supplied points; with at most e corruptions that polynomial is unique,
 so a success is never a silently wrong answer within the error budget.
 
 Every solve is O(n^2) scalar field arithmetic; there is no elimination.
-lagrange_basis and _matvec check their inputs once (or take entries known
-to be field elements) and run their loops through the field's
-unchecked_ops; Gao's polynomial steps (poly_divmod, _poly_mul, _poly_sub)
-and the agreement count use the checked field operations.  A product with
+The scalar layer keeps field.py's one rule: check once at the boundary, then
+compute unchecked.  rs_decode checks every point and value on entry,
+DecodeSetup its points, rs_decode_many its values, lagrange_basis its points
+and poly_divmod its operands; after that every loop runs on the field's
+unchecked_ops.  A product with
 one word (an interpolant, a codeword) is a scalar dot product, since
 Field.matmul's fixed cost per row exceeds it at every decode shape.
 lagrange_basis gives a point set's master polynomial prod(x - x_i) and the
@@ -64,15 +65,17 @@ def _trim(poly: list[int]) -> list[int]:
 
 
 def _poly_mul(field: Field, a: list[int], b: list[int]) -> list[int]:
+    add, _, mul = field.unchecked_ops()
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+            out[i + j] = add(out[i + j], mul(ai, bj))
     return out
 
 
 def _poly_sub(field: Field, a: list[int], b: list[int]) -> list[int]:
-    return _trim([field.sub(u, v) for u, v in zip_longest(a, b, fillvalue=0)])
+    sub = field.unchecked_ops()[1]
+    return _trim([sub(u, v) for u, v in zip_longest(a, b, fillvalue=0)])
 
 
 def lagrange_basis(field: Field, xs: list[int]) -> tuple[list[int], list[list[int]]]:
@@ -87,11 +90,11 @@ def lagrange_basis(field: Field, xs: list[int]) -> tuple[list[int], list[list[in
     """
     for x in xs:
         field.check(x)
-    add, mul = field.unchecked_ops()
+    add, sub, mul = field.unchecked_ops()
     n = len(xs)
     master = [1]
     for x in xs:  # master * (x - x_i): shift up, add the product by -x_i
-        minus_x = field.neg(x)
+        minus_x = sub(0, x)
         master = [add(high, mul(low, minus_x)) for high, low in zip([0] + master, master + [0])]
     columns = []
     for x in xs:
@@ -110,28 +113,32 @@ def lagrange_basis(field: Field, xs: list[int]) -> tuple[list[int], list[list[in
 
 def _matvec(field: Field, matrix: list[list[int]], vector: list[int]) -> list[int]:
     """matrix x vector over field, for entries known to be field elements."""
-    add, mul = field.unchecked_ops()
+    add, _, mul = field.unchecked_ops()
     return [reduce(add, map(mul, row, vector), 0) for row in matrix]
 
 
 def poly_divmod(field: Field, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of polynomial division; coefficients ascending."""
-    den = _trim(den[:])
+    """Quotient and remainder of polynomial division; coefficients ascending.
+
+    Every coefficient of num and den is checked once on entry.
+    """
+    den = _trim([field.check(c) for c in den])
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
-    rem = _trim(num[:])
+    rem = _trim([field.check(c) for c in num])
     if len(rem) < len(den):
         return [], rem
+    _, sub, mul = field.unchecked_ops()
     lead_inv = field.inv(den[-1])
     quot = [0] * (len(rem) - len(den) + 1)
     for shift in range(len(quot) - 1, -1, -1):
         if len(rem) < len(den) + shift:
             continue
-        coeff = field.mul(rem[len(den) + shift - 1], lead_inv)
+        coeff = mul(rem[len(den) + shift - 1], lead_inv)
         quot[shift] = coeff
         if coeff != 0:
             for i, d in enumerate(den):
-                rem[i + shift] = field.sub(rem[i + shift], field.mul(coeff, d))
+                rem[i + shift] = sub(rem[i + shift], mul(coeff, d))
         _trim(rem)
     return quot, rem
 

@@ -25,9 +25,13 @@ def test_symbol_widths():
     assert codec.stripe_symbol_bytes(binary_field(16)) == 2
     assert codec.stripe_symbol_bytes(prime_field(257)) == 1
     assert codec.stripe_symbol_bytes(prime_field(13)) == 1
+    assert codec.stripe_symbol_bytes(prime_field(65521)) == 1
+    assert codec.stripe_symbol_bytes(binary_field(8)) == 1
     assert codec.stored_symbol_bytes(binary_field(16)) == 2
     assert codec.stored_symbol_bytes(prime_field(257)) == 2
     assert codec.stored_symbol_bytes(prime_field(13)) == 1
+    assert codec.stored_symbol_bytes(prime_field(65521)) == 2
+    assert codec.stored_symbol_bytes(binary_field(8)) == 1
 
 
 def test_stripe_packing_example():

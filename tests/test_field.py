@@ -105,6 +105,23 @@ def test_out_of_range_operands_rejected():
         g.mul(16, 1)
 
 
+@pytest.mark.parametrize("spec", ["prime:13", "prime:65521", "binary:4", "binary:16"])
+def test_checked_scalar_operations_refuse_non_elements(spec):
+    # numpy scalars and floats pass a bare range test: np.uint16 products wrap
+    # and 1.5 + 2 is 3.5.  Every checked operation refuses them, as check does.
+    f = parse_field(spec)
+    for bad in (np.uint16(3), 1.5, -1, f.order):
+        for op in (f.add, f.sub, f.mul, f.div):
+            with pytest.raises(ValueError):
+                op(bad, 1)
+            with pytest.raises(ValueError):
+                op(1, bad)
+    with pytest.raises(ValueError):
+        f.inv(np.uint16(3))
+    with pytest.raises(ValueError):
+        f.poly_eval([np.uint16(300)] * 2, 300)
+
+
 def test_vandermonde_rows():
     f = prime_field(13)
     assert f.vandermonde_row(2, 4) == [1, 2, 4, 8]
@@ -162,7 +179,7 @@ def test_bulk_helpers_match_scalar_ops():
     ids=lambda f: f.describe(),
 )
 def test_unchecked_ops_match_checked_ops(f):
-    add, mul = f.unchecked_ops()
+    add, sub, mul = f.unchecked_ops()
     if f.order <= 257:
         pairs = [(a, b) for a in range(f.order) for b in range(f.order)]
     else:
@@ -171,6 +188,7 @@ def test_unchecked_ops_match_checked_ops(f):
         pairs = [(a, b) for a in edges for b in edges]
         pairs += [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(20000)]
     assert [add(a, b) for a, b in pairs] == [f.add(a, b) for a, b in pairs]
+    assert [sub(a, b) for a, b in pairs] == [f.sub(a, b) for a, b in pairs]
     assert [mul(a, b) for a, b in pairs] == [f.mul(a, b) for a, b in pairs]
 
 
@@ -206,7 +224,7 @@ def test_aes_polynomial_matches_clmul_oracle_exhaustive():
     # x^8 + x^4 + x^3 + x + 1 is irreducible, but x has order 51, not 255:
     # the log/exp tables are built over another generator.
     f = binary_field(8, 0x11B)
-    assert not f._primitive
+    assert f.pow_(2, 51) == 1
     for a in range(256):
         for b in range(256):
             assert f.mul(a, b) == clmul_oracle(a, b, 0x11B)
@@ -249,7 +267,7 @@ def test_gf2_irreducibility_reference_cases():
 def test_irreducible_but_not_primitive_poly_still_works():
     # x^4 + x^3 + x^2 + x + 1 is irreducible with x of order 5, not 15.
     f = binary_field(4, 0b11111)
-    assert not f._primitive
+    assert f.pow_(2, 5) == 1
     for a in range(16):
         for b in range(16):
             assert f.mul(a, b) == clmul_oracle(a, b, 0b11111)
