@@ -210,11 +210,6 @@ class GenerationHeader:
     def message_count(self) -> int:
         return len(self.pad_lengths)
 
-    def same_generation(self) -> tuple:
-        """Every header field but gamma; equal for all inputs of one decode."""
-        return (self.field, self.k, self.alpha, self.generation, self.block_size, self.z,
-                self.pad_lengths)
-
     def _identity(self) -> tuple:
         """What == and hash compare: every field, an array payload as its bytes."""
         values = (getattr(self, f.name) for f in fields(self))
@@ -403,14 +398,25 @@ def serve_repair(state: CodedNodeState, target_gamma: int) -> RepairShare:
     return RepairShare(**_header_of(state), target_gamma=target_gamma, symbols=symbols)
 
 
-def _common_header(items: list[GenerationHeader], what: str) -> tuple:
+def _common_header(items: list[GenerationHeader], what: str) -> GenerationHeader:
+    """The first of items, once every item's header but its gamma equals it."""
     if not items:
         raise ValueError(f"no {what}s supplied")
-    head = items[0].same_generation()
-    for it in items[1:]:
-        if it.same_generation() != head:
-            raise ValueError(f"{what} headers disagree")
-    return head
+    head = _header_of(items[0], gamma=0)
+    if any(_header_of(it, gamma=0) != head for it in items[1:]):
+        raise ValueError(f"{what} headers disagree")
+    return items[0]
+
+
+def _decode(setup: DecodeSetup, words: np.ndarray, what: str) -> np.ndarray:
+    """The setup.dim coefficients of each column of words (n x words), as dim x words.
+
+    A DecodeFailure is raised again as the failure of what.
+    """
+    try:
+        return rs_decode_many(setup, words.T).T
+    except DecodeFailure as exc:
+        raise DecodeFailure(f"{what} failed: error budget exceeded") from exc
 
 
 def _slices(z: int, n: int, alpha: int) -> list[slice]:
@@ -429,24 +435,21 @@ def bootstrap_node(shares: list[RepairShare], target_gamma: int, p: int = 0) -> 
     corrupt, ValueError on a negative p, inconsistent share headers or helper
     gammas.
     """
-    f, k, alpha, generation, block_size, z, pads = _common_header(shares, "share")
-    need = MbrParams(k, alpha, p=p).repair_degree
+    h = _common_header(shares, "share")
+    alpha, z = h.alpha, h.z
+    need = MbrParams(h.k, alpha, p=p).repair_degree
     if len(shares) != need:
         raise ValueError(f"need alpha + 2p = {need} shares, got {len(shares)}")
     for s in shares:
         if s.target_gamma != target_gamma:
             raise ValueError("share was produced for a different target")
-    setup = DecodeSetup(f, [s.gamma for s in shares], alpha)
+    setup = DecodeSetup(h.field, [s.gamma for s in shares], alpha)
     if target_gamma in setup.xs:
         raise ValueError("the target cannot be one of its own helpers")
     out = np.empty((alpha, z), np.uint16)
     for part in _slices(z, len(shares), alpha):
-        received = np.stack([s.payload[part] for s in shares])
-        try:
-            out[:, part] = rs_decode_many(setup, received.T).T
-        except DecodeFailure as exc:
-            raise DecodeFailure("repair failed: error budget exceeded") from exc
-    return CodedNodeState(**_header_of(shares[0], gamma=target_gamma), blocks=out)
+        out[:, part] = _decode(setup, np.stack([s.payload[part] for s in shares]), "repair")
+    return CodedNodeState(**_header_of(h, gamma=target_gamma), blocks=out)
 
 
 def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[bytes]:
@@ -467,21 +470,14 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
     in block bytes, ValueError on a negative p, inconsistent state headers or
     node gammas.
     """
-    f, k, alpha, generation, block_size, z, pads = _common_header(states, "state")
+    h = _common_header(states, "state")
+    f, k, alpha, z, pads = h.field, h.k, h.alpha, h.z, h.pad_lengths
     params = MbrParams(k, alpha, p=p)
     if len(states) != params.reconstruct_degree:
         raise ValueError(f"need k + 2p = {params.reconstruct_degree} states, got {len(states)}")
     n, width = len(states), alpha - k
     setup = DecodeSetup(f, [s.gamma for s in states], k, width=alpha)
     vt_coeffs = [row[k:] for row in setup.rows]
-
-    def decode(words):
-        """The k coefficients of each column of words (n x words), as k x words."""
-        try:
-            return rs_decode_many(setup, words.T).T
-        except DecodeFailure as exc:
-            raise DecodeFailure("reconstruction failed: error budget exceeded") from exc
-
     grid = message_index_matrix(params)  # each index once on or above the diagonal
     _, rows, cols = zip(*sorted((grid[i][j], i, j) for i in range(k) for j in range(i, alpha)))
     rows, cols = list(rows), list(cols)
@@ -499,11 +495,13 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
         s = received.shape[2]
         # V: node i's trailing alpha-k coordinates, one word per (column,
         # stripe), are evaluations at gamma_i of V's columns.
-        v = decode(received[:, k:].reshape(n, width * s)).reshape(k, width, s)
+        v = _decode(setup, received[:, k:].reshape(n, width * s), "reconstruction")
+        v = v.reshape(k, width, s)
         # U: node i's leading coordinate c is psi_i[:k] . U[:, c] plus
         # psi_i[k:] . V[c, :]; subtract the V^T term, then decode U's columns.
         vt_term = f.matmul(vt_coeffs, v.transpose(1, 0, 2).reshape(width, k * s))
-        u = decode(f.subtract(received[:, :k].reshape(n, k * s), vt_term)).reshape(k, k, s)
+        u = _decode(setup, f.subtract(received[:, :k].reshape(n, k * s), vt_term),
+                    "reconstruction").reshape(k, k, s)
         message = np.concatenate([u, v], axis=1)[rows, cols]  # the first k rows of M
         for start, group in groups:  # a symbol too wide wraps here, and is refused below
             group[:, part] = message[start : start + len(group)]

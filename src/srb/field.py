@@ -115,22 +115,17 @@ class Field:
         return self._mul(self.check(a), self.check(b))
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if self.check(a) == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return self._inv(self.check(a))
+        return self._inv(a)
 
     def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero field element")
         return self.mul(a, self.inv(b))
 
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
-
     def pow_(self, a: int, e: int) -> int:
-        """a**e by square and multiply; e must be >= 0."""
-        if e < 0:
-            raise ValueError("negative exponent; invert explicitly")
+        """a**e by square and multiply; e must be an int >= 0."""
+        if type(e) is not int or e < 0:
+            raise ValueError(f"exponent {e!r} is not an int >= 0; invert explicitly")
         result = 1
         base = self.check(a)
         while e:
@@ -151,8 +146,11 @@ class Field:
         return self._add, self._sub, self._mul
 
     def check(self, a: int) -> int:
-        """Validate that a is an element of this field and return it."""
-        if not (isinstance(a, int) and 0 <= a < self.order):
+        """Validate that a is an element of this field and return it.
+
+        Only a plain int is one: bool, numpy scalars and floats are refused.
+        """
+        if not (type(a) is int and 0 <= a < self.order):
             raise ValueError(f"{a!r} is not an element of {self}")
         return a
 

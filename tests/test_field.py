@@ -107,10 +107,11 @@ def test_out_of_range_operands_rejected():
 
 @pytest.mark.parametrize("spec", ["prime:13", "prime:65521", "binary:4", "binary:16"])
 def test_checked_scalar_operations_refuse_non_elements(spec):
-    # numpy scalars and floats pass a bare range test: np.uint16 products wrap
-    # and 1.5 + 2 is 3.5.  Every checked operation refuses them, as check does.
+    # numpy scalars, floats and bools pass a bare range test: np.uint16
+    # products wrap, 1.5 + 2 is 3.5 and True + True is 2.  Every checked
+    # operation refuses them, as check does.
     f = parse_field(spec)
-    for bad in (np.uint16(3), 1.5, -1, f.order):
+    for bad in (np.uint16(3), 1.5, True, False, -1, f.order):
         for op in (f.add, f.sub, f.mul, f.div):
             with pytest.raises(ValueError):
                 op(bad, 1)
@@ -120,6 +121,10 @@ def test_checked_scalar_operations_refuse_non_elements(spec):
         f.inv(np.uint16(3))
     with pytest.raises(ValueError):
         f.poly_eval([np.uint16(300)] * 2, 300)
+    # an exponent that is not an int >= 0 is malformed input, whatever its type
+    for bad in (1.5, True, -1):
+        with pytest.raises(ValueError):
+            f.pow_(2, bad)
 
 
 def test_vandermonde_rows():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from srb import codec
-from srb.errors import IntegrityError, ShardUnderflowError
+from srb.errors import DecodeFailure, IntegrityError, ShardUnderflowError
 from srb.field import binary_field
 from srb.mbr import MbrParams
 from srb.sim import (
@@ -193,6 +193,16 @@ def test_epoch_reconfigure_underflow_boundary():
         epoch_reconfigure(net, 1, rng, leaves=1)
 
 
+def test_epoch_reconfigure_underflow_after_cuckoo_displacement():
+    # no leaves: the join's wide eviction interval re-draws most nodes, and
+    # shard 0 keeps only two of the alpha + 2p = 3 members a repair needs
+    cfg = SimConfig(total_nodes=8, shards=2, k=1, alpha=3, p=0, cuckoo_eps=0.5)
+    net = initial_network(cfg)
+    with pytest.raises(ShardUnderflowError, match=r"^shard 0 dropped to 2 < alpha \+ 2p = 3$"):
+        epoch_reconfigure(net, 0, random.Random(0), joins=1)
+    assert net.shard_sizes() == [2, 7]
+
+
 def test_adversary_zero_out():
     f = binary_field(16)
     share = codec.RepairShare(
@@ -313,6 +323,84 @@ def test_run_simulation_budget_exceeded_reports_failure():
         assert event.corrupted_shares > cfg.p  # attribution invariant
     succeeded = [e for e in report.bootstrap_events if e.ok]
     assert succeeded
+
+
+BEYOND_BUDGET_CONFIG = """\
+config_version=1
+total_nodes=20
+shards=1
+malicious=15
+k=2
+alpha=2
+p=1
+block_size=64
+blocks_per_epoch=3
+joins_per_epoch=2
+strategy=consistent-wrong-polynomial
+cap_malicious_per_shard=false
+epochs=4
+seed=3
+"""
+
+
+def test_run_simulation_beyond_budget_counts_wrong_states_as_failures(monkeypatch):
+    """Most helpers collude on one wrong polynomial, so some bootstraps decode
+    a valid but wrong codeword: a failed bootstrap, not an invariant breach."""
+    returned = []
+    bootstrap_node = codec.bootstrap_node
+
+    def record(shares, target_gamma, p=0):
+        state = None
+        try:
+            state = bootstrap_node(shares, target_gamma, p)
+            return state
+        finally:
+            returned.append(state)
+
+    monkeypatch.setattr(codec, "bootstrap_node", record)
+    cfg = SimConfig.from_text(BEYOND_BUDGET_CONFIG)
+    report = run_simulation(cfg)
+    events = report.bootstrap_events
+    assert len(returned) == len(events)
+    failed = [e for e in events if not e.ok]
+    assert failed and report.total_bootstrap_failures == len(failed)
+    for event in failed:
+        assert event.corrupted_shares > cfg.p
+    wrong = [e for e, state in zip(events, returned) if not e.ok and state is not None]
+    assert wrong, "expected a bootstrap that decoded to a wrong state"
+    assert render_report(run_simulation(cfg)) == render_report(report)
+
+
+@pytest.mark.parametrize("lie", ["decode-failure", "wrong-state"])
+def test_run_simulation_within_budget_failure_is_integrity_error(monkeypatch, lie):
+    """At most p corrupt shares: any bootstrap that does not rebuild the direct
+    encoding, by failing or by returning another state, breaks the invariant."""
+    bootstrap_node = codec.bootstrap_node
+
+    def fake(shares, target_gamma, p=0):
+        if lie == "decode-failure":
+            raise DecodeFailure("repair failed: error budget exceeded")
+        state = bootstrap_node(shares, target_gamma, p)
+        blocks = state.payload.copy()
+        blocks[0, 0] ^= 1
+        return replace(state, blocks=blocks)
+
+    monkeypatch.setattr(codec, "bootstrap_node", fake)
+    cfg = small_config(
+        total_nodes=16,
+        shards=1,
+        malicious=1,
+        p=1,
+        k=2,
+        alpha=3,
+        blocks_per_epoch=5,
+        joins_per_epoch=2,
+        epochs=4,
+        strategy="zero-out",
+        seed=5,
+    )
+    with pytest.raises(IntegrityError, match=r"^bootstrap of node \d+ failed with only [01] <= p"):
+        run_simulation(cfg)
 
 
 def test_render_report_golden_text():
