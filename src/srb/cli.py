@@ -112,40 +112,28 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# ProtocolParams fields whose metrics flag has another name.
+_METRICS_FLAGS = {"n_s": "shard_nodes", "total_blocks": "blocks"}
+# The metrics inputs: every ProtocolParams field but the protocol, in order,
+# each with its flag's dest.
+_METRICS_INPUTS = [(f, _METRICS_FLAGS.get(f.name, f.name))
+                   for f in dataclasses.fields(analytics.ProtocolParams) if f.name != "protocol"]
+
+
 def cmd_metrics(args) -> int:
-    _print_config("metrics", args, ["paper_example", "shard_nodes", "blocks", "alpha", "k", "p",
-                                     "block_size", "delta", "rho", "c", "total_nodes", "shards",
-                                     "malicious", "mu", "p_frac", "v", "tau"])
+    _print_config("metrics", args, ["paper_example"] + [dest for _, dest in _METRICS_INPUTS])
     if args.paper_example:
         params = analytics.reference_example_params()
     else:
-        n_s = args.shard_nodes
-        if not n_s and args.total_nodes and args.shards:
+        inputs = {f.name: getattr(args, dest) for f, dest in _METRICS_INPUTS}
+        if not inputs["n_s"] and args.total_nodes and args.shards:
             if args.total_nodes % args.shards:
                 raise ValueError(
                     f"--total-nodes {args.total_nodes} is not a multiple of --shards "
                     f"{args.shards}; give --shard-nodes or make N = m * n_S"
                 )
-            n_s = args.total_nodes // args.shards
-        params = analytics.ProtocolParams(
-            protocol=analytics.SRB,
-            n_s=n_s,
-            total_blocks=args.blocks,
-            alpha=args.alpha,
-            k=args.k,
-            p=args.p,
-            block_size=args.block_size,
-            delta=args.delta,
-            rho=args.rho,
-            c=args.c,
-            total_nodes=args.total_nodes,
-            shards=args.shards,
-            malicious=args.malicious,
-            mu=args.mu,
-            p_frac=args.p_frac,
-            v=args.v,
-            tau=args.tau,
-        )
+            inputs["n_s"] = args.total_nodes // args.shards
+        params = analytics.ProtocolParams(protocol=analytics.SRB, **inputs)
     print(analytics.render_metrics(analytics.comparison_report(params)), end="")
     return 0
 
@@ -198,23 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="print the protocol comparison table")
     p.add_argument("--paper-example", action="store_true", dest="paper_example",
                    help="use the published example parameters")
-    p.add_argument("--shard-nodes", type=int, default=0, dest="shard_nodes",
-                   help="n_S; default N / m when --total-nodes and --shards are given")
-    p.add_argument("--blocks", type=int, default=0, help="L, blocks per shard")
-    p.add_argument("--alpha", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--block-size", type=int, default=0, dest="block_size")
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--rho", type=int, default=2)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--total-nodes", type=int, default=0, dest="total_nodes")
-    p.add_argument("--shards", type=int, default=0)
-    p.add_argument("--malicious", type=int, default=0)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--p-frac", type=float, default=0.0, dest="p_frac")
-    p.add_argument("--v", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=1.0)
+    helps = {"n_s": "n_S; default N / m when --total-nodes and --shards are given",
+             "total_blocks": "L, blocks per shard"}
+    for f, dest in _METRICS_INPUTS:
+        p.add_argument("--" + dest.replace("_", "-"), type=type(f.default), default=f.default,
+                       dest=dest, help=helps.get(f.name))
     p.set_defaults(func=cmd_metrics)
 
     return parser

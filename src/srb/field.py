@@ -335,54 +335,65 @@ class BinaryField(Field):
     def _build_tables(self):
         """Log/exp tables over the first generator found, trying x first.
 
-        Python lists serve the scalar operations, which are set here as
-        closures over them; numpy copies serve matmul:
-        log as int32, exp as uint16.  In the numpy tables log(0) is 2(q-1),
-        and exp is zero from 2(q-1) on, so any product with a zero factor
-        gathers a zero.  A log sum is at most (q-2) + 2(q-1) < 3(q-1), the
-        length of exp, so int32 holds every index.
+        numpy tables serve matmul: log as int32, exp as uint16.  In them
+        log(0) is 2(q-1), and exp is zero from 2(q-1) on, so any product with
+        a zero factor gathers a zero.  A log sum is at most
+        (q-2) + 2(q-1) < 3(q-1), the length of exp, so int32 holds every
+        index.  Python lists of the same values serve the scalar operations,
+        which are set here as closures over them.
         """
         q = self.order
         for g in range(1, q):  # 1 generates only GF(2)'s group; x is 2
             powers = self._powers(g)
-            if len(powers) == q - 1:
+            if powers is not None:
                 break
-        exp_np = np.array(powers, dtype=np.int32)
         log_np = np.empty(q, dtype=np.int32)
-        log_np[exp_np] = np.arange(q - 1, dtype=np.int32)
+        log_np[powers] = np.arange(q - 1, dtype=np.int32)
         log_np[0] = 2 * (q - 1)
+        exp_np = np.concatenate((powers, powers, np.zeros(q - 1, dtype=np.uint16)))
         log = self._log = log_np.tolist()
-        exp = self._exp = powers + powers
+        exp = self._exp = powers.tolist() * 2
         self._add = self._sub = operator.xor  # characteristic 2
         self._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
         self._inv = lambda a: exp[q - 1 - log[a]]
-        self._log_np = log_np
-        self._exp_np = np.zeros(3 * (q - 1), dtype=np.uint16)
-        self._exp_np[: q - 1] = exp_np
-        self._exp_np[q - 1 : 2 * (q - 1)] = exp_np
+        self._log_np, self._exp_np = log_np, exp_np
 
-    def _powers(self, g: int) -> list[int]:
-        """[1, g, g^2, ...] up to the first power equal to 1, excluded.
+    def _powers(self, g: int) -> np.ndarray | None:
+        """[1, g, g^2, ..., g^(q-2)] as uint16 if g generates the
+        multiplicative group, else None.
 
-        Multiplying by g is linear over GF(2), so it is tabulated for the low
-        and high byte of the multiplicand.
+        By doubling: the next 2^j powers are the first 2^j times g^(2^j),
+        multiplied through that factor's tables for the low and high byte.
+        g is no generator as soon as a power before g^(q-1) is 1.
         """
         q = self.order
-        basis = []  # g * x^j for j = 0 .. 15
-        v = g
-        for _ in range(16):
-            basis.append(v)
-            v <<= 1
-            if v & q:
-                v ^= self.poly
-        lo, hi = _xor_span(basis[:8]), _xor_span(basis[8:])
-        out = []
-        v = 1
-        while True:
-            out.append(v)
-            v = lo[v & 0xFF] ^ hi[v >> 8]
-            if v == 1:
-                return out
+        powers = np.ones(1, dtype=np.uint16)
+        c = g  # g^(2^j)
+        while len(powers) < q - 1:
+            lo, hi = self._byte_products(c)
+            head = powers[: q - 1 - len(powers)]
+            block = lo[head & 0xFF] ^ hi[head >> 8]
+            if (block == 1).any():
+                return None
+            powers = np.concatenate((powers, block))
+            c = int(lo[c & 0xFF] ^ hi[c >> 8])
+        return powers
+
+    def _byte_products(self, c: int) -> np.ndarray:
+        """Two uint16 tables indexed by a byte b: c * b, and c * (b << 8),
+        the products with a multiplicand's low and high byte.
+
+        Multiplying by c is linear over GF(2): c * b is the XOR of c * x^i
+        over the bits i of b.
+        """
+        tables = np.zeros((2, 256), dtype=np.uint16)
+        for table in tables:
+            for i in range(8):
+                table[1 << i : 2 << i] = table[: 1 << i] ^ c
+                c <<= 1
+                if c & self.order:
+                    c ^= self.poly
+        return tables
 
     def matmul(self, coeffs, data):
         # Each row: gather exp[log(c) + log(v)] for its nonzero coefficients c,
@@ -418,14 +429,6 @@ class BinaryField(Field):
 
     def describe(self) -> str:
         return f"binary:{self.degree}:{self.poly:#x}"
-
-
-def _xor_span(vectors: list[int]) -> list[int]:
-    """XOR of every subset of vectors, indexed by the subset's bitmask."""
-    out = [0]
-    for vec in vectors:
-        out += [u ^ vec for u in out]
-    return out
 
 
 # Fields kept built per process.  Headers are untrusted and name the field,

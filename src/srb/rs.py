@@ -224,8 +224,9 @@ class DecodeSetup:
         self._checks: dict[tuple[int, ...], tuple] = {}
 
     def trusted(self) -> tuple[int, ...]:
-        """The first dim positions, unblamed ones first."""
-        return tuple(sorted(range(len(self.xs)), key=self.blamed.__contains__)[: self.dim])
+        """The first dim positions, unblamed ones first, listed in ascending
+        order, so that one point set is always one tuple."""
+        return tuple(sorted(sorted(range(len(self.xs)), key=self.blamed.__contains__)[: self.dim]))
 
     def interpolate(self, points: tuple[int, ...], words):
         """Interpolate every word (a column of words) from its values at points.
@@ -260,7 +261,7 @@ def rs_decode_many(setup: DecodeSetup, ys_list) -> np.ndarray:
     points is dirty.  While dirty words are left, the first one is decoded
     by rs_decode, and the positions where its codeword differs from it join
     setup.blamed: within the error budget they are lying evaluation points.
-    If that changes the trusted points, the remaining dirty words are
+    If that changes the set of trusted points, the remaining dirty words are
     interpolated from them again, i.e. decoded as erasures.  Words that
     corrupt a fixed set of at most e positions (Byzantine helpers or nodes)
     thus cost at most e rs_decode runs, however many words they touch, and

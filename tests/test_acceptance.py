@@ -9,6 +9,8 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
+
 from srb import analytics as an
 from srb import codec, sim
 from srb.errors import DecodeFailure
@@ -207,6 +209,7 @@ def test_acceptance_5_probability_bounds():
     assert an.hypergeom_tail(10, 4, 5, 3) == 66 / 252
 
     rng = random.Random("acc5")
+    urn = np.random.default_rng(rng.getrandbits(128))
     n_samples = 10**6
     for _ in range(10):
         population = rng.randint(10, 50)
@@ -214,12 +217,12 @@ def test_acceptance_5_probability_bounds():
         sample = rng.randint(2, min(10, population))
         threshold = rng.randint(0, sample)
         exact = an.hypergeom_tail(population, malicious, sample, threshold)
-        pop = list(range(population))
-        hits = 0
-        for _ in range(n_samples):
-            drawn = rng.sample(pop, sample)
-            if sum(1 for x in drawn if x < malicious) >= threshold:
-                hits += 1
+        # Every sample's urn at once, draw by draw: draw d takes one of the
+        # population - d balls left, of which malicious - bad are malicious.
+        bad = np.zeros(n_samples, dtype=np.int64)
+        for d in range(sample):
+            bad += urn.integers(population - d, size=n_samples) < malicious - bad
+        hits = int((bad >= threshold).sum())
         sigma = math.sqrt(exact * (1.0 - exact) / n_samples)
         assert abs(hits / n_samples - exact) <= 3.0 * sigma + 1e-9
 

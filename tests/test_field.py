@@ -7,6 +7,7 @@ import pytest
 from srb.field import (
     DEFAULT_REDUCTION_POLY,
     KIND_BINARY,
+    BinaryField,
     binary_field,
     field_from_header,
     gf2_is_irreducible,
@@ -278,6 +279,48 @@ def test_irreducible_but_not_primitive_poly_still_works():
             assert f.mul(a, b) == clmul_oracle(a, b, 0b11111)
         if a:
             assert f.mul(a, f.inv(a)) == 1
+
+
+def walked_tables(degree, poly):
+    """Generator, log list and exp list by a plain walk over the powers of
+    g = 1, 2, ...: the first g whose powers, each the last times g by
+    clmul_oracle, reach all q - 1 nonzero elements before returning to 1."""
+    q = 1 << degree
+    for g in range(1, q):
+        powers = [1]
+        while (v := clmul_oracle(powers[-1], g, poly)) != 1:
+            powers.append(v)
+        if len(powers) == q - 1:
+            break
+    log = [2 * (q - 1)] * q  # log(0)'s entry; every other one is set below
+    for i, v in enumerate(powers):
+        log[v] = i
+    return g, log, powers + powers
+
+
+# The default polynomials and others of every degree 1-16.  Several are not
+# primitive, so x does not generate the group: 0b11111 (g = 3) and those
+# marked with the generator g the walk finds.
+TABLE_POLYS = list(DEFAULT_REDUCTION_POLY.items()) + [
+    (1, 0b10), (1, 0b11), (3, 0b1101), (4, 0b11001), (4, 0b11111), (5, 0x25), (5, 0x29),
+    (6, 0x43), (6, 0x49),  # g = 3
+    (7, 0x83), (7, 0x89), (8, 0x11B), (8, 0x12B),  # 0x11B: g = 3
+    (9, 0x203), (9, 0x211), (10, 0x409), (10, 0x41D),  # 0x203, 0x41D: g = 7
+    (11, 0x805), (11, 0x817), (12, 0x1009), (12, 0x1033),  # g = 3, g = 13
+    (13, 0x201B), (13, 0x2027), (14, 0x4021), (14, 0x402B),  # 0x4021: g = 7
+    (15, 0x8003), (15, 0x8011), (16, 0x1002B), (16, 0x1002D),  # 0x1002B: g = 3
+]
+
+
+@pytest.mark.parametrize("degree, poly", TABLE_POLYS, ids=[f"{d}:{p:#x}" for d, p in TABLE_POLYS])
+def test_tables_are_those_of_a_plain_walk(degree, poly):
+    g, log, exp = walked_tables(degree, poly)
+    f = BinaryField(degree, poly)
+    q = f.order
+    assert f._exp[1] == g
+    assert f._log == log and f._exp == exp
+    assert f._log_np.dtype == np.int32 and f._log_np.tolist() == log
+    assert f._exp_np.dtype == np.uint16 and f._exp_np.tolist() == exp + [0] * (q - 1)
 
 
 def test_header_round_trip_and_equality():

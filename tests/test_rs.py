@@ -168,7 +168,9 @@ def test_round_trip_all_dims_gf13():
                 assert rs_decode(f, points, dim) == coeffs
 
 
-def test_decode_many_matches_single_decode():
+def _words_lying_at_one_random_position():
+    """A setup (GF(257), dim 4, 6 points) and 50 words, half of them with one
+    lie at a random position, so more than the budget of points gets blamed."""
     f = prime_field(257)
     rng = random.Random(31)
     dim, p = 4, 1
@@ -184,7 +186,29 @@ def test_decode_many_matches_single_decode():
             ys[bad] = (ys[bad] + 1) % 257
         ys_list.append(ys)
         expect.append(coeffs)
-    assert rs_decode_many(DecodeSetup(f, xs, dim), ys_list).tolist() == expect
+    return DecodeSetup(f, xs, dim), ys_list, expect
+
+
+def test_decode_many_matches_single_decode():
+    setup, ys_list, expect = _words_lying_at_one_random_position()
+    assert rs_decode_many(setup, ys_list).tolist() == expect
+
+
+def test_decode_many_interpolates_from_each_point_set_once(monkeypatch):
+    """Once fewer than dim points are unblamed, a new blame can leave the
+    trusted set as it was: the dirty words are not interpolated from it again."""
+    setup, ys_list, expect = _words_lying_at_one_random_position()
+    point_sets = []
+    interpolate = DecodeSetup.interpolate
+
+    def counted(self, points, words):
+        point_sets.append(frozenset(points))
+        return interpolate(self, points, words)
+
+    monkeypatch.setattr(DecodeSetup, "interpolate", counted)
+    assert rs_decode_many(setup, ys_list).tolist() == expect
+    assert len(setup.blamed) > len(setup.xs) - setup.dim
+    assert len(point_sets) == len(set(point_sets)) == 4
 
 
 @pytest.mark.parametrize("f", [prime_field(257), binary_field(16)])
