@@ -6,9 +6,13 @@ polynomial of degree < dim that agrees with all but at most
 e = (n - dim) // 2 of them.  No structure is assumed on the evaluation
 points, so this works for any set of node encoder coefficients.
 
-A decoded polynomial is accepted only if it agrees with at least n - e of
-the supplied points; with at most e corruptions that polynomial is unique,
-so a success is never a silently wrong answer within the error budget.
+rs_decode accepts a word exactly when Gao's final division r1 = f * v1
+leaves no remainder and a quotient f of degree < dim, and then f agrees with
+at least n - e of the points.  Proof: Bezout at each point, where the master
+polynomial vanishes, gives v1(x_i) * y_i = r1(x_i) = v1(x_i) * f(x_i), so f
+misses y_i only at roots of v1, and v1 != 0 has degree at most e.  With at
+most e corruptions that f is unique, so a success is never a silently wrong
+answer within the error budget.
 
 Every solve is O(n^2) scalar field arithmetic; there is no elimination.
 The scalar layer keeps field.py's one rule: check once at the boundary, then
@@ -143,10 +147,6 @@ def poly_divmod(field: Field, num: list[int], den: list[int]) -> tuple[list[int]
     return quot, rem
 
 
-def _agreement(field: Field, coeffs: list[int], points: list[tuple[int, int]]) -> int:
-    return sum(1 for x, y in points if field.poly_eval(coeffs, x) == y)
-
-
 def _checked_points(field: Field, xs: list[int], dim: int) -> list[int]:
     """xs as a new list, checked as the evaluation points of words of dim
     coefficients: dim >= 1, at least dim points, all distinct field elements.
@@ -175,7 +175,6 @@ def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int
     n = len(points)
     xs = _checked_points(field, [x for x, _ in points], dim)
     ys = [field.check(y) for _, y in points]
-    e = (n - dim) // 2
 
     # Gao: run Euclid on the master polynomial and the word's interpolant,
     # keeping each remainder's cofactor v1 of the interpolant, until the
@@ -192,10 +191,7 @@ def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int
     quot, rem = poly_divmod(field, r1, v1)
     if rem or len(quot) > dim:
         raise DecodeFailure("no consistent codeword within the error budget")
-    coeffs = quot + [0] * (dim - len(quot))
-    if _agreement(field, coeffs, points) < n - e:
-        raise DecodeFailure("no consistent codeword within the error budget")
-    return coeffs
+    return quot + [0] * (dim - len(quot))
 
 
 class DecodeSetup:
@@ -266,8 +262,9 @@ def rs_decode_many(setup: DecodeSetup, ys_list) -> np.ndarray:
     corrupt a fixed set of at most e positions (Byzantine helpers or nodes)
     thus cost at most e rs_decode runs, however many words they touch, and
     over every call that shares the setup.  Blame only chooses the points to
-    interpolate from; every result is accepted by its agreement count, so it
-    never changes what a decode returns.
+    interpolate from; every result agrees with at least setup.threshold
+    points (counted on the first pass, guaranteed by rs_decode's division),
+    so it never changes what a decode returns.
     """
     field, xs, dim = setup.field, setup.xs, setup.dim
     n = len(xs)

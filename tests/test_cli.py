@@ -414,8 +414,10 @@ def test_simulate_missing_config_exit_2(tmp_path, capsys):
     [
         ("balance_ratio_limit=nan\n", "balance_ratio_limit must be >= 0"),
         ("seed=2\n", "line 5: repeated config key 'seed'"),
+        ("epochs 3\n", "line 5: expected key=value, got 'epochs 3'"),
+        ("cap_malicious_per_shard=yes\n", "line 5: cap_malicious_per_shard must be true or false"),
     ],
-    ids=["nan-balance-limit", "repeated-key"],
+    ids=["nan-balance-limit", "repeated-key", "no-equals-sign", "non-boolean-cap"],
 )
 def test_simulate_malformed_config_exit_2(tmp_path, capsys, extra, message):
     config = tmp_path / "sim.cfg"
@@ -423,6 +425,17 @@ def test_simulate_malformed_config_exit_2(tmp_path, capsys, extra, message):
     assert main(["simulate", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") and message in line for line in err.splitlines())
+    assert "Traceback" not in err
+
+
+def test_simulate_shard_underflow_exit_4(tmp_path, capsys):
+    """Five leaves from a shard of 8 leave 3 < alpha + 2p = 4 holders: an invariant breach."""
+    config = tmp_path / "sim.cfg"
+    config.write_text("config_version=1\ntotal_nodes=8\nshards=1\nk=2\nalpha=2\np=1\n"
+                      "leaves_per_epoch=5\nepochs=1\n")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.txt")]) == 4
+    err = capsys.readouterr().err
+    assert "error: shard 0 dropped to 3 < alpha + 2p = 4" in err
     assert "Traceback" not in err
 
 

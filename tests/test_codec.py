@@ -281,6 +281,31 @@ def test_reconstruct_rejects_one_state_given_twice():
         codec.reconstruct_generation([states[0], states[1], states[2], states[0]], p=1)
 
 
+@pytest.mark.parametrize(
+    "decode, message",
+    [
+        (lambda states: codec.bootstrap_node(
+            [codec.serve_repair(states[g], 9) for g in (0, 1)]
+            + [codec.serve_repair(states[2], 8)], 9),
+         "share was produced for a different target"),
+        (lambda states: codec.bootstrap_node(
+            [replace(codec.serve_repair(states[0], 9), gamma=9)]  # a share file claiming gamma 9
+            + [codec.serve_repair(states[g], 9) for g in (1, 2)], 9),
+         "the target cannot be one of its own helpers"),
+        (lambda states: codec.reconstruct_generation(states[:3], p=1), r"need k \+ 2p = 4 states, got 3"),
+        (lambda states: codec.bootstrap_node([], 9), "no shares supplied"),
+        (lambda states: codec.reconstruct_generation([]), "no states supplied"),
+    ],
+    ids=["share-for-another-target", "target-among-helpers", "wrong-state-count", "no-shares",
+         "no-states"],
+)
+def test_malformed_decode_inputs_rejected(decode, message):
+    params = MbrParams(2, 3, n=6, p=0)
+    _, states = make_generation(binary_field(16), params, random.Random(6), 8)
+    with pytest.raises(ValueError, match=message):
+        decode(states)
+
+
 def test_negative_p_rejected():
     f = binary_field(16)
     params = MbrParams(3, 4, n=6, p=0)
@@ -447,15 +472,20 @@ def test_malformed_files_rejected():
     params = MbrParams(2, 3, n=5)
     state = codec.encode_generation([b"ab"] * 5, 1, params, f, block_size=2)
     data = codec.state_to_bytes(state)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not an SRB1 state file"):
         codec.state_from_bytes(b"NOPE" + data[4:])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="truncated state header"):
+        codec.state_from_bytes(data[:PADS - 1])  # cut inside the fixed header
+    with pytest.raises(ValueError, match="truncated state payload"):
         codec.state_from_bytes(data[:-1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trailing bytes after state payload"):
         codec.state_from_bytes(data + b"\x00")
     bad_version = data[:4] + (9).to_bytes(2, "little") + data[6:]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unsupported format version 9"):
         codec.state_from_bytes(bad_version)
+    share = codec.share_to_bytes(codec.serve_repair(state, 4))
+    with pytest.raises(ValueError, match="truncated share header"):
+        codec.share_from_bytes(share[: PADS + 4 * params.message_length + 2])  # inside target gamma
 
 
 def test_payload_symbols_outside_field_rejected():
@@ -483,25 +513,28 @@ def _put_u32(data, off, value):
 
 
 @pytest.mark.parametrize(
-    "what, patch",
+    "what, patch, message",
     [
-        ("state", lambda d: _put_u32(d, PADS, 5)),
-        ("state", lambda d: _put_u32(d, COUNT, 4)[: PADS + 16] + d[PADS + 20 :]),
-        ("state", lambda d: _put_u32(d, GAMMA, 1 << 16)),
-        ("share", lambda d: _put_u32(d, PADS + 20, 1 << 16)),
-        ("state", lambda d: _put_u32(d, BLOCK_SIZE, 8)),
+        ("state", lambda d: _put_u32(d, PADS, 5), r"pad length 5 is outside \[0, block_size=4\]"),
+        ("state", lambda d: _put_u32(d, COUNT, 4)[: PADS + 16] + d[PADS + 20 :],
+         r"4 pad lengths; \(k, alpha\) = \(2, 3\) needs L = 5"),
+        ("state", lambda d: _put_u32(d, GAMMA, 1 << 16), "65536 is not an element of"),
+        ("share", lambda d: _put_u32(d, PADS + 20, 1 << 16), "65536 is not an element of"),
+        ("state", lambda d: _put_u32(d, BLOCK_SIZE, 8), r"Z=2 does not match block_size=8 \(Z=4\)"),
+        ("state", lambda d: _put_u32(_put_u32(d, PADS + 4, 7), PADS + 12, 9),
+         r"pad length 7 is outside \[0, block_size=4\]"),
     ],
-    ids=["pad-over-block-size", "count-not-L", "gamma", "target-gamma", "z-not-block-size"],
+    ids=["pad-over-block-size", "count-not-L", "gamma", "target-gamma", "z-not-block-size",
+         "first-of-two-pads-over-block-size"],
 )
-def test_invalid_header_rejected(what, patch):
+def test_invalid_header_rejected(what, patch, message):
     """Each patch leaves a well-formed file whose header breaks one rule."""
     params = MbrParams(2, 3, n=5)  # L = 5
     state = codec.encode_generation([b"abcd"] * 5, 1, params, binary_field(16), block_size=4)
-    if what == "state":
-        with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
+        if what == "state":
             codec.state_from_bytes(patch(codec.state_to_bytes(state)))
-    else:
-        with pytest.raises(ValueError):
+        else:
             codec.share_from_bytes(patch(codec.share_to_bytes(codec.serve_repair(state, 4))))
 
 
@@ -526,11 +559,22 @@ def test_fields_named_by_parsed_headers_are_cached_within_a_bound(f, params, cac
 
 
 @pytest.mark.parametrize(
-    "changes", [{"k": 70000, "alpha": 70000}, {"generation": -1}, {"generation": 1 << 32}]
+    "changes, message",
+    [
+        ({"k": 70000, "alpha": 70000}, "alpha=70000 does not fit a u16 header field"),
+        ({"generation": -1}, "generation=-1 does not fit a u32 header field"),
+        ({"generation": 1 << 32}, "generation=4294967296 does not fit a u32 header field"),
+        ({"k": 0}, "k must be >= 1"),
+        ({"k": 2}, "alpha must be >= k"),
+        ({"alpha": 70000}, "alpha=70000 does not fit a u16 header field"),
+        ({"block_size": 1 << 32}, "block_size=4294967296 does not fit a u32 header field"),
+    ],
+    ids=["changes0", "changes1", "changes2", "k-below-1", "alpha-below-k", "alpha-over-u16",
+         "block-size-over-u32"],
 )
-def test_header_values_must_fit_the_format(changes):
+def test_header_values_must_fit_the_format(changes, message):
     state = codec.encode_generation([b"\x01"], 2, MbrParams(1, 1), prime_field(13), block_size=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         codec.state_to_bytes(replace(state, **changes))
 
 

@@ -72,6 +72,8 @@ def test_config_text_round_trip():
         SimConfig.from_text(text + "bogus_key=1\n")
     with pytest.raises(ValueError):
         SimConfig.from_text("total_nodes=12\n")  # missing version and shards
+    with pytest.raises(ValueError, match=r"missing config keys: \['total_nodes'\]"):
+        SimConfig.from_text("config_version=1\nshards=2\n")
     commented = "# comment line\n" + text
     assert SimConfig.from_text(commented) == cfg
 
