@@ -29,9 +29,11 @@ The pad-length words record each block's original byte length so that
 de-striping is exact.
 
 Every header is untrusted input (up to p helpers are Byzantine), so
-GenerationHeader checks it whenever one is built, parsed or replaced:
+GenerationHeader, and RepairShare for the target gamma, check it whenever
+one is built, parsed or replaced:
   - (k, alpha) are valid MBR parameters (1 <= k <= alpha) and fit u16;
   - gamma, and a share's target gamma, are elements of the field;
+  - a share's target gamma differs from its helper gamma;
   - generation and block_size fit u32;
   - Z = ceil(block_size / stripe symbol bytes);
   - there are exactly L = k*alpha - k(k-1)/2 pad lengths, each in
@@ -281,9 +283,11 @@ class CodedNodeState(GenerationHeader):
 class RepairShare(GenerationHeader):
     """One helper's contribution to a bootstrap: one coded block of Z symbols.
 
-    gamma is the helper's coefficient, target_gamma the joining node's.
-    payload is the coded block as a read-only uint16 array of length Z, taken
-    as symbols= the way CodedNodeState takes blocks=.
+    gamma is the helper's coefficient, target_gamma the joining node's; a
+    share whose target gamma is its own gamma is refused with ValueError, so
+    no share (served, parsed or replaced) is self-targeted.  payload is the
+    coded block as a read-only uint16 array of length Z, taken as symbols=
+    the way CodedNodeState takes blocks=.
     """
 
     target_gamma: int
@@ -292,6 +296,8 @@ class RepairShare(GenerationHeader):
     def __init__(self, *, target_gamma, symbols=None, payload=None, **header):
         super().__init__(**header)
         object.__setattr__(self, "target_gamma", self.field.check(target_gamma))
+        if self.target_gamma == self.gamma:
+            raise ValueError("a node cannot serve a repair share to itself")
         data = _frozen_payload(payload if symbols is None else symbols, (self.z,),
                                self.field, "a repair share")
         object.__setattr__(self, "payload", data)
@@ -390,8 +396,6 @@ def encode_generation(
 
 def serve_repair(state: CodedNodeState, target_gamma: int) -> RepairShare:
     """The linear combination this node sends to the node at target_gamma."""
-    if target_gamma == state.gamma:
-        raise ValueError("a node cannot serve a repair share to itself")
     f = state.field
     tv = f.vandermonde_row(target_gamma, state.alpha)
     (symbols,) = f.matmul([tv], state.payload)
@@ -444,8 +448,6 @@ def bootstrap_node(shares: list[RepairShare], target_gamma: int, p: int = 0) -> 
         if s.target_gamma != target_gamma:
             raise ValueError("share was produced for a different target")
     setup = DecodeSetup(h.field, [s.gamma for s in shares], alpha)
-    if target_gamma in setup.xs:
-        raise ValueError("the target cannot be one of its own helpers")
     out = np.empty((alpha, z), np.uint16)
     for part in _slices(z, len(shares), alpha):
         out[:, part] = _decode(setup, np.stack([s.payload[part] for s in shares]), "repair")

@@ -21,6 +21,8 @@ import random
 from dataclasses import dataclass, field as dc_field, fields, replace
 from typing import get_type_hints
 
+import numpy as np
+
 from . import analytics, codec
 from .errors import DecodeFailure, IntegrityError, ShardUnderflowError
 from .field import Field, parse_field
@@ -362,28 +364,24 @@ def adversary_corrupt(
     Colluding helpers that seed rng identically produce evaluations of the
     same wrong polynomial under 'consistent-wrong-polynomial'.
     """
-    f = share.field
-    q = f.order
-    z = share.z
-    original = list(share.symbols)
+    f, q, z, original = share.field, share.field.order, share.z, share.payload
     if strategy == "zero-out":
-        symbols = [0] * z
+        symbols = np.zeros(z, np.uint16)
     elif strategy == "flip-random-symbols":
         while True:
-            symbols = original[:]
-            count = rng.randint(1, z)
-            for pos in rng.sample(range(z), count):
-                symbols[pos] = rng.randrange(q)
-            if symbols != original:
+            positions = rng.sample(range(z), rng.randint(1, z))
+            symbols = original.copy()
+            symbols[positions] = [rng.randrange(q) for _ in positions]
+            if not np.array_equal(symbols, original):
                 break
     elif strategy == "consistent-wrong-polynomial":
-        symbols = [
-            f.poly_eval([rng.randrange(q) for _ in range(share.alpha)], share.gamma)
-            for _ in range(z)
-        ]
+        # Row s holds the alpha coefficients of stripe s's wrong polynomial.
+        coeffs = np.array([rng.randrange(q) for _ in range(z * share.alpha)], np.int64)
+        coeffs = coeffs.reshape(z, share.alpha)
+        (symbols,) = f.matmul([f.vandermonde_row(share.gamma, share.alpha)], coeffs.T)
     else:
         raise ValueError(f"unknown corruption strategy {strategy!r}")
-    return replace(share, symbols=tuple(symbols))
+    return replace(share, symbols=symbols)
 
 
 @dataclass(frozen=True)

@@ -257,6 +257,31 @@ def test_bootstrap_header_mismatch_exit_2(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+def test_self_targeted_share_exit_2(tmp_path, capsys):
+    write_blocks(tmp_path / "blocks", [b"abcd"] * 5)
+    state, share = tmp_path / "n1.srb", tmp_path / "s1.srb"
+    encode = ["encode", "--blocks", str(tmp_path / "blocks"), "--k", "2", "--alpha", "3",
+              "--gamma", "1", "--block-size", "4", "--out", str(state)]
+    assert main(encode) == 0
+    def serve(target):
+        return main(["serve-repair", "--state", str(state), "--target-gamma", target,
+                     "--out", str(share)])
+
+    assert serve("1") == 2
+    assert "a node cannot serve a repair share to itself" in capsys.readouterr().err
+    assert not share.exists()
+    assert serve("4") == 0
+    data = bytearray(share.read_bytes())  # the target gamma word ends the header
+    end = codec.share_header_size(5)
+    data[end - 4 : end] = (1).to_bytes(4, "little")
+    share.write_bytes(bytes(data))
+    capsys.readouterr()
+    rc = main(["bootstrap", "--target-gamma", "1", "--shares", str(share), str(share), str(share),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "a node cannot serve a repair share to itself" in capsys.readouterr().err
+
+
 def test_metrics_reference_example(capsys):
     assert main(["metrics", "--paper-example"]) == 0
     text = capsys.readouterr().out

@@ -273,6 +273,23 @@ def test_bootstrap_rejects_one_helper_given_twice():
         codec.bootstrap_node(shares, 9, p=0)
 
 
+def test_self_targeted_share_rejected():
+    """Every share names a target other than its helper, however it is built."""
+    f = binary_field(16)
+    state = codec.encode_generation([b"ab"] * 5, 1, MbrParams(2, 3), f, block_size=2)
+    share = codec.serve_repair(state, 4)
+    message = "a node cannot serve a repair share to itself"
+    with pytest.raises(ValueError, match=message):
+        codec.serve_repair(state, 1)
+    with pytest.raises(ValueError, match=message):
+        codec.RepairShare(field=f, k=2, alpha=3, gamma=4, generation=0, block_size=2, z=1,
+                          pad_lengths=(2,) * 5, target_gamma=4, symbols=(0,))
+    with pytest.raises(ValueError, match=message):
+        replace(share, gamma=share.target_gamma)
+    with pytest.raises(ValueError, match=message):
+        replace(share, target_gamma=share.gamma)
+
+
 def test_reconstruct_rejects_one_state_given_twice():
     f = binary_field(16)
     params = MbrParams(2, 3, n=6, p=1)
@@ -291,7 +308,7 @@ def test_reconstruct_rejects_one_state_given_twice():
         (lambda states: codec.bootstrap_node(
             [replace(codec.serve_repair(states[0], 9), gamma=9)]  # a share file claiming gamma 9
             + [codec.serve_repair(states[g], 9) for g in (1, 2)], 9),
-         "the target cannot be one of its own helpers"),
+         "a node cannot serve a repair share to itself"),
         (lambda states: codec.reconstruct_generation(states[:3], p=1), r"need k \+ 2p = 4 states, got 3"),
         (lambda states: codec.bootstrap_node([], 9), "no shares supplied"),
         (lambda states: codec.reconstruct_generation([]), "no states supplied"),
@@ -520,12 +537,13 @@ def _put_u32(data, off, value):
          r"4 pad lengths; \(k, alpha\) = \(2, 3\) needs L = 5"),
         ("state", lambda d: _put_u32(d, GAMMA, 1 << 16), "65536 is not an element of"),
         ("share", lambda d: _put_u32(d, PADS + 20, 1 << 16), "65536 is not an element of"),
+        ("share", lambda d: _put_u32(d, PADS + 20, 1), "a node cannot serve a repair share to itself"),
         ("state", lambda d: _put_u32(d, BLOCK_SIZE, 8), r"Z=2 does not match block_size=8 \(Z=4\)"),
         ("state", lambda d: _put_u32(_put_u32(d, PADS + 4, 7), PADS + 12, 9),
          r"pad length 7 is outside \[0, block_size=4\]"),
     ],
-    ids=["pad-over-block-size", "count-not-L", "gamma", "target-gamma", "z-not-block-size",
-         "first-of-two-pads-over-block-size"],
+    ids=["pad-over-block-size", "count-not-L", "gamma", "target-gamma", "target-is-helper",
+         "z-not-block-size", "first-of-two-pads-over-block-size"],
 )
 def test_invalid_header_rejected(what, patch, message):
     """Each patch leaves a well-formed file whose header breaks one rule."""

@@ -6,7 +6,7 @@ import pytest
 
 from srb import codec
 from srb.errors import DecodeFailure, IntegrityError, ShardUnderflowError
-from srb.field import binary_field
+from srb.field import binary_field, parse_field
 from srb.mbr import MbrParams
 from srb.sim import (
     NodeRecord,
@@ -225,6 +225,29 @@ def test_adversary_flip_always_changes_something():
     for seed in range(100):
         got = adversary_corrupt(share, "flip-random-symbols", random.Random(seed))
         assert got.symbols != share.symbols
+
+
+@pytest.mark.parametrize("spec", ["binary:16", "prime:257"])
+def test_adversary_flip_random_symbols_matches_scalar_loop(spec):
+    """The same draws in the same order give the symbols of the per-symbol loop."""
+
+    def scalar_flip(symbols, q, rng):
+        while True:
+            out = list(symbols)
+            for pos in rng.sample(range(len(out)), rng.randint(1, len(out))):
+                out[pos] = rng.randrange(q)
+            if out != list(symbols):
+                return tuple(out)
+
+    f = parse_field(spec)
+    params = MbrParams(2, 3)
+    rng = random.Random(spec)
+    blocks = [rng.randbytes(24) for _ in range(params.message_length)]
+    share = codec.serve_repair(codec.encode_generation(blocks, 1, params, f, block_size=24), 7)
+    for seed in range(20):
+        got = adversary_corrupt(share, "flip-random-symbols", random.Random(seed))
+        assert got.symbols == scalar_flip(share.symbols, f.order, random.Random(seed))
+        assert (got.gamma, got.target_gamma) == (share.gamma, share.target_gamma)
 
 
 def test_adversary_consistent_wrong_polynomial_collusion():
