@@ -46,15 +46,11 @@ class MbrParams:
             raise ValueError("alpha must be >= k")
         if self.p < 0:
             raise ValueError("p must be >= 0")
-        if self.n is not None:
-            if self.alpha + 2 * self.p > self.n - 1:
-                raise ValueError(
-                    f"repair degree alpha+2p={self.alpha + 2 * self.p} needs n-1 helpers, n={self.n}"
-                )
-            if self.k + 2 * self.p > self.n:
-                raise ValueError(
-                    f"reconstruction degree k+2p={self.k + 2 * self.p} exceeds n={self.n}"
-                )
+        # With k <= alpha, this also keeps the reconstruction degree k+2p below n.
+        if self.n is not None and self.alpha + 2 * self.p > self.n - 1:
+            raise ValueError(
+                f"repair degree alpha+2p={self.alpha + 2 * self.p} needs n-1 helpers, n={self.n}"
+            )
 
     @property
     def d(self) -> int:

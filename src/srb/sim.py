@@ -311,9 +311,13 @@ def epoch_reconfigure(
     """Apply one epoch of churn and emit the reference block.
 
     Raises ShardUnderflowError as soon as any shard drops below alpha + 2p
-    members, the minimum needed to serve a repair: checked after each leave
-    and after the joins.  Every epoch ends at or above the floor, and a leave
-    shrinks only the victim's shard, so the shard named is the one that fell.
+    members: checked after each leave and after the joins.  Every epoch ends
+    at or above the floor, and a leave shrinks only the victim's shard, so the
+    shard named is the one that fell.  The floor does not promise a repair: a
+    bootstrap needs alpha + 2p holders of the generation other than the
+    joiner, and cuckoo displacement can leave a shard that passes the floor
+    short of them, even with no malicious node; _bootstrap_one raises
+    ShardUnderflowError then.
     """
     floor = net.config.params.repair_degree
     randomness = rng.getrandbits(64)
@@ -327,8 +331,6 @@ def epoch_reconfigure(
 
     left = []
     for _ in range(leaves):
-        if not net.nodes:
-            break
         victim_id = rng.choice(sorted(net.nodes))
         del net.nodes[victim_id]
         left.append(victim_id)
@@ -431,21 +433,6 @@ class SimReport:
     metrics: analytics.MetricsReport
 
 
-def _measured_storage(net: Network) -> tuple[int, int]:
-    totals = [sum(len(b) for b in n.states.values()) for n in net.nodes.values()]
-    if not totals:
-        return 0, 0
-    return min(totals), max(totals)
-
-
-def _expected_storage(net: Network) -> tuple[int, ...]:
-    cfg = net.config
-    sb = codec.stored_symbol_bytes(net.field)
-    z = codec.symbols_per_block(net.field, cfg.block_size)
-    per_state = cfg.alpha * z * sb + codec.state_header_size(cfg.generation_blocks)
-    return tuple(gens * per_state for gens in net.generations_done)
-
-
 def _bootstrap_one(
     net: Network,
     rec: NodeRecord,
@@ -514,10 +501,10 @@ def run_simulation(config: SimConfig) -> SimReport:
     sb = codec.stored_symbol_bytes(net.field)
     z = codec.symbols_per_block(net.field, config.block_size)
     share_payload = z * sb
+    state_bytes = config.alpha * share_payload + codec.state_header_size(l_blocks)
 
     epoch_stats = []
     events: list[BootstrapEvent] = []
-    total_joins = total_leaves = 0
 
     for epoch in range(config.epochs):
         ref, churn = epoch_reconfigure(
@@ -527,8 +514,6 @@ def run_simulation(config: SimConfig) -> SimReport:
             joins=config.joins_per_epoch,
             leaves=config.leaves_per_epoch,
         )
-        total_joins += len(churn.joined)
-        total_leaves += len(churn.left)
         displaced = sum(len(j.displaced) for j in churn.joined)
         shard_moves = sum(
             1 for j in churn.joined for _, old, new in j.displaced if old != new
@@ -575,7 +560,7 @@ def run_simulation(config: SimConfig) -> SimReport:
                 f"epoch {epoch}: shard balance ratio {balance:.3f} exceeds "
                 f"limit {config.balance_ratio_limit}"
             )
-        lo, hi = _measured_storage(net)
+        stored = [sum(len(b) for b in n.states.values()) for n in net.nodes.values()]
         epoch_stats.append(
             EpochStats(
                 epoch=epoch,
@@ -592,9 +577,11 @@ def run_simulation(config: SimConfig) -> SimReport:
                 bootstrap_payload_bytes=sum(e.payload_bytes for e in epoch_events),
                 bootstrap_header_bytes=sum(e.header_bytes for e in epoch_events),
                 generations_done=tuple(net.generations_done),
-                storage_total_min=lo,
-                storage_total_max=hi,
-                expected_storage_per_node=_expected_storage(net),
+                storage_total_min=min(stored),
+                storage_total_max=max(stored),
+                expected_storage_per_node=tuple(
+                    gens * state_bytes for gens in net.generations_done
+                ),
                 expected_bootstrap_payload_per_generation=config.params.repair_degree
                 * share_payload,
                 balance_ratio=balance,
@@ -620,8 +607,8 @@ def run_simulation(config: SimConfig) -> SimReport:
         config=config,
         epochs=tuple(epoch_stats),
         bootstrap_events=tuple(events),
-        total_joins=total_joins,
-        total_leaves=total_leaves,
+        total_joins=sum(st.joins for st in epoch_stats),
+        total_leaves=sum(st.leaves for st in epoch_stats),
         total_bootstraps=len(events),
         total_bootstrap_failures=sum(1 for e in events if not e.ok),
         metrics=metrics,

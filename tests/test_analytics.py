@@ -120,6 +120,10 @@ def test_hoeffding_examples():
         an.hoeffding_bound(10, 6, 5, 3)  # r = 0.6 <= g = 0.6
     with pytest.raises(ValueError):
         an.hoeffding_bound(10, 4, 0, 0)  # r = t/n is undefined for an empty sample
+    with pytest.raises(ValueError, match="need 0 <= malicious <= population"):
+        an.hoeffding_bound(10, 11, 5, 3)
+    with pytest.raises(ValueError, match="need 0 <= threshold <= sample <= population"):
+        an.hoeffding_bound(10, 4, 5, 6)
 
 
 def test_hoeffding_dominates_hypergeom():
@@ -146,6 +150,8 @@ def test_failure_upper_bound():
     assert an.failure_upper_bound(10, 0.5) == 1.0  # clamped
     with pytest.raises(ValueError):
         an.failure_upper_bound(2, 1.5)
+    with pytest.raises(ValueError, match="p_bootstrap must be in"):
+        an.failure_upper_bound(2, 0.5, p_bootstrap=2)
 
 
 def test_throughput_example():
@@ -177,6 +183,8 @@ def test_throughput_resiliency_exhausted():
         an.throughput_factor(params, alpha=50)  # the published example regime
     with pytest.raises(ValueError):
         an.throughput_factor(an.ProtocolParams(total_nodes=1), alpha=0)
+    with pytest.raises(ValueError, match="need v > 0"):
+        an.throughput_factor(an.ProtocolParams(total_nodes=16000, v=0), alpha=0)
 
 
 def test_encoding_cost():
@@ -205,6 +213,11 @@ def test_k_above_alpha_rejected():
         an.ProtocolParams(n_s=10, total_blocks=5, k=5, alpha=3)
     with pytest.raises(ValueError, match="alpha must be >= k"):
         an.ProtocolParams(k=5, alpha=3)
+
+
+def test_unknown_protocol_rejected():
+    with pytest.raises(ValueError, match="unknown protocol 'srb2'"):
+        an.ProtocolParams(protocol="srb2")
 
 
 def test_table1_reference_example():

@@ -60,20 +60,26 @@ def test_encode_wrong_file_count_exit_2(tmp_path, capsys):
 
 
 def test_encode_invalid_params_exit_2(tmp_path, capsys):
-    write_blocks(tmp_path / "blocks", [b"x"] * 15)  # k * alpha blocks, more than L = 5
-    rc = main(
-        [
-            "encode",
-            "--blocks", str(tmp_path / "blocks"),
-            "--k", "5",
-            "--alpha", "3",
-            "--gamma", "0",
-            "--block-size", "1",
-            "--out", str(tmp_path / "o"),
-        ]
-    )
-    assert rc == 2
-    assert "alpha must be >= k" in capsys.readouterr().err
+    cases = [
+        # k * alpha blocks, more than L = 5: (k, alpha) is refused before the count
+        (15, "5", "3", "1", "alpha must be >= k"),
+        (1, "1", "1", "-1", "block_size must be >= 0"),
+    ]
+    for count, k, alpha, block_size, message in cases:
+        write_blocks(tmp_path / f"blocks{count}", [b"x"] * count)
+        rc = main(
+            [
+                "encode",
+                "--blocks", str(tmp_path / f"blocks{count}"),
+                "--k", k,
+                "--alpha", alpha,
+                "--gamma", "0",
+                "--block-size", block_size,
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 def test_encode_generation_out_of_range_exit_2(tmp_path, capsys):
@@ -319,6 +325,9 @@ def test_metrics_custom_params(capsys):
         ([], "total_blocks must be > 0"),
         (["--shard-nodes", "10", "--blocks", "5", "--k", "5", "--alpha", "3"],
          "alpha must be >= k"),
+        (["--blocks", "30", "--delta", "1"], "delta must be in (0, 1)"),
+        (["--blocks", "30", "--p-frac", "1"], "p_frac must be in [0, 1)"),
+        (["--blocks", "30", "--malicious", "-1"], "malicious must be >= 0"),
     ],
 )
 def test_metrics_invalid_params_exit_2(argv, message, capsys):
@@ -453,14 +462,39 @@ def test_simulate_malformed_config_exit_2(tmp_path, capsys, extra, message):
     assert "Traceback" not in err
 
 
-def test_simulate_shard_underflow_exit_4(tmp_path, capsys):
-    """Five leaves from a shard of 8 leave 3 < alpha + 2p = 4 holders: an invariant breach."""
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        # five leaves from a shard of 8 leave 3 < alpha + 2p = 4 members
+        ("total_nodes=8 shards=1 k=2 alpha=2 p=1 leaves_per_epoch=5 epochs=1",
+         "shard 0 dropped to 3 < alpha + 2p = 4"),
+        # no malicious node: cuckoo displacement leaves shard 0 with 7 members,
+        # above alpha + 2p = 2, but one holder of generation 0
+        ("total_nodes=24 shards=3 k=2 alpha=2 p=0 block_size=64 blocks_per_epoch=3 "
+         "joins_per_epoch=2 leaves_per_epoch=1 cuckoo_eps=0.3 seed=44 epochs=4 "
+         "field_spec=prime:257",
+         "shard 0 lacks alpha + 2p = 2 helpers holding generation 0"),
+    ],
+    ids=["below-floor", "zero-liar-helper-shortfall"],
+)
+def test_simulate_shard_underflow_exit_4(tmp_path, capsys, settings, message):
+    """A shard that cannot serve its members is an invariant breach."""
     config = tmp_path / "sim.cfg"
-    config.write_text("config_version=1\ntotal_nodes=8\nshards=1\nk=2\nalpha=2\np=1\n"
-                      "leaves_per_epoch=5\nepochs=1\n")
+    config.write_text("config_version=1\n" + settings.replace(" ", "\n") + "\n")
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.txt")]) == 4
     err = capsys.readouterr().err
-    assert "error: shard 0 dropped to 3 < alpha + 2p = 4" in err
+    assert f"error: {message}" in err.splitlines()
+    assert "Traceback" not in err
+
+
+def test_simulate_coefficient_space_exhausted_exit_4(tmp_path, capsys):
+    """Joins in a shard of GF(13) outrun its 13 never-reused coefficients."""
+    config = tmp_path / "sim.cfg"
+    config.write_text("config_version=1\ntotal_nodes=10\nshards=1\nk=1\nalpha=1\np=0\n"
+                      "block_size=16\njoins_per_epoch=2\nepochs=3\nfield_spec=prime:13\n")
+    assert main(["simulate", "--config", str(config)]) == 4
+    err = capsys.readouterr().err
+    assert "error: shard 0 exhausted the coefficient space of Field(prime:13)" in err.splitlines()
     assert "Traceback" not in err
 
 

@@ -337,6 +337,10 @@ def test_parse_field():
     assert parse_field("binary:4:0x13") == binary_field(4, 0x13)
     with pytest.raises(ValueError):
         parse_field("gf:13")
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        parse_field("binary:0")
+    with pytest.raises(ValueError, match="no default reduction polynomial for degree 5"):
+        parse_field("binary:5")
 
 
 def test_field_cache_returns_same_object():
@@ -413,6 +417,8 @@ def test_matmul_rejects_non_integer_entries(f):
         f.matmul(np.array([[1.0]]), [[1, 2]])
     with pytest.raises(ValueError):
         f.matmul([[1]], [[1 << 64]])  # an object array
+    with pytest.raises(ValueError, match="data must be 2-dimensional"):
+        f.matmul([[1]], [1])
     # empty operands hold no entries to reject, whatever their dtype
     assert f.matmul([], np.zeros((2, 3), np.uint16)).shape == (0, 3)
     assert f.matmul([[1, 1]], np.zeros((2, 0))).shape == (1, 0)

@@ -57,6 +57,23 @@ def test_params_validation():
     assert p.d == 4 and p.repair_degree == 6 and p.reconstruct_degree == 5
 
 
+def test_reconstruct_degree_above_n_is_refused_by_the_other_rules():
+    """k <= alpha and alpha + 2p <= n - 1 imply k + 2p < n, so no rule of its own checks it."""
+    grid = itertools.product(range(-1, 7), range(-1, 9), range(-1, 4), range(22))
+    refused = 0
+    for k, alpha, p, n in grid:
+        if k + 2 * p <= n:
+            continue
+        with pytest.raises(ValueError) as exc:
+            MbrParams(k, alpha, n=n, p=p)
+        if k >= 1 and p >= 0:
+            refused += 1
+            assert str(exc.value) == "alpha must be >= k" or str(exc.value).startswith(
+                f"repair degree alpha+2p={alpha + 2 * p} needs n-1 helpers"
+            )
+    assert refused > 0
+
+
 def test_message_length():
     assert message_length(3, 4) == 9
     assert message_length(30, 50) == 1065

@@ -372,3 +372,5 @@ def test_poly_divmod():
     assert rem != []
     quot, rem = poly_divmod(f, [], [1, 1])
     assert quot == [] and rem == []
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(f, [1, 1], [0, 0])

@@ -51,6 +51,14 @@ def test_config_validation():
         small_config(strategy="nonsense")
     with pytest.raises(ValueError):
         small_config(cuckoo_eps=1.0)
+    with pytest.raises(ValueError, match="need at least one shard"):
+        small_config(shards=0)
+    with pytest.raises(ValueError, match="malicious count out of range"):
+        small_config(malicious=13, cap_malicious_per_shard=False)
+    with pytest.raises(ValueError, match="epochs must be >= 0"):
+        small_config(epochs=-1)
+    with pytest.raises(ValueError, match="per-epoch rates must be >= 0"):
+        small_config(leaves_per_epoch=-1)
     small_config(malicious=1, cap_malicious_per_shard=False)
 
 
