@@ -29,8 +29,12 @@ The pad-length words record each block's original byte length so that
 de-striping is exact.
 
 Every header is untrusted input (up to p helpers are Byzantine), so
-GenerationHeader, and RepairShare for the target gamma, check it whenever
-one is built, parsed or replaced:
+GenerationHeader, and RepairShare for the target gamma, check every rule
+below whenever one is built by its constructor, parsed or replaced; derived
+objects keep the checked header.  encode_nodes' states after the first,
+serve_repair's share and bootstrap_node's state take their header fields
+from an object that passed the checks, and only the gamma (and a share's
+target gamma) that they set afresh is checked again:
   - (k, alpha) are valid MBR parameters (1 <= k <= alpha) and fit u16;
   - gamma, and a share's target gamma, are elements of the field;
   - a share's target gamma differs from its helper gamma;
@@ -176,7 +180,9 @@ class GenerationHeader:
     """The generation a node state or repair share belongs to, and its gamma.
 
     Every instance is a valid header: __post_init__ runs on construction, on
-    parse and on dataclasses.replace, and is the one place that decides.
+    parse and on dataclasses.replace, and is the one place that decides.  A
+    subclass object derived by _derived copies the fields of a header that
+    passed it, so only its new gamma needs checking again.
     """
 
     field: Field
@@ -187,6 +193,20 @@ class GenerationHeader:
     block_size: int
     z: int
     pad_lengths: tuple[int, ...]
+
+    @classmethod
+    def _derived(cls, source: GenerationHeader, gamma: int, *rest):
+        """A cls on source's checked header, with gamma as its gamma.
+
+        Only gamma is checked again; _finish(*rest) sets and checks the
+        rest, as the constructor does.
+        """
+        obj = cls.__new__(cls)
+        for name in _HEADER_FIELDS:
+            object.__setattr__(obj, name, getattr(source, name))
+        object.__setattr__(obj, "gamma", source.field.check(gamma))
+        obj._finish(*rest)
+        return obj
 
     def __post_init__(self):
         want_l = MbrParams(self.k, self.alpha).message_length
@@ -263,8 +283,10 @@ class CodedNodeState(GenerationHeader):
 
     def __init__(self, *, blocks=None, payload=None, **header):
         super().__init__(**header)
-        data = _frozen_payload(payload if blocks is None else blocks, (self.alpha, self.z),
-                               self.field, "a node state")
+        self._finish(payload if blocks is None else blocks)
+
+    def _finish(self, blocks):
+        data = _frozen_payload(blocks, (self.alpha, self.z), self.field, "a node state")
         object.__setattr__(self, "payload", data)
 
     @property
@@ -295,11 +317,13 @@ class RepairShare(GenerationHeader):
 
     def __init__(self, *, target_gamma, symbols=None, payload=None, **header):
         super().__init__(**header)
+        self._finish(target_gamma, payload if symbols is None else symbols)
+
+    def _finish(self, target_gamma, symbols):
         object.__setattr__(self, "target_gamma", self.field.check(target_gamma))
         if self.target_gamma == self.gamma:
             raise ValueError("a node cannot serve a repair share to itself")
-        data = _frozen_payload(payload if symbols is None else symbols, (self.z,),
-                               self.field, "a repair share")
+        data = _frozen_payload(symbols, (self.z,), self.field, "a repair share")
         object.__setattr__(self, "payload", data)
 
     @property
@@ -372,10 +396,11 @@ def encode_nodes(
         if k < alpha:
             right = stripes.symbols[[row[k:] for row in grid[:k]]].reshape(k, (alpha - k) * z)
             coded[:, k:] = field.matmul([psi[:k] for psi in psis], right).reshape(n, alpha - k, z)
-    header = dict(field=field, k=k, alpha=alpha, generation=generation,
-                  block_size=block_size, z=z, pad_lengths=stripes.pad_lengths)
-    return [CodedNodeState(**header, gamma=gamma, blocks=coded[i])
-            for i, gamma in enumerate(gammas)]
+    first = CodedNodeState(field=field, k=k, alpha=alpha, gamma=gammas[0],
+                           generation=generation, block_size=block_size, z=z,
+                           pad_lengths=stripes.pad_lengths, blocks=coded[0])
+    return [first] + [CodedNodeState._derived(first, gamma, coded[i])
+                      for i, gamma in enumerate(gammas[1:], 1)]
 
 
 def encode_generation(
@@ -399,7 +424,7 @@ def serve_repair(state: CodedNodeState, target_gamma: int) -> RepairShare:
     f = state.field
     tv = f.vandermonde_row(target_gamma, state.alpha)
     (symbols,) = f.matmul([tv], state.payload)
-    return RepairShare(**_header_of(state), target_gamma=target_gamma, symbols=symbols)
+    return RepairShare._derived(state, state.gamma, target_gamma, symbols)
 
 
 def _common_header(items: list[GenerationHeader], what: str) -> GenerationHeader:
@@ -451,7 +476,7 @@ def bootstrap_node(shares: list[RepairShare], target_gamma: int, p: int = 0) -> 
     out = np.empty((alpha, z), np.uint16)
     for part in _slices(z, len(shares), alpha):
         out[:, part] = _decode(setup, np.stack([s.payload[part] for s in shares]), "repair")
-    return CodedNodeState(**_header_of(h, gamma=target_gamma), blocks=out)
+    return CodedNodeState._derived(h, target_gamma, out)
 
 
 def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[bytes]:

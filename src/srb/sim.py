@@ -137,14 +137,19 @@ class SimConfig:
 
 @dataclass
 class NodeRecord:
-    """One live node: overlay position, shard, coefficient, stored state."""
+    """One live node: overlay position, shard, coefficient, stored state.
+
+    states maps each generation the node holds to its CodedNodeState, kept as
+    built (checked once by codec) and served from directly; the bytes it
+    stores are its header_bytes() + payload_bytes(), the length of its file.
+    """
 
     node_id: int
     position: float
     shard: int
     gamma: int
     malicious: bool
-    states: dict[int, bytes] = dc_field(default_factory=dict)  # generation -> file bytes
+    states: dict[int, codec.CodedNodeState] = dc_field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -187,10 +192,12 @@ class Network:
     pending: list[list[bytes]]          # per shard, blocks awaiting encoding
     generation_blocks: dict[tuple[int, int], list[bytes]]  # verification oracle
 
-    def shard_members(self, shard: int) -> list[NodeRecord]:
-        return sorted(
-            (n for n in self.nodes.values() if n.shard == shard), key=lambda n: n.node_id
-        )
+    def shard_members(self) -> list[list[NodeRecord]]:
+        """Each shard's members in node_id order, from one pass over the nodes."""
+        members: list[list[NodeRecord]] = [[] for _ in range(self.config.shards)]
+        for n in sorted(self.nodes.values(), key=lambda n: n.node_id):
+            members[n.shard].append(n)
+        return members
 
     def shard_sizes(self) -> list[int]:
         sizes = [0] * self.config.shards
@@ -345,15 +352,11 @@ def epoch_reconfigure(
         joined.append(cuckoo_join(net, node, rng))
     check_floor()
 
+    # Network.alloc_gamma never hands a shard's coefficient out twice, so the
+    # gammas of a shard's entries are distinct.
     entries = tuple(
         (n.node_id, n.shard, n.gamma) for n in sorted(net.nodes.values(), key=lambda n: n.node_id)
     )
-    per_shard: dict[int, set[int]] = {}
-    for _, shard, gamma in entries:
-        bucket = per_shard.setdefault(shard, set())
-        if gamma in bucket:
-            raise IntegrityError(f"duplicate coefficient {gamma} in shard {shard}")
-        bucket.add(gamma)
     block = ReferenceBlock(epoch, randomness, entries)
     return block, ChurnSummary(tuple(joined), tuple(left))
 
@@ -435,18 +438,16 @@ class SimReport:
 
 def _bootstrap_one(
     net: Network,
+    members: list[NodeRecord],
     rec: NodeRecord,
     generation: int,
     epoch: int,
     helper_rng: random.Random,
 ) -> BootstrapEvent:
+    """Bootstrap rec's state of generation from helpers among members, rec's shard."""
     cfg = net.config
     need = cfg.params.repair_degree
-    pool = [
-        n
-        for n in net.shard_members(rec.shard)
-        if n.node_id != rec.node_id and generation in n.states
-    ]
+    pool = [n for n in members if n.node_id != rec.node_id and generation in n.states]
     if len(pool) < need:
         raise ShardUnderflowError(
             f"shard {rec.shard} lacks alpha + 2p = {need} helpers holding generation {generation}"
@@ -456,8 +457,7 @@ def _bootstrap_one(
     shares = []
     corrupted = 0
     for helper in helpers:
-        state = codec.state_from_bytes(helper.states[generation])
-        share = codec.serve_repair(state, rec.gamma)
+        share = codec.serve_repair(helper.states[generation], rec.gamma)
         if helper.malicious:
             corrupted += 1
             share = adversary_corrupt(share, cfg.strategy, random.Random(event_seed))
@@ -485,7 +485,7 @@ def _bootstrap_one(
             f"bootstrap of node {rec.node_id} failed with only {corrupted} <= p corrupt shares"
         )
     if ok:
-        rec.states[generation] = codec.state_to_bytes(state)
+        rec.states[generation] = state
     return BootstrapEvent(
         epoch, rec.node_id, rec.shard, generation, ok, corrupted, payload, headers
     )
@@ -514,6 +514,8 @@ def run_simulation(config: SimConfig) -> SimReport:
             joins=config.joins_per_epoch,
             leaves=config.leaves_per_epoch,
         )
+        # Membership stays fixed for the rest of the epoch.
+        members = net.shard_members()
         displaced = sum(len(j.displaced) for j in churn.joined)
         shard_moves = sum(
             1 for j in churn.joined for _, old, new in j.displaced if old != new
@@ -529,7 +531,7 @@ def run_simulation(config: SimConfig) -> SimReport:
             rec = net.nodes[node_id]
             for generation in range(net.generations_done[rec.shard]):
                 epoch_events.append(
-                    _bootstrap_one(net, rec, generation, epoch, helper_rng)
+                    _bootstrap_one(net, members[rec.shard], rec, generation, epoch, helper_rng)
                 )
 
         for shard in range(config.shards):
@@ -538,17 +540,16 @@ def run_simulation(config: SimConfig) -> SimReport:
                 if len(net.pending[shard]) == l_blocks:
                     generation = net.generations_done[shard]
                     blocks = net.pending[shard]
-                    members = net.shard_members(shard)
                     states = codec.encode_nodes(
                         blocks,
-                        [member.gamma for member in members],
+                        [member.gamma for member in members[shard]],
                         config.params,
                         net.field,
                         generation=generation,
                         block_size=config.block_size,
                     )
-                    for member, state in zip(members, states):
-                        member.states[generation] = codec.state_to_bytes(state)
+                    for member, state in zip(members[shard], states):
+                        member.states[generation] = state
                     net.generation_blocks[(shard, generation)] = blocks
                     net.generations_done[shard] += 1
                     net.pending[shard] = []
@@ -560,7 +561,8 @@ def run_simulation(config: SimConfig) -> SimReport:
                 f"epoch {epoch}: shard balance ratio {balance:.3f} exceeds "
                 f"limit {config.balance_ratio_limit}"
             )
-        stored = [sum(len(b) for b in n.states.values()) for n in net.nodes.values()]
+        stored = [sum(s.header_bytes() + s.payload_bytes() for s in n.states.values())
+                  for n in net.nodes.values()]
         epoch_stats.append(
             EpochStats(
                 epoch=epoch,

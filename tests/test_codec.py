@@ -6,7 +6,9 @@ import pytest
 
 from srb import codec, field, rs
 from srb.errors import DecodeFailure, IntegrityError
-from srb.field import FIELD_CACHE_SIZE, binary_field, gf2_is_irreducible, is_prime, prime_field
+from srb.field import (
+    FIELD_CACHE_SIZE, binary_field, gf2_is_irreducible, is_prime, parse_field, prime_field,
+)
 from srb.mbr import MbrParams, build_message_matrix, encode_node, repair_share
 
 
@@ -728,3 +730,83 @@ def test_payload_symbol_outside_the_field_is_rejected(f, bad):
         replace(state, blocks=np.array(((0,), (bad,))))
     with pytest.raises(ValueError):
         replace(share, symbols=(bad,))
+
+
+DERIVED_SPECS = ["binary:8", "binary:16", "prime:65521"]
+
+
+def _derived_objects(spec):
+    """encode_nodes' later states, a served share and a bootstrapped state.
+
+    Each is built on the header of an object that passed every check.
+    """
+    f = parse_field(spec)
+    params = MbrParams(2, 3, n=6, p=1)  # alpha = 3, L = 5
+    blocks = [random.Random(spec).randbytes(n) for n in (4, 0, 3, 4, 1)]
+    states = codec.encode_nodes(blocks, [1, 2, 3, 4, 5, 6], params, f, generation=9, block_size=4)
+    share = codec.serve_repair(states[1], 7)
+    booted = codec.bootstrap_node([codec.serve_repair(s, 7) for s in states[1:]], 7, p=1)
+    return f, params, blocks, states[1:] + [share, booted]
+
+
+@pytest.mark.parametrize("spec", DERIVED_SPECS)
+def test_derived_objects_equal_and_hash_as_their_checked_constructions(spec):
+    f, params, blocks, derived = _derived_objects(spec)
+    for obj in derived:
+        to_bytes, from_bytes = ((codec.state_to_bytes, codec.state_from_bytes)
+                                if isinstance(obj, codec.CodedNodeState)
+                                else (codec.share_to_bytes, codec.share_from_bytes))
+        for checked in (replace(obj), from_bytes(to_bytes(obj))):
+            assert checked == obj and hash(checked) == hash(obj)
+            assert to_bytes(checked) == to_bytes(obj)
+        if isinstance(obj, codec.CodedNodeState):
+            direct = codec.encode_generation(blocks, obj.gamma, params, f, generation=9,
+                                             block_size=4)
+            assert direct == obj and hash(direct) == hash(obj)
+
+
+@pytest.mark.parametrize("spec", DERIVED_SPECS)
+def test_replace_on_derived_objects_checks_every_header_rule(spec):
+    f, _, _, derived = _derived_objects(spec)
+    z = derived[0].z
+    rules = [
+        ({"k": 0}, "k must be >= 1"),
+        ({"k": 4}, "alpha must be >= k"),
+        ({"alpha": 70000}, "alpha=70000 does not fit a u16 header field"),
+        ({"gamma": f.order}, f"{f.order} is not an element of"),
+        ({"generation": -1}, "generation=-1 does not fit a u32 header field"),
+        ({"generation": 1 << 32}, "generation=4294967296 does not fit a u32 header field"),
+        ({"block_size": 1 << 32}, "block_size=4294967296 does not fit a u32 header field"),
+        ({"z": z + 1}, rf"Z={z + 1} does not match block_size=4 \(Z={z}\)"),
+        ({"pad_lengths": (4,) * 4}, r"4 pad lengths; \(k, alpha\) = \(2, 3\) needs L = 5"),
+        ({"pad_lengths": (4, 5, 0, 0, 0)}, r"pad length 5 is outside \[0, block_size=4\]"),
+    ]
+    for obj in derived:
+        for changes, message in rules:
+            with pytest.raises(ValueError, match=message):
+                replace(obj, **changes)
+
+
+@pytest.mark.parametrize("spec", DERIVED_SPECS)
+def test_self_targeted_share_refused_on_derived_objects(spec):
+    f, _, _, derived = _derived_objects(spec)
+    message = "a node cannot serve a repair share to itself"
+    *states, share, booted = derived
+    for state in states + [booted]:
+        with pytest.raises(ValueError, match=message):
+            codec.serve_repair(state, state.gamma)
+    with pytest.raises(ValueError, match=message):
+        replace(share, target_gamma=share.gamma)
+    with pytest.raises(ValueError, match=message):
+        replace(share, gamma=share.target_gamma)
+    with pytest.raises(ValueError, match=f"{f.order} is not an element of"):
+        codec.serve_repair(states[0], f.order)
+
+
+@pytest.mark.parametrize("spec", DERIVED_SPECS)
+def test_bootstrapped_state_checks_its_new_gamma(spec):
+    """A numpy target equals the shares' int target, but is no field element."""
+    f, _, _, derived = _derived_objects(spec)
+    shares = [codec.serve_repair(state, 7) for state in derived[:5]]
+    with pytest.raises(ValueError, match="is not an element of"):
+        codec.bootstrap_node(shares, np.int64(7), p=1)

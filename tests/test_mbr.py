@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from srb import analytics
+from srb import analytics, mbr
 from srb.errors import DecodeFailure, IntegrityError
 from srb.field import PrimeField, binary_field, prime_field
 from srb.mbr import (
@@ -19,6 +19,7 @@ from srb.mbr import (
     secure_reconstruct,
     secure_repair,
 )
+from srb.rs import rs_decode
 
 
 class CountingField(PrimeField):
@@ -374,6 +375,54 @@ def test_secure_reconstruct_arity_and_duplicates():
         secure_reconstruct(f, rows, params)
     with pytest.raises(ValueError):
         secure_reconstruct(f, [rows[0], rows[0]], params)
+
+
+def _reconstruct_rows_with_two_liars(coord, deltas):
+    """k=2, alpha=3, p=1 rows over GF(13), two of them off by deltas at coord."""
+    f = prime_field(13)
+    params = MbrParams(2, 3, n=6, p=1)
+    m = build_message_matrix(f, [1, 2, 3, 4, 5], params)
+    rows = [encode_node(f, m, g) for g in (1, 2, 3, 4)]
+    for i, delta in enumerate(deltas):
+        symbols = list(rows[i].symbols)
+        symbols[coord] = f.add(symbols[coord], delta)
+        rows[i] = NodeRow(rows[i].gamma, tuple(symbols))
+    return f, rows, params
+
+
+def test_secure_reconstruct_rejects_rows_of_the_wrong_width():
+    f, rows, params = _reconstruct_rows_with_two_liars(0, ())
+    rows[2] = NodeRow(rows[2].gamma, rows[2].symbols[:2])
+    with pytest.raises(ValueError, match=r"^rows must carry alpha = 3 symbols$"):
+        secure_reconstruct(f, rows, params)
+
+
+@pytest.mark.parametrize(
+    "coord, calls", [(2, 1), (0, 2)], ids=["v-step", "u-step"],
+)
+def test_secure_reconstruct_beyond_budget_fails_in_each_step(monkeypatch, coord, calls):
+    """Two liars against p = 1: V's one column (coordinate 2) or U's first (coordinate 0)."""
+    seen = []
+
+    def counting(field, points, dim):
+        seen.append(dim)
+        return rs_decode(field, points, dim)
+
+    monkeypatch.setattr(mbr, "rs_decode", counting)
+    f, rows, params = _reconstruct_rows_with_two_liars(coord, (1, 1))
+    with pytest.raises(
+        DecodeFailure, match=r"^reconstruction failed: error budget exceeded$"
+    ) as info:
+        secure_reconstruct(f, rows, params)
+    assert isinstance(info.value.__cause__, DecodeFailure)
+    assert len(seen) == calls  # the failing decode is the last call
+
+
+def test_secure_reconstruct_refuses_an_asymmetric_u():
+    """Two liars move U's columns to other codewords that disagree off the diagonal."""
+    f, rows, params = _reconstruct_rows_with_two_liars(0, (1, 5))
+    with pytest.raises(IntegrityError, match=r"^recovered U block is not symmetric$"):
+        secure_reconstruct(f, rows, params)
 
 
 def test_reconstruction_identity_any_subset():

@@ -11,6 +11,7 @@ from srb.mbr import MbrParams
 from srb.sim import (
     NodeRecord,
     SimConfig,
+    _draw_position,
     adversary_corrupt,
     cuckoo_join,
     epoch_reconfigure,
@@ -179,16 +180,60 @@ def test_epoch_reconfigure_zero_churn_identity():
     assert len(ref.entries) == len(net.nodes)
 
 
-def test_epoch_reconfigure_joins_get_distinct_gammas():
-    cfg = small_config(joins_per_epoch=2)
+@pytest.mark.parametrize(
+    "kw, seed, epochs",
+    [
+        (dict(joins_per_epoch=2), 13, 5),
+        (dict(total_nodes=24, shards=2, joins_per_epoch=3, leaves_per_epoch=2, cuckoo_eps=0.2),
+         24, 12),
+        (dict(total_nodes=40, shards=4, joins_per_epoch=2, leaves_per_epoch=1, cuckoo_eps=0.3),
+         40, 12),
+        (dict(total_nodes=45, shards=3, malicious=3, p=1, joins_per_epoch=2, leaves_per_epoch=1,
+              cuckoo_eps=0.25), 45, 12),
+    ],
+    ids=["joins-only", "2-shards", "4-shards", "3-shards-capped-malicious"],
+)
+def test_reference_blocks_never_repeat_a_gamma_within_a_shard(kw, seed, epochs):
+    """Through joins, leaves and cuckoo moves, each shard's gammas stay distinct.
+
+    Network.alloc_gamma never hands a shard's coefficient out twice, so
+    epoch_reconfigure does not check this itself.
+    """
+    cfg = small_config(**kw)
     net = initial_network(cfg)
-    rng = random.Random(13)
-    for epoch in range(5):
-        ref, churn = epoch_reconfigure(net, epoch, rng, joins=2)
-        per_shard = {}
-        for _, shard, gamma in ref.entries:
-            assert gamma not in per_shard.setdefault(shard, set())
-            per_shard[shard].add(gamma)
+    rng = random.Random(seed)
+    moves = leaves = 0
+    for epoch in range(epochs):
+        ref, churn = epoch_reconfigure(
+            net, epoch, rng, joins=cfg.joins_per_epoch, leaves=cfg.leaves_per_epoch
+        )
+        moves += sum(old != new for j in churn.joined for _, old, new in j.displaced)
+        leaves += len(churn.left)
+        for shard in range(cfg.shards):
+            gammas = [gamma for _, s, gamma in ref.entries if s == shard]
+            assert len(set(gammas)) == len(gammas)
+    assert moves and leaves == epochs * cfg.leaves_per_epoch  # the churn under test happened
+
+
+def test_draw_position_gives_up_after_100000_draws_into_full_shards():
+    """A stub RNG whose every draw lands in the shard already holding p liars."""
+
+    class FullShardRng:
+        calls = 0
+
+        def random(self):
+            self.calls += 1
+            return 0.25  # position 0.75: shard 1 of 2
+
+    cfg = small_config(total_nodes=12, shards=2, malicious=2, p=1)
+    net = initial_network(cfg)
+    assert [net.nodes[i].shard for i in (0, 1)] == [0, 1]  # one liar per shard
+    rng = FullShardRng()
+    with pytest.raises(
+        IntegrityError, match=r"^could not place a malicious node under the per-shard cap$"
+    ):
+        _draw_position(net, rng, net.nodes[0])
+    assert rng.calls == 100_000
 
 
 def test_epoch_reconfigure_underflow_boundary():
@@ -454,6 +499,27 @@ def test_render_report_golden_text():
     )
     golden = Path(__file__).with_name("data") / "sim_report_budget_exceeded.txt"
     assert render_report(run_simulation(cfg)) == golden.read_text()
+
+
+def test_render_report_golden_paper_geometry():
+    """The paper's worked-example code (k=30, alpha=50, L=1065) at 1,600 nodes in 16 shards."""
+    data = Path(__file__).with_name("data")
+    cfg = SimConfig.from_text((data / "sim_paper_1600.cfg").read_text())
+    golden = (data / "sim_report_paper_1600.txt").read_text()
+    assert render_report(run_simulation(cfg)) == golden
+
+
+def test_simulator_serves_stored_states_without_files(monkeypatch):
+    """Nodes keep their checked states: no state or share is serialized or parsed."""
+
+    def refuse(*args):
+        raise AssertionError("the simulator went through a file")
+
+    for name in ("state_to_bytes", "state_from_bytes", "share_to_bytes", "share_from_bytes"):
+        monkeypatch.setattr(codec, name, refuse)
+    cfg = small_config(total_nodes=16, shards=2, malicious=2, p=1, joins_per_epoch=2,
+                       epochs=4, strategy="flip-random-symbols", seed=6)
+    assert run_simulation(cfg).total_bootstraps > 0
 
 
 def test_run_simulation_deterministic():
