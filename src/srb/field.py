@@ -119,22 +119,6 @@ class Field:
             raise ZeroDivisionError("zero has no inverse")
         return self._inv(a)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow_(self, a: int, e: int) -> int:
-        """a**e by square and multiply; e must be an int >= 0."""
-        if type(e) is not int or e < 0:
-            raise ValueError(f"exponent {e!r} is not an int >= 0; invert explicitly")
-        result = 1
-        base = self.check(a)
-        while e:
-            if e & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
-            e >>= 1
-        return result
-
     def unchecked_ops(self) -> tuple[Callable[[int, int], int], ...]:
         """(add, sub, mul): the functions add, sub and mul call once their
         operands pass check.
@@ -167,16 +151,6 @@ class Field:
             cur = self._mul(cur, gamma)
             row.append(cur)
         return row
-
-    def poly_eval(self, coeffs: list[int], x: int) -> int:
-        """Evaluate sum(coeffs[j] * x^j) by Horner's rule."""
-        if not coeffs:
-            raise ValueError("empty coefficient vector")
-        self.check(x)
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self._add(self._mul(acc, x), self.check(c))
-        return acc
 
     # -- bulk kernel -----------------------------------------------------------
 

@@ -4,10 +4,17 @@ Models a sharded network storing coded blocks: a trusted reference
 committee emits per-epoch reference blocks (membership, shard assignment,
 encoder coefficients, epoch randomness), joins follow the cuckoo rule,
 blocks arrive at a fixed per-epoch rate and every full window of L blocks
-is encoded as an independent generation, for all of the shard's members at
-once (one codec.encode_nodes call), and each joining or displaced node
-obtains its coded state by bootstrap-as-repair from alpha + 2p helpers.
-Malicious helpers corrupt their shares under a configurable strategy.
+forms an independent generation, which all of the shard's members then hold.
+Each joining or displaced node obtains its coded state by bootstrap-as-repair
+from alpha + 2p helpers.  Malicious helpers corrupt their shares under a
+configurable strategy.
+
+A member's state of a generation is encoded only when a repair first reads
+it: each bootstrap makes one codec.encode_nodes call for those of its
+sampled helpers not yet encoded and, last, the joiner itself, whose state is
+the oracle the bootstrap is judged against.  A state nobody reads is never
+encoded; encoding is deterministic, so the states and the report are those
+of encoding every member up front.
 
 Consensus and transaction semantics are out of scope: blocks simply arrive
 valid.  Everything is driven by a single seed; identical configs produce
@@ -140,8 +147,10 @@ class NodeRecord:
     """One live node: overlay position, shard, coefficient, stored state.
 
     states maps each generation the node holds to its CodedNodeState, kept as
-    built (checked once by codec) and served from directly; the bytes it
-    stores are its header_bytes() + payload_bytes(), the length of its file.
+    built (checked once by codec) and served from directly, or to None while
+    it holds the generation but no repair has read it yet: _bootstrap_one
+    encodes it then.  Every state of a run is the same size, a state file's
+    header_bytes() + payload_bytes().
     """
 
     node_id: int
@@ -149,7 +158,7 @@ class NodeRecord:
     shard: int
     gamma: int
     malicious: bool
-    states: dict[int, codec.CodedNodeState] = dc_field(default_factory=dict)
+    states: dict[int, codec.CodedNodeState | None] = dc_field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -189,8 +198,10 @@ class Network:
     next_node_id: int
     next_gamma: list[int]               # per shard, never reused
     generations_done: list[int]         # per shard
-    pending: list[list[bytes]]          # per shard, blocks awaiting encoding
-    generation_blocks: dict[tuple[int, int], list[bytes]]  # verification oracle
+    pending: list[list[bytes]]          # per shard, blocks of the generation filling up
+    # (shard, generation) -> its L blocks: encoded on demand into the states
+    # a bootstrap reads and the joiner's oracle
+    generation_blocks: dict[tuple[int, int], list[bytes]]
 
     def shard_members(self) -> list[list[NodeRecord]]:
         """Each shard's members in node_id order, from one pass over the nodes."""
@@ -453,6 +464,18 @@ def _bootstrap_one(
             f"shard {rec.shard} lacks alpha + 2p = {need} helpers holding generation {generation}"
         )
     helpers = helper_rng.sample(pool, need)
+    # One encode for the helpers read for the first time and, last, the oracle.
+    unread = [h for h in helpers if h.states[generation] is None]
+    *first_reads, expected = codec.encode_nodes(
+        net.generation_blocks[(rec.shard, generation)],
+        [h.gamma for h in unread] + [rec.gamma],
+        cfg.params,
+        net.field,
+        generation=generation,
+        block_size=cfg.block_size,
+    )
+    for helper, state in zip(unread, first_reads):
+        helper.states[generation] = state
     event_seed = f"{cfg.seed}:adversary:{epoch}:{rec.shard}:{rec.node_id}:{generation}"
     shares = []
     corrupted = 0
@@ -470,14 +493,7 @@ def _bootstrap_one(
         state = None
     # A bootstrap is ok when it rebuilds the directly encoded state.  The file
     # bytes are a function of the fields, so object equality is byte equality.
-    ok = state is not None and state == codec.encode_generation(
-        net.generation_blocks[(rec.shard, generation)],
-        rec.gamma,
-        cfg.params,
-        net.field,
-        generation=generation,
-        block_size=cfg.block_size,
-    )
+    ok = state is not None and state == expected
     # Within the error budget a bootstrap must succeed; beyond it, a decode
     # failure and a wrong codeword are both a failed bootstrap.
     if not ok and corrupted <= cfg.p:
@@ -539,18 +555,9 @@ def run_simulation(config: SimConfig) -> SimReport:
                 net.pending[shard].append(payload_rng.randbytes(config.block_size))
                 if len(net.pending[shard]) == l_blocks:
                     generation = net.generations_done[shard]
-                    blocks = net.pending[shard]
-                    states = codec.encode_nodes(
-                        blocks,
-                        [member.gamma for member in members[shard]],
-                        config.params,
-                        net.field,
-                        generation=generation,
-                        block_size=config.block_size,
-                    )
-                    for member, state in zip(members[shard], states):
-                        member.states[generation] = state
-                    net.generation_blocks[(shard, generation)] = blocks
+                    for member in members[shard]:
+                        member.states[generation] = None
+                    net.generation_blocks[(shard, generation)] = net.pending[shard]
                     net.generations_done[shard] += 1
                     net.pending[shard] = []
 
@@ -561,8 +568,7 @@ def run_simulation(config: SimConfig) -> SimReport:
                 f"epoch {epoch}: shard balance ratio {balance:.3f} exceeds "
                 f"limit {config.balance_ratio_limit}"
             )
-        stored = [sum(s.header_bytes() + s.payload_bytes() for s in n.states.values())
-                  for n in net.nodes.values()]
+        stored = [len(n.states) * state_bytes for n in net.nodes.values()]
         epoch_stats.append(
             EpochStats(
                 epoch=epoch,

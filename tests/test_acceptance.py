@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from field_helpers import poly_eval
 from srb import analytics as an
 from srb import codec, sim
 from srb.errors import DecodeFailure
@@ -155,7 +156,7 @@ def test_acceptance_3_secure_repair_suite():
                 # anything returned must be a codeword agreeing with at
                 # least alpha + p of the supplied shares
                 hits = sum(
-                    1 for g, v in shares if f.poly_eval(list(got.symbols), g) == v
+                    1 for g, v in shares if poly_eval(f, list(got.symbols), g) == v
                 )
                 assert hits >= alpha + p
                 if got == truth:

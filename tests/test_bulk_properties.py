@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from field_helpers import poly_eval
 from srb import codec
 from srb.errors import DecodeFailure, IntegrityError
 from srb.field import parse_field
@@ -218,7 +219,7 @@ def received_words(draw):
     words = []
     for _ in range(draw(st.integers(0, 8))):
         coeffs = draw(st.lists(symbol, min_size=dim, max_size=dim))
-        word = [f.poly_eval(coeffs, x) for x in xs]
+        word = [poly_eval(f, coeffs, x) for x in xs]
         shared = draw(st.sets(st.sampled_from(liars))) if liars else set()
         for i in shared | draw(st.sets(position, max_size=2)):
             word[i] = draw(symbol)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from field_helpers import poly_eval
 from srb.errors import DecodeFailure
 from srb.field import binary_field, parse_field, prime_field
 from srb.rs import DecodeSetup, lagrange_basis, poly_divmod, rs_decode, rs_decode_many
@@ -16,7 +17,7 @@ def exhaustive_decode_oracle(f, points, dim, min_agree):
     """All coefficient vectors of length dim agreeing with >= min_agree points."""
     found = []
     for coeffs in itertools.product(range(f.order), repeat=dim):
-        hits = sum(1 for x, y in points if f.poly_eval(list(coeffs), x) == y)
+        hits = sum(1 for x, y in points if poly_eval(f, list(coeffs), x) == y)
         if hits >= min_agree:
             found.append(list(coeffs))
     return found
@@ -33,10 +34,10 @@ def test_example_single_corruption_gf13():
 def test_zero_errors_is_interpolation():
     f = prime_field(13)
     coeffs = [4, 0, 7]
-    points = [(x, f.poly_eval(coeffs, x)) for x in (2, 5, 11)]
+    points = [(x, poly_eval(f, coeffs, x)) for x in (2, 5, 11)]
     assert rs_decode(f, points, 3) == coeffs
     # zero slack (n = dim + 1, e = 0): a wrong value is detected, never corrected
-    points = [(x, f.poly_eval(coeffs, x)) for x in (2, 5, 11, 7)]
+    points = [(x, poly_eval(f, coeffs, x)) for x in (2, 5, 11, 7)]
     assert rs_decode(f, points, 3) == coeffs
     for bad in range(len(points)):
         x, y = points[bad]
@@ -87,7 +88,7 @@ def test_corrupt_up_to_p_recovers_exactly(f, p):
     for _ in range(200):
         coeffs = [rng.randrange(f.order) for _ in range(dim)]
         xs = rng.sample(range(f.order), n)
-        ys = [f.poly_eval(coeffs, x) for x in xs]
+        ys = [poly_eval(f, coeffs, x) for x in xs]
         for bad in rng.sample(range(n), p):
             ys[bad] = (ys[bad] + 1 + rng.randrange(f.order - 1)) % f.order
         assert rs_decode(f, list(zip(xs, ys)), dim) == coeffs
@@ -101,7 +102,7 @@ def test_corrupt_up_to_p_recovers_exactly_gf65536():
     for _ in range(100):
         coeffs = [rng.randrange(f.order) for _ in range(dim)]
         xs = rng.sample(range(f.order), n)
-        ys = [f.poly_eval(coeffs, x) for x in xs]
+        ys = [poly_eval(f, coeffs, x) for x in xs]
         for bad in rng.sample(range(n), p):
             ys[bad] ^= 1 + rng.randrange(f.order - 1)
         assert rs_decode(f, list(zip(xs, ys)), dim) == coeffs
@@ -117,7 +118,7 @@ def test_p_plus_one_corruptions_never_silently_wrong():
     for _ in range(300):
         coeffs = [rng.randrange(f.order) for _ in range(dim)]
         xs = rng.sample(range(f.order), n)
-        ys = [f.poly_eval(coeffs, x) for x in xs]
+        ys = [poly_eval(f, coeffs, x) for x in xs]
         for bad in rng.sample(range(n), p + 1):
             ys[bad] = (ys[bad] + 1 + rng.randrange(f.order - 1)) % f.order
         try:
@@ -125,7 +126,7 @@ def test_p_plus_one_corruptions_never_silently_wrong():
         except DecodeFailure:
             failures += 1
             continue
-        hits = sum(1 for x, y in zip(xs, ys) if f.poly_eval(got, x) == y)
+        hits = sum(1 for x, y in zip(xs, ys) if poly_eval(f, got, x) == y)
         assert hits >= dim + p  # returned only because it is a codeword in budget
         assert got != coeffs or hits >= n - p
     assert failures > 0
@@ -140,7 +141,7 @@ def test_exhaustive_corruption_patterns_small_field():
     rng = random.Random(5)
     for _ in range(40):
         coeffs = [rng.randrange(13) for _ in range(dim)]
-        clean = [f.poly_eval(coeffs, x) for x in xs]
+        clean = [poly_eval(f, coeffs, x) for x in xs]
         for bad_pos in range(n):
             for wrong in range(13):
                 if wrong == clean[bad_pos]:
@@ -164,7 +165,7 @@ def test_round_trip_all_dims_gf13():
             )
             for coeffs in vectors:
                 coeffs = list(coeffs)
-                points = [(x, f.poly_eval(coeffs, x)) for x in xs]
+                points = [(x, poly_eval(f, coeffs, x)) for x in xs]
                 assert rs_decode(f, points, dim) == coeffs
 
 
@@ -180,7 +181,7 @@ def _words_lying_at_one_random_position():
     expect = []
     for _ in range(50):
         coeffs = [rng.randrange(257) for _ in range(dim)]
-        ys = [f.poly_eval(coeffs, x) for x in xs]
+        ys = [poly_eval(f, coeffs, x) for x in xs]
         if rng.random() < 0.5:
             bad = rng.randrange(n)
             ys[bad] = (ys[bad] + 1) % 257
@@ -222,7 +223,7 @@ def test_decode_many_runs_welch_berlekamp_once_per_liar(f, monkeypatch):
     ys_list, expect = [], []
     for _ in range(200):
         coeffs = [rng.randrange(f.order) for _ in range(dim)]
-        ys = [f.poly_eval(coeffs, x) for x in xs]
+        ys = [poly_eval(f, coeffs, x) for x in xs]
         for bad in rng.sample(liars, rng.randint(0, p)):
             ys[bad] = (ys[bad] + 1 + rng.randrange(f.order - 1)) % f.order
         ys_list.append(ys)
@@ -243,7 +244,7 @@ def _words_with_liars(f, rng, xs, dim, liars, count):
     words, expect = [], []
     for _ in range(count):
         coeffs = [rng.randrange(f.order) for _ in range(dim)]
-        ys = [f.poly_eval(coeffs, x) for x in xs]
+        ys = [poly_eval(f, coeffs, x) for x in xs]
         for bad in liars:
             ys[bad] = (ys[bad] + 1 + rng.randrange(f.order - 1)) % f.order
         words.append(ys)
@@ -324,7 +325,7 @@ def test_lagrange_basis_inverts_vandermonde(f):
         vandermonde = [f.vandermonde_row(x, n) for x in xs]
         assert f.matmul(inverse, vandermonde).tolist() == np.eye(n, dtype=int).tolist()
         assert len(master) == n + 1 and master[-1] == 1
-        assert all(f.poly_eval(master, x) == 0 for x in xs)
+        assert all(poly_eval(f, master, x) == 0 for x in xs)
 
 
 @pytest.mark.parametrize("f", [prime_field(13), binary_field(4)])
@@ -342,7 +343,7 @@ def noisy_words(draw):
     xs = draw(st.lists(st.integers(0, f.order - 1), min_size=dim, max_size=8, unique=True))
     symbol = st.integers(0, f.order - 1)
     coeffs = draw(st.lists(symbol, min_size=dim, max_size=dim))
-    ys = [f.poly_eval(coeffs, x) for x in xs]
+    ys = [poly_eval(f, coeffs, x) for x in xs]
     for i in draw(st.lists(st.integers(0, len(xs) - 1), unique=True)):
         ys[i] = draw(symbol)
     return f, list(zip(xs, ys)), dim

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from field_helpers import poly_eval
 from srb import codec
 from srb.errors import DecodeFailure, IntegrityError, ShardUnderflowError
 from srb.field import binary_field, parse_field
@@ -320,8 +321,8 @@ def test_adversary_consistent_wrong_polynomial_collusion():
     coeff_rng = random.Random("ev")
     for s in range(evil1.z):
         wrong = [coeff_rng.randrange(f.order) for _ in range(3)]
-        assert evil1.symbols[s] == f.poly_eval(wrong, evil1.gamma)
-        assert evil2.symbols[s] == f.poly_eval(wrong, evil2.gamma)
+        assert evil1.symbols[s] == poly_eval(f, wrong, evil1.gamma)
+        assert evil2.symbols[s] == poly_eval(f, wrong, evil2.gamma)
     assert evil1.symbols != shares[0].symbols
     assert evil2.symbols != shares[1].symbols
     got = codec.bootstrap_node([evil1, evil2] + shares[2:], target, p=2)
@@ -501,12 +502,31 @@ def test_render_report_golden_text():
     assert render_report(run_simulation(cfg)) == golden.read_text()
 
 
+def replay(name):
+    """The report run_simulation renders for data/sim_<name>.cfg, and its golden
+    data/sim_report_<name>.txt."""
+    data = Path(__file__).with_name("data")
+    cfg = SimConfig.from_text((data / f"sim_{name}.cfg").read_text())
+    return render_report(run_simulation(cfg)), (data / f"sim_report_{name}.txt").read_text()
+
+
 def test_render_report_golden_paper_geometry():
     """The paper's worked-example code (k=30, alpha=50, L=1065) at 1,600 nodes in 16 shards."""
-    data = Path(__file__).with_name("data")
-    cfg = SimConfig.from_text((data / "sim_paper_1600.cfg").read_text())
-    golden = (data / "sim_report_paper_1600.txt").read_text()
-    assert render_report(run_simulation(cfg)) == golden
+    got, golden = replay("paper_1600")
+    assert got == golden
+
+
+@pytest.mark.parametrize("name", ["acceptance_6", "churn_liar"])
+def test_render_report_golden_lazy_states(name):
+    """Reports of eagerly encoded states, replayed with states encoded on first read.
+
+    acceptance_6 is the acceptance-6 config; churn_liar has leaves, cuckoo_eps=0.3
+    and one liar, and serves five generations of each shard.  Both displace nodes
+    still holding unread states into another shard, and both have bootstrapped
+    nodes serve later bootstraps.
+    """
+    got, golden = replay(name)
+    assert got == golden
 
 
 def test_simulator_serves_stored_states_without_files(monkeypatch):
@@ -597,27 +617,35 @@ def test_malicious_cap_holds_under_churn():
         assert all(c <= cfg.p for c in st.shard_malicious)
 
 
-def test_simulator_encodes_each_shard_generation_once(monkeypatch):
-    """One encode_nodes call per completed (shard, generation) for all its members,
-    and one encode_generation per bootstrap that decoded, to verify it."""
-    batched, verified, inside = [], [], []
-    encode_nodes, encode_generation = codec.encode_nodes, codec.encode_generation
+def test_simulator_encodes_a_state_only_when_a_bootstrap_first_reads_it(monkeypatch):
+    """Each simulator encode_nodes call belongs to one bootstrap: it comes before
+    that bootstrap's shares are served, ends with the joiner's gamma (the oracle)
+    and holds exactly the sampled helpers not yet encoded.  No (shard,
+    generation, gamma) is encoded twice, and a generation nobody reads never."""
+    log = []
+    encode_nodes, serve_repair, bootstrap_node = (
+        codec.encode_nodes, codec.serve_repair, codec.bootstrap_node)
 
-    def count_nodes(blocks, gammas, params, field, generation=0, block_size=None):
-        if not inside:  # count the simulator's calls, not encode_generation's
-            batched.append((generation, list(gammas)))
+    def refuse(*args, **kw):
+        raise AssertionError("the simulator encoded one node on its own")
+
+    def record_encode(blocks, gammas, params, field, generation=0, block_size=None):
+        # a generation's blocks are random bytes: they name its (shard, generation)
+        log.append(("encode", tuple(blocks), list(gammas), generation))
         return encode_nodes(blocks, gammas, params, field, generation, block_size)
 
-    def count_generation(blocks, gamma, params, field, generation=0, block_size=None):
-        verified.append(generation)
-        inside.append(gamma)
-        try:
-            return encode_generation(blocks, gamma, params, field, generation, block_size)
-        finally:
-            inside.pop()
+    def record_serve(state, target_gamma):
+        log.append(("serve", state.gamma, target_gamma))
+        return serve_repair(state, target_gamma)
 
-    monkeypatch.setattr(codec, "encode_nodes", count_nodes)
-    monkeypatch.setattr(codec, "encode_generation", count_generation)
+    def record_bootstrap(shares, target_gamma, p=0):
+        log.append(("bootstrap", target_gamma))
+        return bootstrap_node(shares, target_gamma, p)
+
+    monkeypatch.setattr(codec, "encode_generation", refuse)
+    monkeypatch.setattr(codec, "encode_nodes", record_encode)
+    monkeypatch.setattr(codec, "serve_repair", record_serve)
+    monkeypatch.setattr(codec, "bootstrap_node", record_bootstrap)
     cfg = small_config(
         total_nodes=24,
         shards=2,
@@ -630,12 +658,31 @@ def test_simulator_encodes_each_shard_generation_once(monkeypatch):
         cap_malicious_per_shard=False,
     )
     report = run_simulation(cfg)
+    need = cfg.alpha + 2 * cfg.p
+    events = report.bootstrap_events
+    assert len(log) == len(events) * (need + 2)
+    encoded, oracles, rereads, served_bootstrapped = set(), set(), 0, 0
+    names = {}  # generation blocks -> (shard, generation)
+    for i, event in enumerate(events):
+        call = log[i * (need + 2) : (i + 1) * (need + 2)]
+        (kind, blocks, gammas, generation), serves, boot = call[0], call[1:-1], call[-1]
+        assert kind == "encode" and boot[0] == "bootstrap" and generation == event.generation
+        name = (event.shard, event.generation)
+        assert names.setdefault(blocks, name) == name
+        joiner = boot[1]
+        assert gammas[-1] == joiner
+        assert all(what == "serve" and target == joiner for what, _, target in serves)
+        helpers = [helper for _, helper, _ in serves]
+        assert gammas[:-1] == [h for h in helpers if (blocks, h) not in encoded]
+        rereads += len(gammas) - 1 < need
+        served_bootstrapped += sum((blocks, h) in oracles for h in helpers)
+        for gamma in gammas:
+            assert (blocks, gamma) not in encoded  # at most once
+            encoded.add((blocks, gamma))
+        oracles.add((blocks, joiner))
     done = report.epochs[-1].generations_done
     assert sum(done) > len(done)  # several generations per shard
-    assert sorted(g for g, _ in batched) == sorted(g for n in done for g in range(n))
-    for _, gammas in batched:
-        assert len(gammas) >= cfg.alpha + 2 * cfg.p + 1
-        assert len(set(gammas)) == len(gammas)
-    ok = [e.generation for e in report.bootstrap_events if e.ok]
-    assert len(ok) < len(report.bootstrap_events)  # failed decodes are not verified
-    assert sorted(verified) == sorted(ok)
+    # every encode belongs to a bootstrap, so no unread generation is encoded
+    assert len(set(names.values())) == len(names) < sum(done)
+    assert rereads and served_bootstrapped  # a helper read twice; a joiner serving
+    assert any(not e.ok for e in events)  # a failed decode is judged as well
