@@ -76,6 +76,7 @@ module against.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, fields
 
@@ -247,11 +248,9 @@ class GenerationHeader:
 
 
 _HEADER_FIELDS = tuple(f.name for f in fields(GenerationHeader))
-
-
-def _header_of(h: GenerationHeader, **changes) -> dict:
-    """h's header fields as constructor keywords, with changes applied."""
-    return {name: getattr(h, name) for name in _HEADER_FIELDS} | changes
+# A header's fields but its gamma, as one tuple: what the items of one
+# bootstrap or reconstruct must share.
+_common_fields = operator.attrgetter(*(name for name in _HEADER_FIELDS if name != "gamma"))
 
 
 def _frozen_payload(data, shape: tuple[int, ...], field: Field, what: str) -> np.ndarray:
@@ -381,13 +380,13 @@ def encode_nodes(
     if not gammas:
         return []
     grid, n, z = message_index_matrix(params), len(gammas), stripes.z
-    psis = [field.vandermonde_row(gamma, alpha) for gamma in gammas]
+    psis = field.vandermonde(gammas, alpha)
     if n == 1:
-        rows = [[0] * want for _ in range(alpha)]
-        for i, row in enumerate(grid):
-            for j, g in enumerate(row):
-                if g is not None:
-                    rows[j][g] = psis[0][i]
+        # coded block j is row j: psi_i at the index of each cell (i, j)
+        i, j, g = zip(*[(i, j, g) for i, row in enumerate(grid)
+                        for j, g in enumerate(row) if g is not None])
+        rows = np.zeros((alpha, want), psis.dtype)
+        rows[j, g] = psis[0, i]
         coded = field.matmul(rows, stripes.symbols).reshape(1, alpha, z)
     else:
         coded = np.empty((n, alpha, z), np.uint16)
@@ -395,7 +394,7 @@ def encode_nodes(
         coded[:, :k] = field.matmul(psis, left).reshape(n, k, z)
         if k < alpha:
             right = stripes.symbols[[row[k:] for row in grid[:k]]].reshape(k, (alpha - k) * z)
-            coded[:, k:] = field.matmul([psi[:k] for psi in psis], right).reshape(n, alpha - k, z)
+            coded[:, k:] = field.matmul(psis[:, :k], right).reshape(n, alpha - k, z)
     first = CodedNodeState(field=field, k=k, alpha=alpha, gamma=gammas[0],
                            generation=generation, block_size=block_size, z=z,
                            pad_lengths=stripes.pad_lengths, blocks=coded[0])
@@ -422,8 +421,7 @@ def encode_generation(
 def serve_repair(state: CodedNodeState, target_gamma: int) -> RepairShare:
     """The linear combination this node sends to the node at target_gamma."""
     f = state.field
-    tv = f.vandermonde_row(target_gamma, state.alpha)
-    (symbols,) = f.matmul([tv], state.payload)
+    (symbols,) = f.matmul(f.vandermonde([target_gamma], state.alpha), state.payload)
     return RepairShare._derived(state, state.gamma, target_gamma, symbols)
 
 
@@ -431,8 +429,8 @@ def _common_header(items: list[GenerationHeader], what: str) -> GenerationHeader
     """The first of items, once every item's header but its gamma equals it."""
     if not items:
         raise ValueError(f"no {what}s supplied")
-    head = _header_of(items[0], gamma=0)
-    if any(_header_of(it, gamma=0) != head for it in items[1:]):
+    head = _common_fields(items[0])
+    if any(_common_fields(it) != head for it in items[1:]):
         raise ValueError(f"{what} headers disagree")
     return items[0]
 
@@ -504,7 +502,7 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
         raise ValueError(f"need k + 2p = {params.reconstruct_degree} states, got {len(states)}")
     n, width = len(states), alpha - k
     setup = DecodeSetup(f, [s.gamma for s in states], k, width=alpha)
-    vt_coeffs = [row[k:] for row in setup.rows]
+    vt_coeffs = setup.rows[:, k:]
     grid = message_index_matrix(params)  # each index once on or above the diagonal
     _, rows, cols = zip(*sorted((grid[i][j], i, j) for i in range(k) for j in range(i, alpha)))
     rows, cols = list(rows), list(cols)

@@ -12,7 +12,9 @@ its tables; :class:`Field` checks the operands of every public operation with
 the same functions to inner loops whose operands were checked on entry.
 :meth:`Field.matmul` is the one bulk kernel, multiplying a small coefficient
 matrix by a numpy array of symbols, and :meth:`Field.subtract` the one
-elementwise bulk operation.
+elementwise bulk operation.  :meth:`Field.vandermonde` builds the coefficient
+rows [1, x, x^2, ...] of many points as one array, which GF(2^m) reads off
+its log table; :meth:`Field.vandermonde_row` is its scalar reference.
 
 The kernel works in the operands' own width: an integer array (the uint16
 payloads, say) goes in as it is, GF(2^m) gathers through int32 log tables in
@@ -151,6 +153,20 @@ class Field:
             cur = self._mul(cur, gamma)
             row.append(cur)
         return row
+
+    def vandermonde(self, points, width: int) -> np.ndarray:
+        """vandermonde_row(x, width) for each x in points, as the rows of a
+        len(points) x width integer array: uint16 in GF(2^m), int64 in a
+        prime field.
+
+        Refuses a width below 1 and a point outside the field as
+        vandermonde_row does.  Here the rows are stacked from it; GF(2^m)
+        builds the whole block from its log table at once.
+        """
+        if width < 1:
+            raise ValueError("width must be >= 1")
+        rows = [self.vandermonde_row(x, width) for x in points]
+        return np.array(rows, np.int64).reshape(len(rows), width)
 
     # -- bulk kernel -----------------------------------------------------------
 
@@ -369,27 +385,50 @@ class BinaryField(Field):
                     c ^= self.poly
         return tables
 
+    def vandermonde(self, points, width):
+        # Row x is exp[(log x * j) mod (q-1)].  Zero has no log: its row
+        # comes out all ones, and is [1, 0, ..., 0].
+        if width < 1:
+            raise ValueError("width must be >= 1")
+        xs = [self.check(x) for x in points]
+        logs = np.array([self._log[x] for x in xs], np.int64)
+        block = self._exp_np.take(np.multiply.outer(logs, np.arange(width)) % (self.order - 1))
+        if 0 in xs:
+            block[[i for i, x in enumerate(xs) if not x], 1:] = 0
+        return block
+
     def matmul(self, coeffs, data):
         # Each row: gather exp[log(c) + log(v)] for its nonzero coefficients c,
         # then XOR the terms together.  take() beats fancy indexing here, but
         # copies its int32 indices to intp, so the columns go in chunks of
         # about _CHUNK_ELEMENTS data entries: every temporary is chunk-sized,
-        # whatever the number of words.
+        # whatever the number of words.  The coefficients' logs come from one
+        # take and their nonzero mask from one comparison, for every row at
+        # once; a row with no zero coefficient adds its logs to the data's
+        # whole, with no gather of its columns.
         coeffs, data = self._operands(coeffs, data)
         log, exp = self._log_np, self._exp_np
-        terms = []  # (row, its nonzero columns, their logs as a column)
-        for r, row in enumerate(coeffs):
-            cols = np.flatnonzero(row)
-            if cols.size:
-                terms.append((r, cols, log.take(row[cols])[:, None]))
+        nonzero = coeffs != 0
+        logs = log.take(coeffs)[..., None]
+        terms = []  # (row, its nonzero columns or None for all, their logs as a column)
+        for r, dense in enumerate(nonzero.all(axis=1).tolist()):
+            if dense:
+                terms.append((r, None, logs[r]))
+            else:
+                cols = np.flatnonzero(nonzero[r])
+                if cols.size:
+                    terms.append((r, cols, logs[r].take(cols, axis=0)))
         out = np.zeros((coeffs.shape[0], data.shape[1]), dtype=np.uint16)
         width = max(1, _CHUNK_ELEMENTS // max(1, data.shape[0]))
         for start in range(0, data.shape[1] if terms else 0, width):
             part = slice(start, start + width)
             logd = log.take(data[:, part])
             for r, cols, logc in terms:
-                index = logd.take(cols, axis=0)
-                index += logc
+                if cols is None:
+                    index = logd + logc
+                else:
+                    index = logd.take(cols, axis=0)
+                    index += logc
                 out[r, part] = np.bitwise_xor.reduce(exp.take(index), axis=0)
         return out
 

@@ -201,8 +201,9 @@ class DecodeSetup:
     Built once per decode of a generation and handed to each of its
     rs_decode_many calls (one per slice of stripes, and reconstruct's V and
     U decodes), so none of them rebuilds it.  It holds the points, checked,
-    and dim; each point's Vandermonde row [x^j for j < max(dim, width)] in
-    rows and its first dim entries in powers; the agreement threshold
+    and dim; their Vandermonde block, row i [x_i^j for j < max(dim, width)],
+    as one Field.vandermonde array in rows, and each row's first dim entries
+    as Python ints in powers, for the scalar decoder; the agreement threshold
     n - (n - dim) // 2 that accepts a word; memoized per trusted point set,
     that set's Lagrange basis and the powers of the other points; and
     blamed, the positions (indices into xs) found lying so far, empty at
@@ -215,8 +216,8 @@ class DecodeSetup:
         self.field, self.xs, self.dim = field, _checked_points(field, xs, dim), dim
         self.threshold = len(self.xs) - (len(self.xs) - dim) // 2
         self.blamed: set[int] = set()
-        self.rows = [field.vandermonde_row(x, max(dim, width)) for x in self.xs]
-        self.powers = [row[:dim] for row in self.rows]
+        self.rows = field.vandermonde(self.xs, max(dim, width))
+        self.powers = self.rows[:, :dim].tolist()
         self._checks: dict[tuple[int, ...], tuple] = {}
 
     def trusted(self) -> tuple[int, ...]:
@@ -234,7 +235,7 @@ class DecodeSetup:
         if points not in self._checks:
             _, base = lagrange_basis(self.field, [self.xs[i] for i in points])
             others = [i for i in range(len(self.xs)) if i not in points]
-            self._checks[points] = base, others, [self.powers[i] for i in others]
+            self._checks[points] = np.array(base), others, self.rows[others, : self.dim]
         base, others, other_powers = self._checks[points]
         coeffs = self.field.matmul(base, words[list(points)])
         hits = (self.field.matmul(other_powers, coeffs) == words[others]).sum(axis=0)

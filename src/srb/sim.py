@@ -394,7 +394,7 @@ def adversary_corrupt(
         # Row s holds the alpha coefficients of stripe s's wrong polynomial.
         coeffs = np.array([rng.randrange(q) for _ in range(z * share.alpha)], np.int64)
         coeffs = coeffs.reshape(z, share.alpha)
-        (symbols,) = f.matmul([f.vandermonde_row(share.gamma, share.alpha)], coeffs.T)
+        (symbols,) = f.matmul(f.vandermonde([share.gamma], share.alpha), coeffs.T)
     else:
         raise ValueError(f"unknown corruption strategy {strategy!r}")
     return replace(share, symbols=symbols)

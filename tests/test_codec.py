@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import replace
 
@@ -254,6 +255,47 @@ def test_bootstrap_header_mismatch_rejected():
     shares = [codec.serve_repair(states[g], 8) for g in (0, 1)] + [codec.serve_repair(other, 8)]
     with pytest.raises(ValueError):
         codec.bootstrap_node(shares, 8, p=0)
+
+
+HEADER_CHANGES = {
+    "field": binary_field(16, 0x1002D),
+    "k": 1,
+    "alpha": 4,
+    "generation": 1,
+    "block_size": 15,
+    "z": 9,
+    "pad_lengths": (16, 0, 5, 16, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(HEADER_CHANGES))
+def test_decodes_refuse_items_whose_headers_differ_in_one_field(name):
+    """Items that share every header field but gamma decode; one item that
+    differs from the others in any single other field is refused.
+
+    The field is set directly on a copy: k, alpha and z cannot change alone
+    in a header that passes its checks, and the headers are compared before
+    anything else is checked.
+    """
+    f = binary_field(16)
+    params = MbrParams(2, 3, p=1)
+    blocks = [bytes(range(n)) for n in (16, 0, 5, 16, 2)]
+    states = [codec.encode_generation(blocks, g, params, f, block_size=16) for g in range(1, 7)]
+    # parsed copies: equal header values held in objects of their own
+    shares = [codec.share_from_bytes(codec.share_to_bytes(codec.serve_repair(st, 9)))
+              for st in states[:5]]
+    readers = states[:4]
+    assert codec.bootstrap_node(shares, 9, params.p).payload.tolist() == \
+        codec.encode_generation(blocks, 9, params, f, block_size=16).payload.tolist()
+    assert codec.reconstruct_generation(readers, params.p) == blocks
+    for items, what, decode in ((shares, "share", lambda xs: codec.bootstrap_node(xs, 9, params.p)),
+                                (readers, "state", lambda xs: codec.reconstruct_generation(xs, params.p))):
+        for i in (0, len(items) - 1):
+            changed = copy.copy(items[i])
+            assert getattr(changed, name) != HEADER_CHANGES[name]
+            object.__setattr__(changed, name, HEADER_CHANGES[name])
+            with pytest.raises(ValueError, match=f"^{what} headers disagree$"):
+                decode(items[:i] + [changed] + items[i + 1 :])
 
 
 def test_bootstrap_wrong_share_count():

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,36 @@ def test_vandermonde_rows():
     assert f.vandermonde_row(0, 3) == [1, 0, 0]
     with pytest.raises(ValueError):
         f.vandermonde_row(2, 0)
+
+
+@pytest.mark.parametrize(
+    "spec", ["binary:8", "binary:8:0x11b", "binary:16", "prime:13", "prime:65521"]
+)
+def test_vandermonde_block_is_the_stacked_rows(spec):
+    """In GF(2^8) modulo 0x11b the log table's generator is not x: log 2 = 25."""
+    f = parse_field(spec)
+    if spec == "binary:8:0x11b":
+        assert f._log[2] == 25
+    rng = random.Random(16)
+    points = [0, 1, f.order - 1, rng.randrange(2, f.order - 1)]
+    for width in (1, 8, 52):
+        block = f.vandermonde(points, width)
+        assert block.shape == (len(points), width)
+        assert block.dtype == (np.uint16 if f.kind == "binary" else np.int64)
+        assert block.tolist() == [f.vandermonde_row(x, width) for x in points]
+        for x in points:
+            assert f.vandermonde([x], width).tolist() == [f.vandermonde_row(x, width)]
+    assert f.vandermonde([], 3).shape == (0, 3)
+    for bad in (f.order, -1, True):
+        with pytest.raises(ValueError, match="is not an element of") as scalar:
+            f.vandermonde_row(bad, 4)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+            f.vandermonde([1, bad], 4)
+    for width in (0, -1):
+        with pytest.raises(ValueError, match="^width must be >= 1$"):
+            f.vandermonde_row(2, width)
+        with pytest.raises(ValueError, match="^width must be >= 1$"):
+            f.vandermonde([2], width)
 
 
 def test_poly_eval():
@@ -494,6 +525,12 @@ def test_matmul_column_chunks_agree_with_scalar_products(elements, monkeypatch):
         data = [[rng.randrange(f.order) for _ in range(37)] for _ in range(6)]
         got = f.matmul(coeffs, np.array(data, dtype=np.uint16))
         assert got.tolist() == scalar_matmul(f, coeffs, data)
+        # an all-zero row, a row with no zero and a sparse one in one product
+        coeffs = [[0] * 6, [rng.randrange(1, f.order) for _ in range(6)],
+                  [0, rng.randrange(1, f.order), 0, 0, rng.randrange(1, f.order), 0]]
+        expect = scalar_matmul(f, coeffs, data)
+        for c in (coeffs, np.array(coeffs, np.uint16), np.array(coeffs, np.int64)):
+            assert f.matmul(c, np.array(data, dtype=np.uint16)).tolist() == expect
 
 
 @pytest.mark.parametrize("f", DTYPE_FIELDS, ids=lambda f: f.describe())
