@@ -404,8 +404,9 @@ class BinaryField(Field):
         # about _CHUNK_ELEMENTS data entries: every temporary is chunk-sized,
         # whatever the number of words.  The coefficients' logs come from one
         # take and their nonzero mask from one comparison, for every row at
-        # once; a row with no zero coefficient adds its logs to the data's
-        # whole, with no gather of its columns.
+        # once.  A row with no zero coefficient adds its logs to the chunk's
+        # data logs without gathering its columns: at a bootstrap's small
+        # products that take is a fixed cost per row and chunk.
         coeffs, data = self._operands(coeffs, data)
         log, exp = self._log_np, self._exp_np
         nonzero = coeffs != 0

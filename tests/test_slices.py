@@ -141,32 +141,38 @@ def test_a_liar_in_every_slice_costs_one_rs_decode_run(monkeypatch):
 
 
 def test_each_decode_builds_its_rows_and_bases_once(monkeypatch):
-    """One Vandermonde block of a row per gamma and one basis per trusted set, per call."""
+    """One Vandermonde block of a row per gamma and one basis per trusted set,
+    per call, and no scalar Vandermonde row."""
     f = parse_field("binary:16")
     params = MbrParams(3, 5, p=1)
     _, states = generation(f, params, random.Random(4), 40, list(range(1, 9)))
     shares = [codec.serve_repair(st, 30) for st in states[: params.repair_degree]]
-    built = {"blocks": 0, "rows": 0, "bases": 0}
-    block, basis = type(f).vandermonde, rs.lagrange_basis
+    built = {"blocks": 0, "rows": 0, "scalar rows": 0, "bases": 0}
+    block, row, basis = type(f).vandermonde, type(f).vandermonde_row, rs.lagrange_basis
 
     def counted_block(self, points, width):
         built["blocks"] += 1
         built["rows"] += len(points)
         return block(self, points, width)
 
+    def counted_row(*args):
+        built["scalar rows"] += 1
+        return row(*args)
+
     def counted_basis(*args):
         built["bases"] += 1
         return basis(*args)
 
     monkeypatch.setattr(type(f), "vandermonde", counted_block)
+    monkeypatch.setattr(type(f), "vandermonde_row", counted_row)
     monkeypatch.setattr(rs, "lagrange_basis", counted_basis)
     for call, n in ((lambda: codec.reconstruct_generation(states[:5], 1), 5),
                     (lambda: codec.bootstrap_node(shares, 30, 1), 7)):
         for _ in range(2):  # nothing is kept from one call to the next
-            built.update(blocks=0, rows=0, bases=0)
+            built.update({"blocks": 0, "rows": 0, "scalar rows": 0, "bases": 0})
             with sliced(2, n, params.alpha):  # 10 slices
                 call()
-            assert built == {"blocks": 1, "rows": n, "bases": 1}
+            assert built == {"blocks": 1, "rows": n, "scalar rows": 0, "bases": 1}
 
 
 def test_a_decode_failure_in_a_late_slice_wins_over_an_earlier_integrity_error():
