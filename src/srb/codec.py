@@ -13,8 +13,8 @@ one striping.  One node takes one product of alpha sparse coefficient rows
 with the L x Z blocks; several nodes take two, of their stacked Vandermonde
 rows with the message blocks gathered into [S; T^T] and T, because with
 M = [[S, T], [T^T, 0]] a node's row psi^T M is [psi^T [S; T^T], psi[:k]^T T].
-The node count alone picks the form (see encode_nodes for the measured
-crossover); encode_generation is the one-node case.
+The node count alone picks the form, a rule measured only in GF(2^m) at
+small L (see encode_nodes); encode_generation is the one-node case.
 
 File formats (version 1, header integers little-endian, symbols big-endian):
 
@@ -31,10 +31,11 @@ de-striping is exact.
 Every header is untrusted input (up to p helpers are Byzantine), so
 GenerationHeader, and RepairShare for the target gamma, check every rule
 below whenever one is built by its constructor, parsed or replaced; derived
-objects keep the checked header.  encode_nodes' states after the first,
-serve_repair's share and bootstrap_node's state take their header fields
-from an object that passed the checks, and only the gamma (and a share's
-target gamma) that they set afresh is checked again:
+objects keep the checked header.  encode_nodes' states (from the one
+header it checks before striping), serve_repair's share and
+bootstrap_node's state take their header fields from an object that passed
+the checks, and only the gamma (and a share's target gamma) that they set
+afresh is checked again:
   - (k, alpha) are valid MBR parameters (1 <= k <= alpha) and fit u16;
   - gamma, and a share's target gamma, are elements of the field;
   - a share's target gamma differs from its helper gamma;
@@ -369,18 +370,36 @@ def encode_nodes(
     0.68-0.76x as fast at k=10, alpha=16 and 4 KiB blocks, and 0.93-0.97x
     at k=5, alpha=8 and 2 KiB; at the latter, 1.13-1.14x for two nodes and
     1.2-2.0x for 50 (12.0-18.0 ms down to 9.2-12.9 ms).  So one node keeps
-    the sparse form.  Each state copies its own rows of the product.
+    the sparse form.  That holds only in GF(2^m) at small L.  One node,
+    sparse against block form, on the same kind of host: binary:16 at
+    k=10, alpha=16, 4 KiB 1.42 against 2.07 ms, and at k=5, alpha=8, 2 KiB
+    0.178 against 0.191 ms; but prime:65521 at k=10, alpha=16, 4 KiB 17.6
+    against 1.33 ms, and binary:16 at k=30, alpha=50 (L=1065) 0.95 against
+    0.31 ms with 16 B blocks and 55 against 42 ms with 16 KiB.
+    Each state copies its own rows of the product.
+
+    The generation's header (k, alpha, generation, block_size, Z and the L
+    pad lengths) is built and checked first, then every gamma, and only
+    then are the blocks striped, so a value no header can hold is refused
+    before any block is padded.  Every state is derived from that header.
     """
     want, k, alpha = params.message_length, params.k, params.alpha
     if len(blocks) != want:
         raise ValueError(f"a generation encodes exactly L = {want} blocks, got {len(blocks)}")
     if block_size is None:
         block_size = max((len(b) for b in blocks), default=0)
+    pads = tuple(len(b) for b in blocks)
+    for i, pad in enumerate(pads):  # named by its index, not as the header's pad length
+        if pad > block_size >= 0:
+            raise ValueError(f"block {i} is {pad} bytes; block_size is {block_size}")
+    header = GenerationHeader(field=field, k=k, alpha=alpha, gamma=0, generation=generation,
+                              block_size=block_size, z=symbols_per_block(field, block_size),
+                              pad_lengths=pads)
+    psis = field.vandermonde(gammas, alpha)
     stripes = stripe_blocks(blocks, field, block_size)
     if not gammas:
         return []
     grid, n, z = message_index_matrix(params), len(gammas), stripes.z
-    psis = field.vandermonde(gammas, alpha)
     if n == 1:
         # coded block j is row j: psi_i at the index of each cell (i, j)
         i, j, g = zip(*[(i, j, g) for i, row in enumerate(grid)
@@ -395,11 +414,7 @@ def encode_nodes(
         if k < alpha:
             right = stripes.symbols[[row[k:] for row in grid[:k]]].reshape(k, (alpha - k) * z)
             coded[:, k:] = field.matmul(psis[:, :k], right).reshape(n, alpha - k, z)
-    first = CodedNodeState(field=field, k=k, alpha=alpha, gamma=gammas[0],
-                           generation=generation, block_size=block_size, z=z,
-                           pad_lengths=stripes.pad_lengths, blocks=coded[0])
-    return [first] + [CodedNodeState._derived(first, gamma, coded[i])
-                      for i, gamma in enumerate(gammas[1:], 1)]
+    return [CodedNodeState._derived(header, gamma, rows) for gamma, rows in zip(gammas, coded)]
 
 
 def encode_generation(

@@ -79,6 +79,8 @@ class SimConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
         if self.epochs < 0 or self.block_size < 1:
             raise ValueError("epochs must be >= 0 and block_size >= 1")
+        if self.block_size > 0xFFFFFFFF:  # every state's header holds it as a u32
+            raise ValueError(f"block_size={self.block_size} does not fit a u32 header field")
         if min(self.blocks_per_epoch, self.joins_per_epoch, self.leaves_per_epoch) < 0:
             raise ValueError("per-epoch rates must be >= 0")
         if not self.balance_ratio_limit >= 0.0:  # NaN too
@@ -194,6 +196,8 @@ class Network:
 
     config: SimConfig
     field: Field
+    # Iterates in node_id order: ids only grow (next_node_id) and each node
+    # is inserted once, so insertion order is id order.
     nodes: dict[int, NodeRecord]
     next_node_id: int
     next_gamma: list[int]               # per shard, never reused
@@ -206,22 +210,9 @@ class Network:
     def shard_members(self) -> list[list[NodeRecord]]:
         """Each shard's members in node_id order, from one pass over the nodes."""
         members: list[list[NodeRecord]] = [[] for _ in range(self.config.shards)]
-        for n in sorted(self.nodes.values(), key=lambda n: n.node_id):
+        for n in self.nodes.values():
             members[n.shard].append(n)
         return members
-
-    def shard_sizes(self) -> list[int]:
-        sizes = [0] * self.config.shards
-        for n in self.nodes.values():
-            sizes[n.shard] += 1
-        return sizes
-
-    def shard_malicious(self) -> list[int]:
-        counts = [0] * self.config.shards
-        for n in self.nodes.values():
-            if n.malicious:
-                counts[n.shard] += 1
-        return counts
 
     def shard_of(self, position: float) -> int:
         return math.ceil(position * self.config.shards) - 1
@@ -297,14 +288,8 @@ def cuckoo_join(net: Network, node: NodeRecord, rng: random.Random) -> JoinResul
     half = eps / 2.0
     displaced_nodes = []
     if eps > 0.0:
-        displaced_nodes = sorted(
-            (
-                rec
-                for rec in net.nodes.values()
-                if abs(rec.position - node.position) <= half
-            ),
-            key=lambda rec: rec.node_id,
-        )
+        displaced_nodes = [rec for rec in net.nodes.values()
+                           if abs(rec.position - node.position) <= half]
     node.gamma = net.alloc_gamma(node.shard)
     net.nodes[node.node_id] = node
     displaced = []
@@ -341,15 +326,15 @@ def epoch_reconfigure(
     randomness = rng.getrandbits(64)
 
     def check_floor():
-        for shard, size in enumerate(net.shard_sizes()):
-            if size < floor:
+        for shard, members in enumerate(net.shard_members()):
+            if len(members) < floor:
                 raise ShardUnderflowError(
-                    f"shard {shard} dropped to {size} < alpha + 2p = {floor}"
+                    f"shard {shard} dropped to {len(members)} < alpha + 2p = {floor}"
                 )
 
     left = []
     for _ in range(leaves):
-        victim_id = rng.choice(sorted(net.nodes))
+        victim_id = rng.choice(list(net.nodes))
         del net.nodes[victim_id]
         left.append(victim_id)
         check_floor()
@@ -365,9 +350,7 @@ def epoch_reconfigure(
 
     # Network.alloc_gamma never hands a shard's coefficient out twice, so the
     # gammas of a shard's entries are distinct.
-    entries = tuple(
-        (n.node_id, n.shard, n.gamma) for n in sorted(net.nodes.values(), key=lambda n: n.node_id)
-    )
+    entries = tuple((n.node_id, n.shard, n.gamma) for n in net.nodes.values())
     block = ReferenceBlock(epoch, randomness, entries)
     return block, ChurnSummary(tuple(joined), tuple(left))
 
@@ -561,7 +544,7 @@ def run_simulation(config: SimConfig) -> SimReport:
                     net.generations_done[shard] += 1
                     net.pending[shard] = []
 
-        sizes = net.shard_sizes()
+        sizes = [len(shard) for shard in members]
         balance = max(sizes) / min(sizes)
         if config.balance_ratio_limit > 0.0 and balance > config.balance_ratio_limit:
             raise IntegrityError(
@@ -574,7 +557,7 @@ def run_simulation(config: SimConfig) -> SimReport:
                 epoch=epoch,
                 nodes=len(net.nodes),
                 shard_sizes=tuple(sizes),
-                shard_malicious=tuple(net.shard_malicious()),
+                shard_malicious=tuple(sum(n.malicious for n in shard) for shard in members),
                 joins=len(churn.joined),
                 leaves=len(churn.left),
                 displaced=displaced,

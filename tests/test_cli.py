@@ -59,11 +59,22 @@ def test_encode_wrong_file_count_exit_2(tmp_path, capsys):
         assert "L = 1" in err
 
 
-def test_encode_invalid_params_exit_2(tmp_path, capsys):
+@pytest.fixture
+def no_striping(monkeypatch):
+    """Fail at once if a refused encode pads its blocks, which at 2^32 bytes would not fit in memory."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the encode striped its blocks before refusing them")
+
+    monkeypatch.setattr(codec, "stripe_blocks", refuse)
+
+
+def test_encode_invalid_params_exit_2(tmp_path, capsys, no_striping):
     cases = [
         # k * alpha blocks, more than L = 5: (k, alpha) is refused before the count
         (15, "5", "3", "1", "alpha must be >= k"),
-        (1, "1", "1", "-1", "block_size must be >= 0"),
+        (1, "1", "1", "-1", "block_size=-1 does not fit a u32 header field"),
+        (1, "1", "1", "4294967296", "block_size=4294967296 does not fit a u32 header field"),
     ]
     for count, k, alpha, block_size, message in cases:
         write_blocks(tmp_path / f"blocks{count}", [b"x"] * count)
@@ -82,7 +93,7 @@ def test_encode_invalid_params_exit_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-def test_encode_generation_out_of_range_exit_2(tmp_path, capsys):
+def test_encode_generation_out_of_range_exit_2(tmp_path, capsys, no_striping):
     write_blocks(tmp_path / "blocks", [b"x"])
     for gen in ("-1", "4294967296"):  # a generation is a u32 in the file header
         rc = main(
@@ -450,8 +461,11 @@ def test_simulate_missing_config_exit_2(tmp_path, capsys):
         ("seed=2\n", "line 5: repeated config key 'seed'"),
         ("epochs 3\n", "line 5: expected key=value, got 'epochs 3'"),
         ("cap_malicious_per_shard=yes\n", "line 5: cap_malicious_per_shard must be true or false"),
+        # refused by the config itself; no block is drawn here even if it were not
+        ("block_size=4294967296\n", "block_size=4294967296 does not fit a u32 header field"),
     ],
-    ids=["nan-balance-limit", "repeated-key", "no-equals-sign", "non-boolean-cap"],
+    ids=["nan-balance-limit", "repeated-key", "no-equals-sign", "non-boolean-cap",
+         "block-size-over-u32"],
 )
 def test_simulate_malformed_config_exit_2(tmp_path, capsys, extra, message):
     config = tmp_path / "sim.cfg"

@@ -57,8 +57,10 @@ def test_stripe_empty_block_is_padding():
 
 
 def test_stripe_oversize_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^block 0 is 5 bytes; block_size is 4$"):
         codec.stripe_blocks([b"abcde"], binary_field(16), 4)
+    with pytest.raises(ValueError, match="^block_size must be >= 0$"):
+        codec.stripe_blocks([b""], binary_field(16), -1)
 
 
 def test_stripe_value_range_checked_for_small_fields():
@@ -185,6 +187,29 @@ def test_encode_nodes_block_size_defaults_to_longest_block():
     blocks = [b"abc", b"", b"de", b"fghij", b"k"]
     default = codec.encode_nodes(blocks, [1, 2], params, f)
     assert default == codec.encode_nodes(blocks, [1, 2], params, f, block_size=5)
+
+
+@pytest.mark.parametrize(
+    "blocks, gammas, changes, message",
+    [
+        ([b"ab"], [1], {"block_size": 1 << 32}, "block_size=4294967296 does not fit a u32 header field"),
+        ([b"ab"], [1], {"block_size": -1}, "block_size=-1 does not fit a u32 header field"),
+        ([b"ab"], [1], {"generation": 1 << 32}, "generation=4294967296 does not fit a u32 header field"),
+        ([b"ab"], [1, 70000], {}, "70000 is not an element of"),
+        ([b"abcde"], [1], {"block_size": 4}, "block 0 is 5 bytes; block_size is 4"),
+    ],
+    ids=["block-size-over-u32", "block-size-negative", "generation-over-u32", "gamma", "block-too-long"],
+)
+def test_encode_nodes_refuses_before_striping(monkeypatch, blocks, gammas, changes, message):
+    """The header and the gammas are checked first, so a 2^32 block_size allocates nothing."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the encode striped its blocks before refusing them")
+
+    monkeypatch.setattr(codec, "stripe_blocks", refuse)
+    args = dict(generation=0, block_size=2) | changes
+    with pytest.raises(ValueError, match=message):
+        codec.encode_nodes(blocks, gammas, MbrParams(1, 1), binary_field(16), **args)
 
 
 def test_encode_nodes_wrong_arity_even_without_nodes():
@@ -451,6 +476,23 @@ def test_reconstruct_symbol_outside_block_bytes_is_integrity_error():
         codec.reconstruct_generation(states, p=1)
 
 
+def test_reconstruct_refuses_an_asymmetric_u():
+    """Two liars against p = 1 move U's columns to codewords that disagree off the diagonal.
+
+    The one-stripe case of mbr's test_secure_reconstruct_refuses_an_asymmetric_u.
+    """
+    f = prime_field(13)
+    params = MbrParams(2, 3, p=1)
+    blocks = [bytes([v]) for v in (1, 2, 3, 4, 5)]
+    states = [codec.encode_generation(blocks, g, params, f, block_size=1) for g in (1, 2, 3, 4)]
+    for i, delta in enumerate((1, 5)):
+        rows = [list(row) for row in states[i].blocks]
+        rows[0][0] = f.add(rows[0][0], delta)
+        states[i] = replace(states[i], blocks=rows)
+    with pytest.raises(IntegrityError, match=r"^recovered U block is not symmetric$"):
+        codec.reconstruct_generation(states, p=1)
+
+
 def test_end_to_end_with_bootstrapped_node():
     f = binary_field(16)
     params = MbrParams(2, 3, n=6, p=1)
@@ -537,6 +579,8 @@ def test_malformed_files_rejected():
         codec.state_from_bytes(b"NOPE" + data[4:])
     with pytest.raises(ValueError, match="truncated state header"):
         codec.state_from_bytes(data[:PADS - 1])  # cut inside the fixed header
+    with pytest.raises(ValueError, match="^truncated state header$"):
+        codec.state_from_bytes(data[:PADS + 6])  # cut inside the pad lengths
     with pytest.raises(ValueError, match="truncated state payload"):
         codec.state_from_bytes(data[:-1])
     with pytest.raises(ValueError, match="trailing bytes after state payload"):
@@ -566,11 +610,17 @@ def test_payload_symbols_outside_field_rejected():
 
 # Byte offsets of header words in a version-1 file (layout as in
 # test_state_file_golden_bytes); a share's target gamma follows the pads.
-FIELD_PARAM, GAMMA, BLOCK_SIZE, COUNT, PADS = 7, 15, 23, 31, 35
+FIELD_KIND, FIELD_PARAM, GAMMA, BLOCK_SIZE, COUNT, PADS = 6, 7, 15, 23, 31, 35
 
 
 def _put_u32(data, off, value):
     return data[:off] + value.to_bytes(4, "little") + data[off + 4 :]
+
+
+def _put_field(data, kind, param=None):
+    """data with its field kind byte, and its field parameter unless param is None, replaced."""
+    data = data[:FIELD_KIND] + bytes([kind]) + data[FIELD_KIND + 1 :]
+    return data if param is None else _put_u32(data, FIELD_PARAM, param)
 
 
 @pytest.mark.parametrize(
@@ -585,9 +635,18 @@ def _put_u32(data, off, value):
         ("state", lambda d: _put_u32(d, BLOCK_SIZE, 8), r"Z=2 does not match block_size=8 \(Z=4\)"),
         ("state", lambda d: _put_u32(_put_u32(d, PADS + 4, 7), PADS + 12, 9),
          r"pad length 7 is outside \[0, block_size=4\]"),
+        ("state", lambda d: _put_field(d, 0), r"^unknown field kind code 0$"),
+        ("share", lambda d: _put_field(d, 3), r"^unknown field kind code 3$"),
+        ("state", lambda d: _put_field(d, 1, 4), r"^4 is not prime$"),
+        ("state", lambda d: _put_field(d, 1, 65537),
+         r"^fields larger than 2\^16 are not supported \(got 65537\)$"),
+        ("state", lambda d: _put_field(d, 2, 0x10001), r"^reduction polynomial 0x10001 is reducible$"),
+        ("share", lambda d: _put_field(d, 2, 0x2002D),
+         r"^fields larger than 2\^16 are not supported \(got degree 17\)$"),
     ],
     ids=["pad-over-block-size", "count-not-L", "gamma", "target-gamma", "target-is-helper",
-         "z-not-block-size", "first-of-two-pads-over-block-size"],
+         "z-not-block-size", "first-of-two-pads-over-block-size", "field-kind-0", "field-kind-3",
+         "prime-not-prime", "prime-over-2^16", "binary-reducible", "binary-degree-17"],
 )
 def test_invalid_header_rejected(what, patch, message):
     """Each patch leaves a well-formed file whose header breaks one rule."""
@@ -756,6 +815,9 @@ def test_payload_equality_and_hash_follow_the_symbols():
     assert replace(share, symbols=(share.symbols[0] ^ 1, share.symbols[1])) != share
     assert replace(share, gamma=2) != share
     assert replace(share, target_gamma=5) != share
+    # a state and a share never compare equal, even on the same header fields
+    assert all(getattr(state, name) == getattr(share, name) for name in codec._HEADER_FIELDS)
+    assert state != share and not state == share and share != state
 
 
 @pytest.mark.parametrize(
@@ -778,7 +840,7 @@ DERIVED_SPECS = ["binary:8", "binary:16", "prime:65521"]
 
 
 def _derived_objects(spec):
-    """encode_nodes' later states, a served share and a bootstrapped state.
+    """encode_nodes' states, a served share and a bootstrapped state.
 
     Each is built on the header of an object that passed every check.
     """
@@ -788,7 +850,7 @@ def _derived_objects(spec):
     states = codec.encode_nodes(blocks, [1, 2, 3, 4, 5, 6], params, f, generation=9, block_size=4)
     share = codec.serve_repair(states[1], 7)
     booted = codec.bootstrap_node([codec.serve_repair(s, 7) for s in states[1:]], 7, p=1)
-    return f, params, blocks, states[1:] + [share, booted]
+    return f, params, blocks, states + [share, booted]
 
 
 @pytest.mark.parametrize("spec", DERIVED_SPECS)

@@ -140,6 +140,17 @@ def test_extract_message_integrity_errors():
         extract_message(f, m, params)
 
 
+def test_extract_message_refuses_a_matrix_not_alpha_by_alpha():
+    f = prime_field(13)
+    params = MbrParams(2, 3)
+    m = build_message_matrix(f, [1, 2, 3, 4, 5], params)
+    ragged = [row[:] for row in m]
+    ragged[1].pop()
+    for bad in (m[:2], ragged):  # too few rows; a row too short
+        with pytest.raises(ValueError, match=r"^matrix must be 3x3$"):
+            extract_message(f, bad, params)
+
+
 def test_encode_node_examples():
     f = prime_field(13)
     params = MbrParams(2, 3)

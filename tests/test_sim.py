@@ -97,8 +97,9 @@ def test_field_must_cover_shard_size():
 def test_initial_network_balanced_and_positions_match_shards():
     cfg = small_config(malicious=2, p=1, cap_malicious_per_shard=True)
     net = initial_network(cfg)
-    assert net.shard_sizes() == [6, 6]
-    assert net.shard_malicious() == [1, 1]
+    members = net.shard_members()
+    assert [len(m) for m in members] == [6, 6]
+    assert [sum(n.malicious for n in m) for m in members] == [1, 1]
     for rec in net.nodes.values():
         assert 0.0 < rec.position <= 1.0
         assert net.shard_of(rec.position) == rec.shard
@@ -145,7 +146,7 @@ def test_cuckoo_join_seeded_golden_run():
     assert res.displaced == ((2, 2, 3),)
     assert res.needs_bootstrap == (16, 2)
     assert net.nodes[16].gamma == 4
-    assert net.shard_sizes() == [4, 4, 4, 5]
+    assert [len(m) for m in net.shard_members()] == [4, 4, 4, 5]
 
 
 def test_displaced_node_changing_shard_drops_state_and_gets_fresh_gamma():
@@ -213,6 +214,9 @@ def test_reference_blocks_never_repeat_a_gamma_within_a_shard(kw, seed, epochs):
         for shard in range(cfg.shards):
             gammas = [gamma for _, s, gamma in ref.entries if s == shard]
             assert len(set(gammas)) == len(gammas)
+        # Network.nodes iterates in node_id order, so the entries come sorted
+        ids = [node_id for node_id, _, _ in ref.entries]
+        assert ids == sorted(ids) and list(net.nodes) == ids
     assert moves and leaves == epochs * cfg.leaves_per_epoch  # the churn under test happened
 
 
@@ -256,7 +260,7 @@ def test_epoch_reconfigure_underflow_after_cuckoo_displacement():
     net = initial_network(cfg)
     with pytest.raises(ShardUnderflowError, match=r"^shard 0 dropped to 2 < alpha \+ 2p = 3$"):
         epoch_reconfigure(net, 0, random.Random(0), joins=1)
-    assert net.shard_sizes() == [2, 7]
+    assert [len(m) for m in net.shard_members()] == [2, 7]
 
 
 def test_adversary_zero_out():
