@@ -32,10 +32,10 @@ Every header is untrusted input (up to p helpers are Byzantine), so
 GenerationHeader, and RepairShare for the target gamma, check every rule
 below whenever one is built by its constructor, parsed or replaced; derived
 objects keep the checked header.  encode_nodes' states (from the one
-header it checks before striping), serve_repair's share and
-bootstrap_node's state take their header fields from an object that passed
-the checks, and only the gamma (and a share's target gamma) that they set
-afresh is checked again:
+header it checks before striping), serve_repair's and shares_from_target's
+shares and bootstrap_node's state take their header fields from an object
+that passed the checks, and only the gamma (and a share's target gamma)
+that they set afresh is checked again:
   - (k, alpha) are valid MBR parameters (1 <= k <= alpha) and fit u16;
   - gamma, and a share's target gamma, are elements of the field;
   - a share's target gamma differs from its helper gamma;
@@ -438,6 +438,24 @@ def serve_repair(state: CodedNodeState, target_gamma: int) -> RepairShare:
     f = state.field
     (symbols,) = f.matmul(f.vandermonde([target_gamma], state.alpha), state.payload)
     return RepairShare._derived(state, state.gamma, target_gamma, symbols)
+
+
+def shares_from_target(state: CodedNodeState, helper_gammas: list[int]) -> list[RepairShare]:
+    """The shares the nodes at helper_gammas serve to state's node, from its own state.
+
+    M is symmetric, so the share helper h sends to target t,
+    psi(h)^T M psi(t), is also psi(h)^T times t's coded state psi(t)^T M
+    (Rashmi, Shah, Kumar, IEEE T-IT 57(8), 2011): each share equals
+    serve_repair(encode_generation(blocks, h, ...), t), header and payload.
+    All of them come from one product of the helpers' Vandermonde rows with
+    state's payload, and each is derived from state's checked header with
+    the helper's gamma.  Raises ValueError for a helper gamma outside the
+    field or equal to state's gamma.
+    """
+    f = state.field
+    rows = f.matmul(f.vandermonde(helper_gammas, state.alpha), state.payload)
+    return [RepairShare._derived(state, h, state.gamma, row)
+            for h, row in zip(helper_gammas, rows)]
 
 
 def _common_header(items: list[GenerationHeader], what: str) -> GenerationHeader:

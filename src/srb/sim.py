@@ -9,12 +9,14 @@ Each joining or displaced node obtains its coded state by bootstrap-as-repair
 from alpha + 2p helpers.  Malicious helpers corrupt their shares under a
 configurable strategy.
 
-A member's state of a generation is encoded only when a repair first reads
-it: each bootstrap makes one codec.encode_nodes call for those of its
-sampled helpers not yet encoded and, last, the joiner itself, whose state is
-the oracle the bootstrap is judged against.  A state nobody reads is never
-encoded; encoding is deterministic, so the states and the report are those
-of encoding every member up front.
+No member's state is kept: a node records only the generations it holds.
+M is symmetric, so the share helper h sends to joiner t, psi(h)^T M psi(t),
+is psi(h)^T times t's own coded state.  Each bootstrap therefore encodes
+only the joiner's state, with one codec.encode_generation call; that state
+is the oracle the bootstrap is judged against, and codec.shares_from_target
+makes every honest share from it in one product.  Encoding is
+deterministic, so the shares and the report are those of serving every
+helper's own encoded state.
 
 Consensus and transaction semantics are out of scope: blocks simply arrive
 valid.  Everything is driven by a single seed; identical configs produce
@@ -146,13 +148,12 @@ class SimConfig:
 
 @dataclass
 class NodeRecord:
-    """One live node: overlay position, shard, coefficient, stored state.
+    """One live node: overlay position, shard, coefficient, stored generations.
 
-    states maps each generation the node holds to its CodedNodeState, kept as
-    built (checked once by codec) and served from directly, or to None while
-    it holds the generation but no repair has read it yet: _bootstrap_one
-    encodes it then.  Every state of a run is the same size, a state file's
-    header_bytes() + payload_bytes().
+    states is the set of generations the node holds.  Their contents are not
+    kept: a bootstrap makes its helpers' shares from the joiner's state (see
+    the module docstring).  Every state of a run is the same size, a state
+    file's header_bytes() + payload_bytes().
     """
 
     node_id: int
@@ -160,7 +161,7 @@ class NodeRecord:
     shard: int
     gamma: int
     malicious: bool
-    states: dict[int, codec.CodedNodeState | None] = dc_field(default_factory=dict)
+    states: set[int] = dc_field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -203,8 +204,8 @@ class Network:
     next_gamma: list[int]               # per shard, never reused
     generations_done: list[int]         # per shard
     pending: list[list[bytes]]          # per shard, blocks of the generation filling up
-    # (shard, generation) -> its L blocks: encoded on demand into the states
-    # a bootstrap reads and the joiner's oracle
+    # (shard, generation) -> its L blocks, which each bootstrap of the
+    # generation encodes into the joiner's state
     generation_blocks: dict[tuple[int, int], list[bytes]]
 
     def shard_members(self) -> list[list[NodeRecord]]:
@@ -447,23 +448,20 @@ def _bootstrap_one(
             f"shard {rec.shard} lacks alpha + 2p = {need} helpers holding generation {generation}"
         )
     helpers = helper_rng.sample(pool, need)
-    # One encode for the helpers read for the first time and, last, the oracle.
-    unread = [h for h in helpers if h.states[generation] is None]
-    *first_reads, expected = codec.encode_nodes(
+    # The joiner's state is the oracle, and every honest share comes from it.
+    expected = codec.encode_generation(
         net.generation_blocks[(rec.shard, generation)],
-        [h.gamma for h in unread] + [rec.gamma],
+        rec.gamma,
         cfg.params,
         net.field,
         generation=generation,
         block_size=cfg.block_size,
     )
-    for helper, state in zip(unread, first_reads):
-        helper.states[generation] = state
+    honest = codec.shares_from_target(expected, [h.gamma for h in helpers])
     event_seed = f"{cfg.seed}:adversary:{epoch}:{rec.shard}:{rec.node_id}:{generation}"
     shares = []
     corrupted = 0
-    for helper in helpers:
-        share = codec.serve_repair(helper.states[generation], rec.gamma)
+    for helper, share in zip(helpers, honest):
         if helper.malicious:
             corrupted += 1
             share = adversary_corrupt(share, cfg.strategy, random.Random(event_seed))
@@ -484,7 +482,7 @@ def _bootstrap_one(
             f"bootstrap of node {rec.node_id} failed with only {corrupted} <= p corrupt shares"
         )
     if ok:
-        rec.states[generation] = state
+        rec.states.add(generation)
     return BootstrapEvent(
         epoch, rec.node_id, rec.shard, generation, ok, corrupted, payload, headers
     )
@@ -539,7 +537,7 @@ def run_simulation(config: SimConfig) -> SimReport:
                 if len(net.pending[shard]) == l_blocks:
                     generation = net.generations_done[shard]
                     for member in members[shard]:
-                        member.states[generation] = None
+                        member.states.add(generation)
                     net.generation_blocks[(shard, generation)] = net.pending[shard]
                     net.generations_done[shard] += 1
                     net.pending[shard] = []

@@ -245,6 +245,36 @@ def test_serve_repair_per_stripe_matches_mbr():
         assert share.symbols[s] == repair_share(f, row, 4)
 
 
+@pytest.mark.parametrize("spec", ["binary:8", "binary:8:0x11b", "binary:16", "prime:13", "prime:65521"])
+@pytest.mark.parametrize(
+    "k, alpha, block_size", [(3, 3, 5), (1, 4, 5), (30, 50, 3)], ids=["k=alpha", "k=1", "paper"]
+)
+def test_shares_from_target_equal_the_shares_helpers_serve(spec, k, alpha, block_size):
+    """M is symmetric, so the share helper h serves to t is psi(h)^T times t's state."""
+    f = parse_field(spec)
+    params = MbrParams(k, alpha)
+    rng = random.Random(f"{spec}:{k}:{alpha}")
+    top = min(256, f.order)  # every stripe byte packs into a field element
+    blocks = [bytes(rng.randrange(top) for _ in range(rng.randint(0, block_size)))
+              for _ in range(params.message_length)]
+
+    def encode(gamma):
+        return codec.encode_generation(blocks, gamma, params, f, generation=4,
+                                       block_size=block_size)
+
+    for target in (0, 5):
+        helpers = [h for h in (0, 1, 2, 5, 9, f.order - 1) if h != target]
+        shares = codec.shares_from_target(encode(target), helpers)
+        want = [codec.serve_repair(encode(h), target) for h in helpers]
+        assert [(s.gamma, s.target_gamma) for s in shares] == [(h, target) for h in helpers]
+        assert list(map(codec.share_to_bytes, shares)) == list(map(codec.share_to_bytes, want))
+        assert shares == want
+        with pytest.raises(ValueError, match="a node cannot serve a repair share to itself"):
+            codec.shares_from_target(encode(target), [1, target])
+        with pytest.raises(ValueError, match=f"{f.order} is not an element of"):
+            codec.shares_from_target(encode(target), [1, f.order])
+
+
 def test_bootstrap_matches_direct_encoding():
     f = binary_field(16)
     params = MbrParams(3, 4, n=8, p=1)

@@ -5,11 +5,12 @@ from pathlib import Path
 import pytest
 
 from field_helpers import poly_eval
-from srb import codec
+from srb import codec, sim
 from srb.errors import DecodeFailure, IntegrityError, ShardUnderflowError
 from srb.field import binary_field, parse_field
 from srb.mbr import MbrParams
 from srb.sim import (
+    STRATEGIES,
     NodeRecord,
     SimConfig,
     _draw_position,
@@ -154,7 +155,7 @@ def test_displaced_node_changing_shard_drops_state_and_gets_fresh_gamma():
     net = initial_network(cfg)
     rng = random.Random(5)
     victim = net.nodes[0]
-    victim.states[0] = b"sentinel"
+    victim.states.update({0, 1})
     old_gamma = victim.gamma
     moved = False
     for i in range(40):
@@ -167,7 +168,7 @@ def test_displaced_node_changing_shard_drops_state_and_gets_fresh_gamma():
         if moved:
             break
     assert moved
-    assert net.nodes[0].states == {}
+    assert net.nodes[0].states == set()
     assert net.nodes[0].gamma != old_gamma or net.nodes[0].shard != 0
 
 
@@ -621,35 +622,60 @@ def test_malicious_cap_holds_under_churn():
         assert all(c <= cfg.p for c in st.shard_malicious)
 
 
-def test_simulator_encodes_a_state_only_when_a_bootstrap_first_reads_it(monkeypatch):
-    """Each simulator encode_nodes call belongs to one bootstrap: it comes before
-    that bootstrap's shares are served, ends with the joiner's gamma (the oracle)
-    and holds exactly the sampled helpers not yet encoded.  No (shard,
-    generation, gamma) is encoded twice, and a generation nobody reads never."""
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_simulator_encodes_each_joiners_state_and_makes_every_share_from_it(
+    monkeypatch, strategy
+):
+    """Each bootstrap makes one encode_generation call, for the joiner's gamma (the
+    oracle), and then its shares from that state alone: no encode_nodes or
+    serve_repair call, and a generation nobody bootstraps is never encoded.  Every
+    honest share handed to bootstrap_node is byte for byte the one the helper
+    serves from its own directly encoded state, bootstrapped helpers included,
+    and every malicious one is adversary_corrupt of it under the event's seed."""
     log = []
-    encode_nodes, serve_repair, bootstrap_node = (
-        codec.encode_nodes, codec.serve_repair, codec.bootstrap_node)
+    nets = []
+    encode_generation, shares_from_target, bootstrap_node = (
+        codec.encode_generation, codec.shares_from_target, codec.bootstrap_node)
+    encode_nodes, start = codec.encode_nodes, sim.initial_network
+    inside_encode = []
 
     def refuse(*args, **kw):
-        raise AssertionError("the simulator encoded one node on its own")
+        raise AssertionError("the simulator served a share from a helper's state")
 
-    def record_encode(blocks, gammas, params, field, generation=0, block_size=None):
+    def refuse_batch(*args, **kw):
+        assert inside_encode, "the simulator encoded a batch of nodes"
+        return encode_nodes(*args, **kw)
+
+    def record_encode(blocks, gamma, params, field, generation=0, block_size=None):
+        inside_encode.append(gamma)
+        try:
+            state = encode_generation(blocks, gamma, params, field, generation, block_size)
+        finally:
+            inside_encode.pop()
         # a generation's blocks are random bytes: they name its (shard, generation)
-        log.append(("encode", tuple(blocks), list(gammas), generation))
-        return encode_nodes(blocks, gammas, params, field, generation, block_size)
+        log.append(("encode", tuple(blocks), gamma, generation, state))
+        return state
 
-    def record_serve(state, target_gamma):
-        log.append(("serve", state.gamma, target_gamma))
-        return serve_repair(state, target_gamma)
+    def record_shares(state, helper_gammas):
+        log.append(("shares", state, list(helper_gammas)))
+        return shares_from_target(state, helper_gammas)
 
     def record_bootstrap(shares, target_gamma, p=0):
-        log.append(("bootstrap", target_gamma))
+        (net,) = nets
+        liars = {(n.shard, n.gamma) for n in net.nodes.values() if n.malicious}
+        log.append(("bootstrap", list(shares), target_gamma, liars))
         return bootstrap_node(shares, target_gamma, p)
 
-    monkeypatch.setattr(codec, "encode_generation", refuse)
-    monkeypatch.setattr(codec, "encode_nodes", record_encode)
-    monkeypatch.setattr(codec, "serve_repair", record_serve)
+    def record_network(config):
+        nets.append(start(config))
+        return nets[-1]
+
+    monkeypatch.setattr(codec, "encode_generation", record_encode)
+    monkeypatch.setattr(codec, "encode_nodes", refuse_batch)
+    monkeypatch.setattr(codec, "serve_repair", refuse)
+    monkeypatch.setattr(codec, "shares_from_target", record_shares)
     monkeypatch.setattr(codec, "bootstrap_node", record_bootstrap)
+    monkeypatch.setattr(sim, "initial_network", record_network)
     cfg = small_config(
         total_nodes=24,
         shards=2,
@@ -657,36 +683,42 @@ def test_simulator_encodes_a_state_only_when_a_bootstrap_first_reads_it(monkeypa
         p=1,
         joins_per_epoch=2,
         epochs=6,
-        strategy="zero-out",
+        strategy=strategy,
         seed=4,
         cap_malicious_per_shard=False,
     )
     report = run_simulation(cfg)
-    need = cfg.alpha + 2 * cfg.p
+    monkeypatch.undo()
     events = report.bootstrap_events
-    assert len(log) == len(events) * (need + 2)
-    encoded, oracles, rereads, served_bootstrapped = set(), set(), 0, 0
+    assert len(log) == 3 * len(events)
     names = {}  # generation blocks -> (shard, generation)
+    bootstrapped, served_bootstrapped, corrupted = set(), 0, 0
     for i, event in enumerate(events):
-        call = log[i * (need + 2) : (i + 1) * (need + 2)]
-        (kind, blocks, gammas, generation), serves, boot = call[0], call[1:-1], call[-1]
-        assert kind == "encode" and boot[0] == "bootstrap" and generation == event.generation
+        (kind, blocks, joiner, generation, state), made, boot = log[3 * i : 3 * i + 3]
+        assert (kind, made[0], boot[0]) == ("encode", "shares", "bootstrap")
+        (_, source, helpers), (_, shares, target, liars) = made, boot
+        assert joiner == target and generation == event.generation and source is state
         name = (event.shard, event.generation)
         assert names.setdefault(blocks, name) == name
-        joiner = boot[1]
-        assert gammas[-1] == joiner
-        assert all(what == "serve" and target == joiner for what, _, target in serves)
-        helpers = [helper for _, helper, _ in serves]
-        assert gammas[:-1] == [h for h in helpers if (blocks, h) not in encoded]
-        rereads += len(gammas) - 1 < need
-        served_bootstrapped += sum((blocks, h) in oracles for h in helpers)
-        for gamma in gammas:
-            assert (blocks, gamma) not in encoded  # at most once
-            encoded.add((blocks, gamma))
-        oracles.add((blocks, joiner))
+        assert [s.gamma for s in shares] == helpers
+        seed = f"{cfg.seed}:adversary:{event.epoch}:{event.shard}:{event.node_id}:{generation}"
+        lies = 0
+        for share in shares:
+            own = codec.encode_generation(list(blocks), share.gamma, cfg.params, state.field,
+                                          generation, cfg.block_size)
+            want = codec.serve_repair(own, joiner)
+            if (event.shard, share.gamma) in liars:
+                lies += 1
+                want = adversary_corrupt(want, strategy, random.Random(seed))
+            assert codec.share_to_bytes(share) == codec.share_to_bytes(want)
+            served_bootstrapped += (blocks, share.gamma) in bootstrapped
+        assert lies == event.corrupted_shares
+        corrupted += lies
+        if event.ok:
+            bootstrapped.add((blocks, joiner))
     done = report.epochs[-1].generations_done
     assert sum(done) > len(done)  # several generations per shard
-    # every encode belongs to a bootstrap, so no unread generation is encoded
+    # every encode belongs to a bootstrap, so no generation nobody bootstraps is encoded
     assert len(set(names.values())) == len(names) < sum(done)
-    assert rereads and served_bootstrapped  # a helper read twice; a joiner serving
+    assert corrupted and served_bootstrapped  # liars, and bootstrapped nodes serving
     assert any(not e.ok for e in events)  # a failed decode is judged as well
