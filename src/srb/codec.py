@@ -14,7 +14,10 @@ with the L x Z blocks; several nodes take two, of their stacked Vandermonde
 rows with the message blocks gathered into [S; T^T] and T, because with
 M = [[S, T], [T^T, 0]] a node's row psi^T M is [psi^T [S; T^T], psi[:k]^T T].
 The node count alone picks the form, a rule measured only in GF(2^m) at
-small L (see encode_nodes); encode_generation is the one-node case.
+small L (see encode_nodes); encode_generation is the one-node case.  Both
+forms, and reconstruct's return to message order, index the one layout
+srb.mbr.message_layout builds once per (k, alpha): M's first k rows as a
+k x alpha array of message indices, so no layout work grows with alpha^2.
 
 File formats (version 1, header integers little-endian, symbols big-endian):
 
@@ -85,7 +88,7 @@ import numpy as np
 
 from .errors import DecodeFailure, IntegrityError
 from .field import Field, field_from_header
-from .mbr import MbrParams, message_index_matrix
+from .mbr import MbrParams, message_layout
 from .rs import DecodeSetup, rs_decode_many
 
 MAGIC = b"SRB1"
@@ -355,10 +358,13 @@ def encode_nodes(
 
       - one node: alpha sparse coefficient rows over the L x Z blocks; coded
         block j is the sum over the cells (i, j) of M of psi_i times the
-        message block housed there.
+        message block housed there.  With first = message_layout(k, alpha),
+        row j takes psi_i at first[i, j] for i < k and, for j < k, at
+        first[j, i] for i >= k: two array assignments.
       - several nodes: M = [[S, T], [T^T, 0]] makes psi^T M equal to
         [psi^T [S; T^T], phi^T T] with phi = psi[:k].  The blocks are
-        gathered once into [S; T^T] (alpha x k*Z) and T (k x (alpha-k)*Z),
+        gathered once, by first[:, :k] over first[:, k:]^T and by
+        first[:, k:], into [S; T^T] (alpha x k*Z) and T (k x (alpha-k)*Z),
         and two products make every state: the stacked psi rows against the
         first, the stacked phi rows against the second (none when k ==
         alpha).  That is one row per node in each product, over k*Z and
@@ -399,20 +405,20 @@ def encode_nodes(
     stripes = stripe_blocks(blocks, field, block_size)
     if not gammas:
         return []
-    grid, n, z = message_index_matrix(params), len(gammas), stripes.z
+    first, n, z = message_layout(k, alpha), len(gammas), stripes.z
     if n == 1:
-        # coded block j is row j: psi_i at the index of each cell (i, j)
-        i, j, g = zip(*[(i, j, g) for i, row in enumerate(grid)
-                        for j, g in enumerate(row) if g is not None])
+        # coded block j is row j: psi_i at the index of each cell (i, j) of M,
+        # first[i, j] for i < k and, by symmetry, first[j, i] for i >= k
         rows = np.zeros((alpha, want), psis.dtype)
-        rows[j, g] = psis[0, i]
+        rows[np.arange(alpha), first] = psis[0, :k, None]
+        rows[np.arange(k)[:, None], first[:, k:]] = psis[0, k:]
         coded = field.matmul(rows, stripes.symbols).reshape(1, alpha, z)
     else:
         coded = np.empty((n, alpha, z), np.uint16)
-        left = stripes.symbols[[row[:k] for row in grid]].reshape(alpha, k * z)
-        coded[:, :k] = field.matmul(psis, left).reshape(n, k, z)
+        left = stripes.symbols[np.concatenate((first[:, :k], first[:, k:].T))]
+        coded[:, :k] = field.matmul(psis, left.reshape(alpha, k * z)).reshape(n, k, z)
         if k < alpha:
-            right = stripes.symbols[[row[k:] for row in grid[:k]]].reshape(k, (alpha - k) * z)
+            right = stripes.symbols[first[:, k:]].reshape(k, (alpha - k) * z)
             coded[:, k:] = field.matmul(psis[:, :k], right).reshape(n, alpha - k, z)
     return [CodedNodeState._derived(header, gamma, rows) for gamma, rows in zip(gammas, coded)]
 
@@ -518,6 +524,8 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
     secure_reconstruct does per stripe: first V's columns, then, with the
     V^T term subtracted, U's.  All of them share one DecodeSetup, so a state
     blamed in one decode is erased in every later one.
+    The decoded [U V] rows return to message order by one gather, at the
+    cells of message_layout on or above its diagonal.
     The recovered message rows go into arrays of whole blocks allocated up
     front, a group of rows each, which are turned into bytes one group at a
     time: above its input and output, a reconstruct holds slice-sized
@@ -536,9 +544,10 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
     n, width = len(states), alpha - k
     setup = DecodeSetup(f, [s.gamma for s in states], k, width=alpha)
     vt_coeffs = setup.rows[:, k:]
-    grid = message_index_matrix(params)  # each index once on or above the diagonal
-    _, rows, cols = zip(*sorted((grid[i][j], i, j) for i in range(k) for j in range(i, alpha)))
-    rows, cols = list(rows), list(cols)
+    # the cell of [U V] that houses each message index, once on or above the diagonal
+    upper = np.triu(np.ones((k, alpha), bool))
+    cells = np.empty(len(pads), np.intp)
+    cells[message_layout(k, alpha)[upper]] = np.flatnonzero(upper)
     sb = stripe_symbol_bytes(f)
     step = max(1, _SLICE_SYMBOLS // max(1, z))
     groups = [(start, np.empty((len(pads[start : start + step]), z), _dtype(sb)))
@@ -560,7 +569,7 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
         vt_term = f.matmul(vt_coeffs, v.transpose(1, 0, 2).reshape(width, k * s))
         u = _decode(setup, f.subtract(received[:, :k].reshape(n, k * s), vt_term),
                     "reconstruction").reshape(k, k, s)
-        message = np.concatenate([u, v], axis=1)[rows, cols]  # the first k rows of M
+        message = np.concatenate([u, v], axis=1).reshape(k * alpha, s)[cells]
         for start, group in groups:  # a symbol too wide wraps here, and is refused below
             group[:, part] = message[start : start + len(group)]
         return np.array_equal(u, u.transpose(1, 0, 2)), message.max(initial=0) < 256**sb

@@ -9,11 +9,19 @@ from its own row alone, and a new node recovers its full row from
 alpha + 2p such symbols by Reed-Solomon decoding, tolerating p corrupt
 helpers.  Any k + 2p full rows recover the message, again tolerating p
 liars.
+
+message_layout fixes where each of the L message symbols sits in M: its
+first k rows, [U V], as one k x alpha array of message indices, built once
+per (k, alpha).  build_message_matrix and extract_message here, and the bulk
+encode and reconstruct in srb.codec, all read that one array.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DecodeFailure, IntegrityError
 from .field import Field
@@ -77,36 +85,37 @@ class NodeRow:
     symbols: tuple[int, ...]
 
 
-def message_index_matrix(params: MbrParams) -> list[list[int | None]]:
-    """Message index housed at each matrix cell; None marks structural zeros.
+# Layouts kept built per process.  Headers are untrusted and name (k, alpha),
+# so the cache is bounded, like the field tables; as k * alpha <= 2L, a layout
+# takes at most 16 bytes per message index, four times its header's pad words.
+@functools.lru_cache(maxsize=16)
+def message_layout(k: int, alpha: int) -> np.ndarray:
+    """M's first k rows, [U V], as a read-only k x alpha array of message indices.
 
-    U's upper triangle is filled row-major with indices 0 .. k(k+1)/2 - 1,
-    then V row-major with the remainder; the mirrored cells repeat the same
-    index.
+    U's upper triangle is numbered row-major 0 .. k(k+1)/2 - 1 and mirrored
+    below its diagonal, then V row-major with the rest, up to L - 1.  M's
+    other rows, [V^T 0], are implied.  Built once per (k, alpha), in O(L).
     """
-    k, alpha = params.k, params.alpha
-    grid: list[list[int | None]] = [[None] * alpha for _ in range(alpha)]
-    idx = 0
-    for i in range(k):
-        for j in range(i, k):
-            grid[i][j] = grid[j][i] = idx
-            idx += 1
-    for i in range(k):
-        for j in range(k, alpha):
-            grid[i][j] = grid[j][i] = idx
-            idx += 1
-    return grid
+    first = np.empty((k, alpha), np.intp)
+    rows, cols = np.triu_indices(k)
+    first[rows, cols] = first[cols, rows] = np.arange(len(rows))
+    first[:, k:] = np.arange(len(rows), message_length(k, alpha)).reshape(k, alpha - k)
+    first.flags.writeable = False
+    return first
 
 
 def build_message_matrix(field: Field, msg: list[int], params: MbrParams) -> list[list[int]]:
     """Arrange L message symbols into the symmetric matrix [[U, V], [V^T, 0]]."""
-    want = params.message_length
+    want, alpha = params.message_length, params.alpha
     if len(msg) != want:
         raise ValueError(f"expected {want} message symbols, got {len(msg)}")
     for v in msg:
         field.check(v)
-    grid = message_index_matrix(params)
-    return [[0 if g is None else msg[g] for g in row] for row in grid]
+    matrix = [[0] * alpha for _ in range(alpha)]
+    for i, row in enumerate(message_layout(params.k, alpha).tolist()):
+        for j, g in enumerate(row):
+            matrix[i][j] = matrix[j][i] = msg[g]
+    return matrix
 
 
 def extract_message(field: Field, matrix: list[list[int]], params: MbrParams) -> list[int]:
@@ -122,13 +131,10 @@ def extract_message(field: Field, matrix: list[list[int]], params: MbrParams) ->
         for j in range(k, alpha):
             if matrix[i][j] != 0:
                 raise IntegrityError(f"bottom-right block is nonzero at ({i},{j})")
-    grid = message_index_matrix(params)
     out = [0] * params.message_length
-    for i in range(alpha):
-        for j in range(alpha):
-            g = grid[i][j]
-            if g is not None:
-                out[g] = field.check(matrix[i][j])
+    for i, row in enumerate(message_layout(k, alpha).tolist()):
+        for j, g in enumerate(row):
+            out[g] = field.check(matrix[i][j])
     return out
 
 

@@ -1,5 +1,6 @@
 import copy
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -589,6 +590,37 @@ def test_state_file_golden_bytes():
     assert codec.state_to_bytes(state) == expected
 
 
+def test_state_file_golden_bytes_alpha_two_above_k():
+    """k=2, alpha=4 over GF(13): a state whose rows read V in row-major order.
+
+    The payload is the four coded blocks of Z = 3 stripes, row by row.
+    """
+    f = prime_field(13)
+    params = MbrParams(2, 4)
+    blocks = [bytes([1, 2, 3]), bytes([4, 5]), b"", bytes([6, 7, 8]), bytes([9]),
+              bytes([10, 11, 12]), bytes([0, 1])]
+    expected = (
+        b"SRB1"
+        + (1).to_bytes(2, "little")       # version
+        + (1).to_bytes(1, "little")       # field kind: prime
+        + (13).to_bytes(4, "little")      # field param
+        + (2).to_bytes(2, "little")       # k
+        + (4).to_bytes(2, "little")       # alpha
+        + (3).to_bytes(4, "little")       # gamma
+        + (5).to_bytes(4, "little")       # generation
+        + (3).to_bytes(4, "little")       # block_size
+        + (3).to_bytes(4, "little")       # Z
+        + (7).to_bytes(4, "little")       # L
+        + b"".join(len(b).to_bytes(4, "little") for b in blocks)
+        + bytes([11, 2, 10, 3, 1, 4, 10, 1, 5, 9, 3, 0])
+    )
+    one = codec.encode_generation(blocks, 3, params, f, generation=5, block_size=3)
+    assert codec.state_to_bytes(one) == expected
+    for gammas, at in (([3, 5], 0), ([5, 3], 1)):  # the block form
+        states = codec.encode_nodes(blocks, gammas, params, f, generation=5, block_size=3)
+        assert codec.state_to_bytes(states[at]) == expected
+
+
 def test_share_file_golden_bytes():
     f = prime_field(13)
     params = MbrParams(1, 1, n=3)
@@ -749,6 +781,29 @@ def test_share_payload_must_be_z_symbols(symbols):
     assert share.z == 2
     with pytest.raises(ValueError):
         replace(share, symbols=symbols)
+
+
+@pytest.mark.parametrize("block_size", [0, 2])
+def test_reconstruct_of_a_wide_state_takes_memory_in_l_not_alpha_squared(block_size):
+    """k=1, alpha=4000: L = alpha, so one parsed state holds 4000 blocks.
+
+    A layout of alpha x alpha cells would take well over 100 MB here.
+    """
+    f = binary_field(16)
+    params = MbrParams(1, 4000)
+    rng = random.Random(block_size)
+    blocks = [rng.randbytes(rng.randint(0, block_size)) for _ in range(params.message_length)]
+    # two gammas take the block form, which builds no alpha x L coefficient rows
+    encoded = codec.encode_nodes(blocks, [7, 8], params, f, block_size=block_size)[0]
+    state = codec.state_from_bytes(codec.state_to_bytes(encoded))
+    tracemalloc.start()
+    try:
+        got = codec.reconstruct_generation([state])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == blocks
+    assert peak < 16 << 20, peak
 
 
 def test_paper_geometry_decodes_one_liar_exactly():

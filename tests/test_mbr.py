@@ -14,6 +14,7 @@ from srb.mbr import (
     build_message_matrix,
     encode_node,
     extract_message,
+    message_layout,
     message_length,
     repair_share,
     row_times_matrix,
@@ -103,6 +104,42 @@ def test_build_message_matrix_smallest_and_k2():
         [2, 3, 5],
         [4, 5, 0],
     ]
+
+
+def test_build_message_matrix_orders_v_row_major():
+    """alpha - k = 2: V's rows are numbered before its columns."""
+    assert build_message_matrix(prime_field(13), list(range(1, 8)), MbrParams(2, 4)) == [
+        [1, 2, 4, 5],
+        [2, 3, 6, 7],
+        [4, 6, 0, 0],
+        [5, 7, 0, 0],
+    ]
+
+
+def layout_by_rule(k, alpha):
+    """M's first k rows of message indices, stated as plain loops."""
+    first = [[None] * alpha for _ in range(k)]
+    idx = 0
+    for i in range(k):
+        for j in range(i, k):
+            first[i][j] = first[j][i] = idx
+            idx += 1
+    for i in range(k):
+        for j in range(k, alpha):
+            first[i][j] = idx
+            idx += 1
+    return first
+
+
+@pytest.mark.parametrize(
+    "k, alpha",
+    [(k, alpha) for alpha in range(1, 10) for k in range(1, alpha + 1)] + [(30, 50)],
+)
+def test_message_layout_follows_the_numbering_rule(k, alpha):
+    first = message_layout(k, alpha)
+    assert first.tolist() == layout_by_rule(k, alpha)
+    assert not first.flags.writeable
+    assert message_layout(k, alpha) is first
 
 
 def test_build_message_matrix_wrong_length():
