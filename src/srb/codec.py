@@ -9,15 +9,16 @@ L x Z array back through unstripe_blocks.  A node's coded state
 is its alpha coded blocks (one row symbol per stripe), carried in a
 self-describing header that is sufficient to serve repair shares with no
 other context.  encode_nodes encodes a generation for a list of nodes with
-one striping.  One node takes one product of alpha sparse coefficient rows
-with the L x Z blocks; several nodes take two, of their stacked Vandermonde
+one striping.  Several nodes take two products, of their stacked Vandermonde
 rows with the message blocks gathered into [S; T^T] and T, because with
 M = [[S, T], [T^T, 0]] a node's row psi^T M is [psi^T [S; T^T], psi[:k]^T T].
-The node count alone picks the form, a rule measured only in GF(2^m) at
-small L (see encode_nodes); encode_generation is the one-node case.  Both
-forms, and reconstruct's return to message order, index the one layout
-srb.mbr.message_layout builds once per (k, alpha): M's first k rows as a
-k x alpha array of message indices, so no layout work grows with alpha^2.
+One node takes one product of alpha sparse coefficient rows with the L x Z
+blocks while alpha <= Z, so that the rows are no larger than the blocks,
+and the block form past that (see encode_nodes); encode_generation is the
+one-node case.  Both forms, and reconstruct's return to message order,
+index the one layout srb.mbr.message_layout builds once per (k, alpha): M's
+first k rows as a k x alpha array of message indices, so no layout work
+grows with alpha^2.
 
 File formats (version 1, header integers little-endian, symbols big-endian):
 
@@ -354,35 +355,29 @@ def encode_nodes(
     Per stripe, node gamma stores psi(gamma)^T M_s; stripes are independent
     and the output is deterministic and byte-exact for identical inputs.
     Over all stripes at once that is a product with the striped blocks, in
-    one of two forms, chosen by the number of nodes alone:
+    one of two forms:
 
-      - one node: alpha sparse coefficient rows over the L x Z blocks; coded
+      - sparse: alpha coefficient rows per node over the L x Z blocks; coded
         block j is the sum over the cells (i, j) of M of psi_i times the
         message block housed there.  With first = message_layout(k, alpha),
         row j takes psi_i at first[i, j] for i < k and, for j < k, at
         first[j, i] for i >= k: two array assignments.
-      - several nodes: M = [[S, T], [T^T, 0]] makes psi^T M equal to
+      - block: M = [[S, T], [T^T, 0]] makes psi^T M equal to
         [psi^T [S; T^T], phi^T T] with phi = psi[:k].  The blocks are
         gathered once, by first[:, :k] over first[:, k:]^T and by
         first[:, k:], into [S; T^T] (alpha x k*Z) and T (k x (alpha-k)*Z),
         and two products make every state: the stacked psi rows against the
         first, the stacked phi rows against the second (none when k ==
         alpha).  That is one row per node in each product, over k*Z and
-        (alpha-k)*Z columns, where the sparse form takes alpha rows per node
-        over Z columns.
+        (alpha-k)*Z columns.
 
-    The block form against the sparse one, in GF(2^16) on a shared 2-core
-    x86 container (medians of 61 encodes, three runs each): for one node
-    0.68-0.76x as fast at k=10, alpha=16 and 4 KiB blocks, and 0.93-0.97x
-    at k=5, alpha=8 and 2 KiB; at the latter, 1.13-1.14x for two nodes and
-    1.2-2.0x for 50 (12.0-18.0 ms down to 9.2-12.9 ms).  So one node keeps
-    the sparse form.  That holds only in GF(2^m) at small L.  One node,
-    sparse against block form, on the same kind of host: binary:16 at
-    k=10, alpha=16, 4 KiB 1.42 against 2.07 ms, and at k=5, alpha=8, 2 KiB
-    0.178 against 0.191 ms; but prime:65521 at k=10, alpha=16, 4 KiB 17.6
-    against 1.33 ms, and binary:16 at k=30, alpha=50 (L=1065) 0.95 against
-    0.31 ms with 16 B blocks and 55 against 42 ms with 16 KiB.
-    Each state copies its own rows of the product.
+    The rule: several nodes take the block form, which shares one gather
+    among them.  One node takes the sparse form, the faster one in GF(2^m)
+    at small L, only while alpha <= Z: then its dense alpha x L coefficient
+    rows are no larger than the L x Z blocks.  Past that (a wide alpha over
+    short blocks, up to k=1, alpha=65535 over empty blocks) those rows would
+    grow as alpha * L, so one node takes the block form too, whose gathers
+    are O(L * Z).  Each state copies its own rows of the product.
 
     The generation's header (k, alpha, generation, block_size, Z and the L
     pad lengths) is built and checked first, then every gamma, and only
@@ -406,7 +401,7 @@ def encode_nodes(
     if not gammas:
         return []
     first, n, z = message_layout(k, alpha), len(gammas), stripes.z
-    if n == 1:
+    if n == 1 and alpha <= z:
         # coded block j is row j: psi_i at the index of each cell (i, j) of M,
         # first[i, j] for i < k and, by symmetry, first[j, i] for i >= k
         rows = np.zeros((alpha, want), psis.dtype)

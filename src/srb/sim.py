@@ -3,8 +3,10 @@
 Models a sharded network storing coded blocks: a trusted reference
 committee emits per-epoch reference blocks (membership, shard assignment,
 encoder coefficients, epoch randomness), joins follow the cuckoo rule,
-blocks arrive at a fixed per-epoch rate and every full window of L blocks
-forms an independent generation, which all of the shard's members then hold.
+blocks arrive at a fixed per-epoch rate and each shard keeps every block
+that has arrived in one list, Network.blocks.  Generation g of a shard is the
+window blocks[g*L:(g+1)*L]; it completes on the arrival that fills it, and
+all of the shard's members then hold it.
 Each joining or displaced node obtains its coded state by bootstrap-as-repair
 from alpha + 2p helpers.  Malicious helpers corrupt their shares under a
 configurable strategy.
@@ -150,10 +152,11 @@ class SimConfig:
 class NodeRecord:
     """One live node: overlay position, shard, coefficient, stored generations.
 
-    states is the set of generations the node holds.  Their contents are not
-    kept: a bootstrap makes its helpers' shares from the joiner's state (see
-    the module docstring).  Every state of a run is the same size, a state
-    file's header_bytes() + payload_bytes().
+    generations is the set of generations the node holds.  Their states are
+    not kept: a bootstrap makes its helpers' shares from the joiner's state
+    (see the module docstring), and a generation's blocks are a window of
+    Network.blocks.  Every state of a run is the same size, a state file's
+    header_bytes() + payload_bytes().
     """
 
     node_id: int
@@ -161,7 +164,7 @@ class NodeRecord:
     shard: int
     gamma: int
     malicious: bool
-    states: set[int] = dc_field(default_factory=set)
+    generations: set[int] = dc_field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -193,7 +196,13 @@ class ChurnSummary:
 
 @dataclass
 class Network:
-    """Mutable simulation state shared by the per-epoch operations."""
+    """Mutable simulation state shared by the per-epoch operations.
+
+    blocks[s] is every block shard s has received, in arrival order.
+    Generation g of shard s is the window blocks[s][g*L:(g+1)*L], so the
+    shard has completed len(blocks[s]) // L generations, and the blocks past
+    the last full window belong to the generation still filling up.
+    """
 
     config: SimConfig
     field: Field
@@ -202,11 +211,7 @@ class Network:
     nodes: dict[int, NodeRecord]
     next_node_id: int
     next_gamma: list[int]               # per shard, never reused
-    generations_done: list[int]         # per shard
-    pending: list[list[bytes]]          # per shard, blocks of the generation filling up
-    # (shard, generation) -> its L blocks, which each bootstrap of the
-    # generation encodes into the joiner's state
-    generation_blocks: dict[tuple[int, int], list[bytes]]
+    blocks: list[list[bytes]]           # per shard, every block in arrival order
 
     def shard_members(self) -> list[list[NodeRecord]]:
         """Each shard's members in node_id order, from one pass over the nodes."""
@@ -241,9 +246,7 @@ def initial_network(config: SimConfig) -> Network:
         nodes={},
         next_node_id=config.total_nodes,
         next_gamma=[0] * m,
-        generations_done=[0] * m,
-        pending=[[] for _ in range(m)],
-        generation_blocks={},
+        blocks=[[] for _ in range(m)],
     )
     for node_id in range(config.total_nodes):
         shard = node_id % m
@@ -299,7 +302,7 @@ def cuckoo_join(net: Network, node: NodeRecord, rng: random.Random) -> JoinResul
         rec.position = _draw_position(net, rng, rec)
         rec.shard = net.shard_of(rec.position)
         if rec.shard != old_shard:
-            rec.states.clear()
+            rec.generations.clear()
             rec.gamma = net.alloc_gamma(rec.shard)
         displaced.append((rec.node_id, old_shard, rec.shard))
     return JoinResult(node.node_id, node.shard, tuple(displaced))
@@ -441,8 +444,8 @@ def _bootstrap_one(
 ) -> BootstrapEvent:
     """Bootstrap rec's state of generation from helpers among members, rec's shard."""
     cfg = net.config
-    need = cfg.params.repair_degree
-    pool = [n for n in members if n.node_id != rec.node_id and generation in n.states]
+    need, l_blocks = cfg.params.repair_degree, cfg.generation_blocks
+    pool = [n for n in members if n.node_id != rec.node_id and generation in n.generations]
     if len(pool) < need:
         raise ShardUnderflowError(
             f"shard {rec.shard} lacks alpha + 2p = {need} helpers holding generation {generation}"
@@ -450,7 +453,7 @@ def _bootstrap_one(
     helpers = helper_rng.sample(pool, need)
     # The joiner's state is the oracle, and every honest share comes from it.
     expected = codec.encode_generation(
-        net.generation_blocks[(rec.shard, generation)],
+        net.blocks[rec.shard][generation * l_blocks : (generation + 1) * l_blocks],
         rec.gamma,
         cfg.params,
         net.field,
@@ -482,7 +485,7 @@ def _bootstrap_one(
             f"bootstrap of node {rec.node_id} failed with only {corrupted} <= p corrupt shares"
         )
     if ok:
-        rec.states.add(generation)
+        rec.generations.add(generation)
     return BootstrapEvent(
         epoch, rec.node_id, rec.shard, generation, ok, corrupted, payload, headers
     )
@@ -526,21 +529,18 @@ def run_simulation(config: SimConfig) -> SimReport:
         epoch_events: list[BootstrapEvent] = []
         for node_id in to_bootstrap:
             rec = net.nodes[node_id]
-            for generation in range(net.generations_done[rec.shard]):
+            for generation in range(len(net.blocks[rec.shard]) // l_blocks):
                 epoch_events.append(
                     _bootstrap_one(net, members[rec.shard], rec, generation, epoch, helper_rng)
                 )
 
-        for shard in range(config.shards):
+        for arrived, shard_members in zip(net.blocks, members):
             for _ in range(config.blocks_per_epoch):
-                net.pending[shard].append(payload_rng.randbytes(config.block_size))
-                if len(net.pending[shard]) == l_blocks:
-                    generation = net.generations_done[shard]
-                    for member in members[shard]:
-                        member.states.add(generation)
-                    net.generation_blocks[(shard, generation)] = net.pending[shard]
-                    net.generations_done[shard] += 1
-                    net.pending[shard] = []
+                arrived.append(payload_rng.randbytes(config.block_size))
+                if len(arrived) % l_blocks == 0:
+                    for member in shard_members:
+                        member.generations.add(len(arrived) // l_blocks - 1)
+        done = tuple(len(arrived) // l_blocks for arrived in net.blocks)
 
         sizes = [len(shard) for shard in members]
         balance = max(sizes) / min(sizes)
@@ -549,7 +549,7 @@ def run_simulation(config: SimConfig) -> SimReport:
                 f"epoch {epoch}: shard balance ratio {balance:.3f} exceeds "
                 f"limit {config.balance_ratio_limit}"
             )
-        stored = [len(n.states) * state_bytes for n in net.nodes.values()]
+        stored = [len(n.generations) * state_bytes for n in net.nodes.values()]
         epoch_stats.append(
             EpochStats(
                 epoch=epoch,
@@ -565,12 +565,10 @@ def run_simulation(config: SimConfig) -> SimReport:
                 bootstraps_failed=sum(1 for e in epoch_events if not e.ok),
                 bootstrap_payload_bytes=sum(e.payload_bytes for e in epoch_events),
                 bootstrap_header_bytes=sum(e.header_bytes for e in epoch_events),
-                generations_done=tuple(net.generations_done),
+                generations_done=done,
                 storage_total_min=min(stored),
                 storage_total_max=max(stored),
-                expected_storage_per_node=tuple(
-                    gens * state_bytes for gens in net.generations_done
-                ),
+                expected_storage_per_node=tuple(gens * state_bytes for gens in done),
                 expected_bootstrap_payload_per_generation=config.params.repair_degree
                 * share_payload,
                 balance_ratio=balance,

@@ -182,6 +182,45 @@ def test_encode_nodes_matches_one_node_encodes_at_paper_geometry():
     ]
 
 
+@pytest.mark.parametrize("spec", ["binary:8", "binary:8:0x11b", "binary:16", "prime:257", "prime:65521"])
+def test_one_node_with_alpha_above_z_takes_the_block_form_and_matches_the_reference(
+    monkeypatch, spec
+):
+    """k=30, alpha=50, 16-byte blocks: Z is 8 or 16 < alpha, so no alpha x L rows are built."""
+    f = field.parse_field(spec)
+    params = MbrParams(30, 50)  # L = 1065
+    rng = random.Random(spec)
+    blocks = [rng.randbytes(rng.randint(0, 16)) for _ in range(params.message_length)]
+    shapes = []
+    matmul = f.matmul
+    monkeypatch.setattr(f, "matmul", lambda c, d: shapes.append(np.shape(c)) or matmul(c, d))
+    state = codec.encode_generation(blocks, 11, params, f, generation=4, block_size=16)
+    assert state.z < params.alpha
+    assert shapes == [(1, 50), (1, 30)]  # the stacked psi rows, then the phi rows
+    stripes = codec.stripe_blocks(blocks, f, 16)
+    for s in rng.sample(range(state.z), 3):
+        m = build_message_matrix(f, stripes.symbols[:, s].tolist(), params)
+        assert tuple(state.payload[:, s].tolist()) == encode_node(f, m, 11).symbols
+
+
+@pytest.mark.parametrize("spec", ["binary:16", "prime:65521"])
+@pytest.mark.parametrize("block_size", [0, 2])
+def test_one_node_encode_of_a_wide_generation_takes_memory_in_l_not_alpha_times_l(spec, block_size):
+    """k=1, alpha=4000: L = alpha and Z <= 1, where alpha x L coefficient rows take 122-229 MiB."""
+    f = field.parse_field(spec)
+    params = MbrParams(1, 4000)
+    rng = random.Random(block_size)
+    blocks = [rng.randbytes(rng.randint(0, block_size)) for _ in range(params.message_length)]
+    tracemalloc.start()
+    try:
+        state = codec.encode_generation(blocks, 7, params, f, block_size=block_size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+    assert state == codec.encode_nodes(blocks, [7, 8], params, f, block_size=block_size)[0]
+
+
 def test_encode_nodes_block_size_defaults_to_longest_block():
     f = binary_field(16)
     params = MbrParams(2, 3)

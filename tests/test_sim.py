@@ -155,7 +155,7 @@ def test_displaced_node_changing_shard_drops_state_and_gets_fresh_gamma():
     net = initial_network(cfg)
     rng = random.Random(5)
     victim = net.nodes[0]
-    victim.states.update({0, 1})
+    victim.generations.update({0, 1})
     old_gamma = victim.gamma
     moved = False
     for i in range(40):
@@ -168,7 +168,7 @@ def test_displaced_node_changing_shard_drops_state_and_gets_fresh_gamma():
         if moved:
             break
     assert moved
-    assert net.nodes[0].states == set()
+    assert net.nodes[0].generations == set()
     assert net.nodes[0].gamma != old_gamma or net.nodes[0].shard != 0
 
 
@@ -722,3 +722,39 @@ def test_simulator_encodes_each_joiners_state_and_makes_every_share_from_it(
     assert len(set(names.values())) == len(names) < sum(done)
     assert corrupted and served_bootstrapped  # liars, and bootstrapped nodes serving
     assert any(not e.ok for e in events)  # a failed decode is judged as well
+
+
+def test_generation_g_of_a_shard_is_its_arrived_blocks_g_l_to_g_plus_one_l(monkeypatch):
+    """Reports show no block contents, so the window each bootstrap encodes is
+    checked against a replay of the payload draws: epoch, then shard, then block.
+    blocks_per_epoch=3 does not divide L=5, so windows straddle epochs, and a
+    leave an epoch shrinks the shards."""
+    encoded = []
+    encode_generation = codec.encode_generation
+
+    def record(blocks, gamma, params, field, generation=0, block_size=None):
+        encoded.append((list(blocks), generation))
+        return encode_generation(blocks, gamma, params, field, generation, block_size)
+
+    monkeypatch.setattr(codec, "encode_generation", record)
+    cfg = small_config(total_nodes=24, shards=3, block_size=16, blocks_per_epoch=3,
+                       joins_per_epoch=2, leaves_per_epoch=1, cuckoo_eps=0.1, epochs=8, seed=0)
+    report = run_simulation(cfg)
+    monkeypatch.undo()
+    payload = random.Random(f"{cfg.seed}:payload")
+    draws = [[] for _ in range(cfg.shards)]
+    for _ in range(cfg.epochs):
+        for shard in draws:
+            shard.extend(payload.randbytes(cfg.block_size) for _ in range(cfg.blocks_per_epoch))
+    l_blocks = cfg.generation_blocks
+    assert cfg.blocks_per_epoch % l_blocks and report.total_leaves
+    assert len(encoded) == len(report.bootstrap_events)
+    for (blocks, generation), event in zip(encoded, report.bootstrap_events):
+        assert generation == event.generation
+        assert blocks == draws[event.shard][generation * l_blocks : (generation + 1) * l_blocks]
+    done = report.epochs[-1].generations_done
+    assert done == (cfg.epochs * cfg.blocks_per_epoch // l_blocks,) * cfg.shards
+    # every completed window of every shard is encoded by some bootstrap
+    assert {(e.shard, e.generation) for e in report.bootstrap_events} == {
+        (s, g) for s in range(cfg.shards) for g in range(done[s])
+    }
