@@ -1,8 +1,11 @@
 """Command-line surface: encode, serve-repair, bootstrap, reconstruct,
 simulate and metrics.
 
-Every subcommand prints its effective configuration first; replaying that
-line reproduces the outputs byte-identically.  Exit codes: 0 success,
+Every subcommand first prints its effective configuration, read from the
+parsed arguments: one ``effective-config:`` line with the command and each
+option in parser order, unset options left out, then one ``<name>:`` line
+per list option (``shares:``, ``states:``).  Replaying those lines as
+arguments reproduces the outputs byte-identically.  Exit codes: 0 success,
 2 usage or argument errors, 3 decode failures, 4 invariant breaches.
 """
 
@@ -19,13 +22,20 @@ from .field import parse_field
 from .mbr import MbrParams
 
 
-def _print_config(cmd: str, args: argparse.Namespace, keys: list[str]) -> None:
-    pairs = " ".join(f"{k.replace('_', '-')}={getattr(args, k)}" for k in keys)
-    print(f"effective-config: cmd={cmd} {pairs}")
+def _print_config(args: argparse.Namespace) -> None:
+    """Print the lines that replay ``args``: the command and each set option,
+    then one line per list option.  argparse stores the options in the order
+    they were added to the parser."""
+    options = {k.replace("_", "-"): v for k, v in vars(args).items()
+               if k not in ("command", "func") and v is not None}
+    pairs = "".join(f" {k}={v}" for k, v in options.items() if not isinstance(v, list))
+    print(f"effective-config: cmd={args.command}{pairs}")
+    for k, v in options.items():
+        if isinstance(v, list):
+            print(f"{k}: " + " ".join(v))
 
 
 def cmd_encode(args) -> int:
-    _print_config("encode", args, ["blocks", "k", "alpha", "gamma", "field", "block_size", "gen", "out"])
     fld = parse_field(args.field)
     params = MbrParams(args.k, args.alpha)
     want = params.message_length
@@ -53,7 +63,6 @@ def cmd_encode(args) -> int:
 
 
 def cmd_serve_repair(args) -> int:
-    _print_config("serve-repair", args, ["state", "target_gamma", "out"])
     state = codec.state_from_bytes(Path(args.state).read_bytes())
     share = codec.serve_repair(state, args.target_gamma)
     Path(args.out).write_bytes(codec.share_to_bytes(share))
@@ -65,8 +74,6 @@ def cmd_serve_repair(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    _print_config("bootstrap", args, ["target_gamma", "p", "out"])
-    print("shares: " + " ".join(args.shares))
     shares = [codec.share_from_bytes(Path(p).read_bytes()) for p in args.shares]
     state = codec.bootstrap_node(shares, args.target_gamma, args.p)
     Path(args.out).write_bytes(codec.state_to_bytes(state))
@@ -81,8 +88,6 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    _print_config("reconstruct", args, ["p", "out_dir"])
-    print("states: " + " ".join(args.states))
     states = [codec.state_from_bytes(Path(p).read_bytes()) for p in args.states]
     blocks = codec.reconstruct_generation(states, args.p)
     out_dir = Path(args.out_dir)
@@ -102,7 +107,6 @@ def cmd_simulate(args) -> int:
     config = sim.SimConfig.from_text(Path(args.config).read_text())
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    _print_config("simulate", args, ["config", "out"])
     print(f"seed={config.seed}")
     report = sim.run_simulation(config)
     text = sim.render_report(report)
@@ -121,7 +125,6 @@ _METRICS_INPUTS = [(f, _METRICS_FLAGS.get(f.name, f.name))
 
 
 def cmd_metrics(args) -> int:
-    _print_config("metrics", args, ["paper_example"] + [dest for _, dest in _METRICS_INPUTS])
     if args.paper_example:
         params = analytics.reference_example_params()
     else:
@@ -198,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _print_config(args)
     try:
         return args.func(args)
     except DecodeFailure as exc:

@@ -1,10 +1,12 @@
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
 from srb import codec
 from srb.cli import main
-from srb.field import prime_field
+from srb.field import parse_field, prime_field
 from srb.mbr import MbrParams, build_message_matrix, encode_node
 
 
@@ -370,39 +372,101 @@ def test_metrics_shard_nodes_default_to_total_over_shards(capsys):
     assert float(rows["shard failure prob H"][-1]) < 1.0
 
 
-def replay_argv(line: str) -> list[str]:
-    """The argv an effective-config line stands for; a False flag is left out."""
-    cmd, *pairs = line.removeprefix("effective-config: ").split()
+def replay_argv(out: str, lists=()) -> list[str]:
+    """The argv a run's printed configuration stands for: its effective-config
+    line, then one line for each list option named in ``lists``; a False flag
+    is left out."""
+    first, *rest = out.splitlines()
+    cmd, *pairs = first.removeprefix("effective-config: ").split()
     argv = [cmd.removeprefix("cmd=")]
     for key, value in (pair.split("=", 1) for pair in pairs):
         if value == "True":
             argv.append(f"--{key}")
         elif value != "False":
             argv += [f"--{key}", value]
+    for line in rest[: len(lists)]:
+        key, values = line.split(": ", 1)
+        assert key in lists
+        argv += [f"--{key}", *values.split()]
     return argv
 
 
+@pytest.fixture
+def replay_inputs(tmp_path, monkeypatch):
+    """A working directory holding one k=2, alpha=3 generation (L=5 blocks of
+    8 bytes): states n1..n6, shares s1..s5 to gamma 9 with s2 flipped, n3
+    flipped after s3 was served, and a small simulator config."""
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(5)
+    blocks = [rng.randbytes(8) for _ in range(5)]
+    write_blocks(tmp_path / "blocks", blocks)
+    params, field = MbrParams(2, 3), parse_field("binary:16")
+    for gamma in range(1, 7):
+        state = codec.encode_generation(blocks, gamma, params, field, block_size=8)
+        Path(f"n{gamma}.srb").write_bytes(codec.state_to_bytes(state))
+        if gamma <= 5:
+            share = codec.serve_repair(state, 9)
+            Path(f"s{gamma}.srb").write_bytes(codec.share_to_bytes(share))
+    for name in ("s2.srb", "n3.srb"):
+        data = bytearray(Path(name).read_bytes())
+        data[-1] ^= 1
+        Path(name).write_bytes(data)
+    Path("sim.cfg").write_text("config_version=1\ntotal_nodes=12\nshards=2\nk=2\nalpha=3\np=0\n"
+                               "block_size=32\nblocks_per_epoch=5\njoins_per_epoch=1\nepochs=2\n"
+                               "seed=1\n")
+
+
+def added_outputs(before: set) -> dict:
+    """Every file under the entries added to the working directory since ``before``."""
+    added = set(Path().iterdir()) - before
+    return {f: f.read_bytes() for p in added for f in (p, *p.rglob("*")) if f.is_file()}
+
+
+METRICS_KEYS = ("shard-nodes", "total-nodes", "shards", "malicious", "blocks", "alpha", "k", "p",
+                "block-size")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, keys, lists",
     [
-        ["--total-nodes", "100", "--shards", "4", "--malicious", "3", "--blocks", "30",
-         "--alpha", "8", "--k", "5"],
-        ["--shard-nodes", "50", "--blocks", "18", "--alpha", "6", "--k", "4", "--p", "1",
-         "--block-size", "2048", "--delta", "0.2", "--rho", "3", "--c", "2.5", "--mu", "0.5",
-         "--p-frac", "0.1", "--v", "2", "--tau", "3"],
-        ["--paper-example"],
+        (["metrics", "--total-nodes", "100", "--shards", "4", "--malicious", "3", "--blocks", "30",
+          "--alpha", "8", "--k", "5"], METRICS_KEYS, ()),
+        (["metrics", "--shard-nodes", "50", "--blocks", "18", "--alpha", "6", "--k", "4", "--p", "1",
+          "--block-size", "2048", "--delta", "0.2", "--rho", "3", "--c", "2.5", "--mu", "0.5",
+          "--p-frac", "0.1", "--v", "2", "--tau", "3"], METRICS_KEYS, ()),
+        (["metrics", "--paper-example"], METRICS_KEYS, ()),
+        (["encode", "--blocks", "blocks", "--k", "2", "--alpha", "3", "--gamma", "9",
+          "--field", "prime:65521", "--block-size", "8", "--gen", "4", "--out", "n9.srb"],
+         ("blocks", "k", "alpha", "gamma", "field", "block-size", "gen", "out"), ()),
+        (["serve-repair", "--state", "n1.srb", "--target-gamma", "9", "--out", "s.srb"],
+         ("state", "target-gamma", "out"), ()),
+        (["bootstrap", "--target-gamma", "9", "--p", "1", "--shares", "s1.srb", "s2.srb", "s3.srb",
+          "s4.srb", "s5.srb", "--out", "boot.srb"], ("target-gamma", "p", "out"), ("shares",)),
+        (["reconstruct", "--p", "1", "--states", "n1.srb", "n2.srb", "n3.srb", "n4.srb",
+          "--out-dir", "out"], ("p", "out-dir"), ("states",)),
+        (["simulate", "--config", "sim.cfg", "--seed", "9", "--out", "r.txt"],
+         ("config", "seed", "out"), ()),
+        (["simulate", "--config", "sim.cfg"], ("config",), ()),
     ],
-    ids=["derived-shard-nodes", "every-option", "paper-example"],
+    ids=["metrics-derived-shard-nodes", "metrics-every-option", "metrics-paper-example", "encode",
+         "serve-repair", "bootstrap-one-flipped-share", "reconstruct-one-flipped-state",
+         "simulate-seed-out", "simulate"],
 )
-def test_metrics_effective_config_replays_byte_identically(argv, capsys):
-    assert main(["metrics", *argv]) == 0
+def test_effective_config_replays_byte_identically(argv, keys, lists, replay_inputs, capsys):
+    before = set(Path().iterdir())
+    assert main(argv) == 0
     out = capsys.readouterr().out
     line = out.splitlines()[0]
-    for key in ("shard-nodes", "total-nodes", "shards", "malicious", "blocks", "alpha", "k",
-                "p", "block-size"):
+    for key in keys:
         assert f" {key}=" in line
-    assert main(replay_argv(line)) == 0
+    outputs = added_outputs(before)
+    assert bool(outputs) == any(flag in argv for flag in ("--out", "--out-dir"))
+    for p in set(Path().iterdir()) - before:
+        shutil.rmtree(p) if p.is_dir() else p.unlink()
+    assert main(replay_argv(out, lists)) == 0
     assert capsys.readouterr().out == out
+    assert added_outputs(before) == outputs
+    assert not Path("None").exists()
 
 
 @pytest.mark.parametrize(

@@ -300,6 +300,8 @@ def test_gf2_irreducibility_reference_cases():
     assert not gf2_is_irreducible(0b110)  # x^2 + x = x(x + 1)
     assert not gf2_is_irreducible(0b1001) # x^3 + 1 = (x + 1)(x^2 + x + 1)
     assert gf2_is_irreducible(0b11111)    # x^4 + x^3 + x^2 + x + 1
+    assert not gf2_is_irreducible(0)      # the zero polynomial
+    assert not gf2_is_irreducible(1)      # a nonzero constant: a unit, degree 0
 
 
 def test_irreducible_but_not_primitive_poly_still_works():
