@@ -13,6 +13,7 @@ binomials back the hypergeometric tail.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -210,7 +211,6 @@ class ThroughputBound:
     sigma: float
     resiliency: float
     sigma_rapidchain: float
-    resiliency_rapidchain: float = 0.5
 
 
 def throughput_factor(params: ProtocolParams, alpha: float | None = None) -> ThroughputBound:
@@ -270,12 +270,10 @@ class ProtocolMetrics:
     bootstrap_blocks: float
     bootstrap_blocks_secure: float | None
     security_nodes: int
-    security_exact: Fraction | float
     security_clamped: bool
     hypergeom: float | None
-    hoeffding: float | None
+    hoeffding: float | None            # None outside the bound's regime
     upper_bound: float | None
-    hoeffding_note: str = ""
 
 
 @dataclass(frozen=True)
@@ -296,7 +294,6 @@ def comparison_report(params: ProtocolParams) -> MetricsReport:
         pp = replace(params, protocol=proto)
         sec = epoch_security(pp)
         hyper = hoeff = upper = None
-        note = ""
         if params.total_nodes > 0 and params.shards > 0 and params.malicious > 0:
             hyper = hypergeom_tail(params.total_nodes, params.malicious, params.n_s, sec.nodes)
             try:
@@ -304,8 +301,8 @@ def comparison_report(params: ProtocolParams) -> MetricsReport:
                     params.total_nodes, params.malicious, params.n_s, sec.nodes
                 )
                 upper = failure_upper_bound(params.shards, hoeff)
-            except ValueError as exc:
-                note = str(exc)
+            except ValueError:
+                pass  # outside the Hoeffding regime: the table prints "regime n/a"
         rows.append(
             ProtocolMetrics(
                 protocol=proto,
@@ -314,12 +311,10 @@ def comparison_report(params: ProtocolParams) -> MetricsReport:
                 bootstrap_blocks=bootstrap_cost(pp),
                 bootstrap_blocks_secure=bootstrap_cost(pp, secure=True) if proto == SRB else None,
                 security_nodes=sec.nodes,
-                security_exact=sec.exact,
                 security_clamped=sec.clamped,
                 hypergeom=hyper,
                 hoeffding=hoeff,
                 upper_bound=upper,
-                hoeffding_note=note,
             )
         )
     throughput = None
@@ -383,48 +378,27 @@ def render_metrics(report: MetricsReport) -> str:
         f"N={p.total_nodes} m={p.shards} T={p.malicious}",
         "",
     ]
-    header = f"{'metric':<28}" + "".join(f"{labels[r.protocol]:>24}" for r in report.rows)
+    rows = report.rows
+    header = f"{'metric':<28}" + "".join(f"{labels[r.protocol]:>24}" for r in rows)
     lines.append(header)
     lines.append("-" * len(header))
 
-    def row(label, cells):
+    def row(label, fmt, values, missing="-"):
+        cells = (missing if v is None else fmt(v) for v in values)
         lines.append(f"{label:<28}" + "".join(f"{c:>24}" for c in cells))
 
-    row("storage overhead", [_fmt_ratio(r.storage_overhead) for r in report.rows])
-    row("storage per node", [_fmt_blocks(r.storage_blocks, p.block_size) for r in report.rows])
-    row("bootstrap cost", [_fmt_blocks(r.bootstrap_blocks, p.block_size) for r in report.rows])
-    row(
-        "bootstrap cost (p tolerant)",
-        [
-            _fmt_blocks(r.bootstrap_blocks_secure, p.block_size)
-            if r.bootstrap_blocks_secure is not None
-            else "-"
-            for r in report.rows
-        ],
-    )
-    row(
-        "security guarantee t_S",
-        [
-            f"{r.security_nodes} nodes" + (" (clamped)" if r.security_clamped else "")
-            for r in report.rows
-        ],
-    )
-    if any(r.hypergeom is not None for r in report.rows):
-        row(
-            "shard failure prob H",
-            [f"{r.hypergeom:.3e}" if r.hypergeom is not None else "-" for r in report.rows],
-        )
-        row(
-            "Hoeffding bound G",
-            [
-                f"{r.hoeffding:.3e}" if r.hoeffding is not None else "regime n/a"
-                for r in report.rows
-            ],
-        )
-        row(
-            "system bound U",
-            [f"{r.upper_bound:.3e}" if r.upper_bound is not None else "-" for r in report.rows],
-        )
+    blocks = functools.partial(_fmt_blocks, block_size=p.block_size)
+    prob = "{:.3e}".format
+    row("storage overhead", _fmt_ratio, [r.storage_overhead for r in rows])
+    row("storage per node", blocks, [r.storage_blocks for r in rows])
+    row("bootstrap cost", blocks, [r.bootstrap_blocks for r in rows])
+    row("bootstrap cost (p tolerant)", blocks, [r.bootstrap_blocks_secure for r in rows])
+    row("security guarantee t_S", lambda r: f"{r.security_nodes} nodes"
+        + (" (clamped)" if r.security_clamped else ""), rows)
+    if any(r.hypergeom is not None for r in rows):
+        row("shard failure prob H", prob, [r.hypergeom for r in rows])
+        row("Hoeffding bound G", prob, [r.hoeffding for r in rows], "regime n/a")
+        row("system bound U", prob, [r.upper_bound for r in rows])
     lines.append("")
     lines.append(
         f"encoding (init): {report.encoding_init.units:g} mult-units"

@@ -4,15 +4,21 @@ simulate and metrics.
 Every subcommand first prints its effective configuration, read from the
 parsed arguments: one ``effective-config:`` line with the command and each
 option in parser order, unset options left out, then one ``<name>:`` line
-per list option (``shares:``, ``states:``).  Replaying those lines as
-arguments reproduces the outputs byte-identically.  Exit codes: 0 success,
-2 usage or argument errors, 3 decode failures, 4 invariant breaches.
+per list option (``shares:``, ``states:``).  Values are shell-quoted, so
+replaying those lines as arguments reproduces the outputs byte-identically.
+Exit codes: 0 success, 2 usage or argument errors, 3 decode failures,
+4 invariant breaches, 141 stdout closed by its reader (128 + SIGPIPE, as a
+shell reports a writer the signal ended; nothing goes to stderr).  The
+configuration is flushed before any work, so a stdout closed from the start
+ends the command before it writes a file, whatever the buffering.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -28,11 +34,13 @@ def _print_config(args: argparse.Namespace) -> None:
     they were added to the parser."""
     options = {k.replace("_", "-"): v for k, v in vars(args).items()
                if k not in ("command", "func") and v is not None}
-    pairs = "".join(f" {k}={v}" for k, v in options.items() if not isinstance(v, list))
+    pairs = "".join(f" {k}={shlex.quote(str(v))}" for k, v in options.items()
+                    if not isinstance(v, list))
     print(f"effective-config: cmd={args.command}{pairs}")
     for k, v in options.items():
         if isinstance(v, list):
-            print(f"{k}: " + " ".join(v))
+            print(f"{k}: " + shlex.join(v))
+    sys.stdout.flush()
 
 
 def cmd_encode(args) -> int:
@@ -201,9 +209,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _print_config(args)
     try:
-        return args.func(args)
+        _print_config(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Send what is still buffered to /dev/null, so that the interpreter's
+        # own flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except DecodeFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

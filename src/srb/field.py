@@ -269,10 +269,11 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, modulus: int):
-        if not is_prime(modulus):
-            raise ValueError(f"{modulus} is not prime")
+        # The ceiling first: trial division of a huge modulus would not end.
         if modulus > MAX_ORDER:
             raise ValueError(f"fields larger than 2^16 are not supported (got {modulus})")
+        if not is_prime(modulus):
+            raise ValueError(f"{modulus} is not prime")
         q = self.order = modulus
         self._add = lambda a, b: (a + b) % q
         self._sub = lambda a, b: (a - b) % q

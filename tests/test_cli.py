@@ -1,9 +1,14 @@
+import os
 import random
+import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import srb
 from srb import codec
 from srb.cli import main
 from srb.field import parse_field, prime_field
@@ -93,6 +98,20 @@ def test_encode_invalid_params_exit_2(tmp_path, capsys, no_striping):
         )
         assert rc == 2
         assert message in capsys.readouterr().err
+
+
+def test_encode_huge_prime_field_exit_2(tmp_path, capsys, monkeypatch):
+    """A modulus far above 2^16 is refused at once, not trial-divided."""
+    huge = "1000000000000000000000000000057"
+    monkeypatch.setattr("srb.field.is_prime", lambda n: pytest.fail(f"is_prime({n}) ran"))
+    write_blocks(tmp_path / "blocks", [b"x"])
+    rc = main(["encode", "--blocks", str(tmp_path / "blocks"), "--k", "1", "--alpha", "1",
+               "--gamma", "0", "--field", f"prime:{huge}", "--block-size", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: fields larger than 2^16 are not supported (got {huge})" in err.splitlines()
+    assert not (tmp_path / "o").exists()
 
 
 def test_encode_generation_out_of_range_exit_2(tmp_path, capsys, no_striping):
@@ -309,6 +328,39 @@ def test_metrics_reference_example(capsys):
     assert "4MB" in text
 
 
+def test_metrics_block_units_without_network(capsys):
+    """No block size and no network: cells in block units only, no H/G/U rows
+    and no throughput line."""
+    argv = ["metrics", "--shard-nodes", "10", "--blocks", "5", "--k", "2", "--alpha", "3"]
+    assert main(argv) == 0
+    table = capsys.readouterr().out.split("\n", 1)[1]
+    assert table == (
+        "protocol comparison\n"
+        "inputs: n_s=10 L=5 alpha=3 k=2 p=0 block_size=0 delta=0.1 rho=2 c=1.0 N=0 m=0 T=0\n"
+        "\n"
+        "metric                                    RapidChain                     SeF"
+        "                     SRB\n"
+        + "-" * 100 + "\n"
+        "storage overhead                                  10                     1.1"
+        "                       6\n"
+        "storage per node                            5 blocks                2 blocks"
+        "                3 blocks\n"
+        "bootstrap cost                              5 blocks          39.2206 blocks"
+        "                3 blocks\n"
+        "bootstrap cost (p tolerant)                        -                       -"
+        "                3 blocks\n"
+        "security guarantee t_S                       5 nodes       0 nodes (clamped)"
+        "                 3 nodes\n"
+        "\n"
+        "encoding (init): 27 mult-units [alpha^3 multiplications per node (nominal; one row "
+        "costs alpha^2 per stripe)]\n"
+        "encoding (bootstrap): 1.0216 units [r^2 ln^2 r ln ln r with r = alpha + 2p]\n"
+        "note: logarithms are natural; SeF O(.) constant c=1.0\n"
+        "note: p_bootstrap default 2^-26.36\n"
+        "note: SRB bootstrap figure assumes p=0; secure variant downloads alpha+2p blocks\n"
+    )
+
+
 def test_metrics_custom_params(capsys):
     assert (
         main(
@@ -374,10 +426,10 @@ def test_metrics_shard_nodes_default_to_total_over_shards(capsys):
 
 def replay_argv(out: str, lists=()) -> list[str]:
     """The argv a run's printed configuration stands for: its effective-config
-    line, then one line for each list option named in ``lists``; a False flag
-    is left out."""
+    line, then one line for each list option named in ``lists``, each split as
+    a shell would; a False flag is left out."""
     first, *rest = out.splitlines()
-    cmd, *pairs = first.removeprefix("effective-config: ").split()
+    cmd, *pairs = shlex.split(first.removeprefix("effective-config: "))
     argv = [cmd.removeprefix("cmd=")]
     for key, value in (pair.split("=", 1) for pair in pairs):
         if value == "True":
@@ -387,19 +439,21 @@ def replay_argv(out: str, lists=()) -> list[str]:
     for line in rest[: len(lists)]:
         key, values = line.split(": ", 1)
         assert key in lists
-        argv += [f"--{key}", *values.split()]
+        argv += [f"--{key}", *shlex.split(values)]
     return argv
 
 
 @pytest.fixture
 def replay_inputs(tmp_path, monkeypatch):
     """A working directory holding one k=2, alpha=3 generation (L=5 blocks of
-    8 bytes): states n1..n6, shares s1..s5 to gamma 9 with s2 flipped, n3
+    8 bytes, in "blocks" and again in "my blocks"): states n1..n6 and a copy
+    of n1 named "my n1.srb", shares s1..s5 to gamma 9 with s2 flipped, n3
     flipped after s3 was served, and a small simulator config."""
     monkeypatch.chdir(tmp_path)
     rng = random.Random(5)
     blocks = [rng.randbytes(8) for _ in range(5)]
     write_blocks(tmp_path / "blocks", blocks)
+    write_blocks(tmp_path / "my blocks", blocks)
     params, field = MbrParams(2, 3), parse_field("binary:16")
     for gamma in range(1, 7):
         state = codec.encode_generation(blocks, gamma, params, field, block_size=8)
@@ -411,6 +465,7 @@ def replay_inputs(tmp_path, monkeypatch):
         data = bytearray(Path(name).read_bytes())
         data[-1] ^= 1
         Path(name).write_bytes(data)
+    shutil.copy("n1.srb", "my n1.srb")
     Path("sim.cfg").write_text("config_version=1\ntotal_nodes=12\nshards=2\nk=2\nalpha=3\np=0\n"
                                "block_size=32\nblocks_per_epoch=5\njoins_per_epoch=1\nepochs=2\n"
                                "seed=1\n")
@@ -447,10 +502,15 @@ METRICS_KEYS = ("shard-nodes", "total-nodes", "shards", "malicious", "blocks", "
         (["simulate", "--config", "sim.cfg", "--seed", "9", "--out", "r.txt"],
          ("config", "seed", "out"), ()),
         (["simulate", "--config", "sim.cfg"], ("config",), ()),
+        (["encode", "--blocks", "my blocks", "--k", "2", "--alpha", "3", "--gamma", "9",
+          "--block-size", "8", "--out", "my n9.srb"],
+         ("blocks", "k", "alpha", "gamma", "block-size", "out"), ()),
+        (["reconstruct", "--states", "my n1.srb", "n2.srb", "--out-dir", "my out"],
+         ("p", "out-dir"), ("states",)),
     ],
     ids=["metrics-derived-shard-nodes", "metrics-every-option", "metrics-paper-example", "encode",
          "serve-repair", "bootstrap-one-flipped-share", "reconstruct-one-flipped-state",
-         "simulate-seed-out", "simulate"],
+         "simulate-seed-out", "simulate", "encode-spaced-paths", "reconstruct-spaced-paths"],
 )
 def test_effective_config_replays_byte_identically(argv, keys, lists, replay_inputs, capsys):
     before = set(Path().iterdir())
@@ -467,6 +527,32 @@ def test_effective_config_replays_byte_identically(argv, keys, lists, replay_inp
     assert capsys.readouterr().out == out
     assert added_outputs(before) == outputs
     assert not Path("None").exists()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["metrics", "--paper-example"],
+     ["encode", "--blocks", "blocks", "--k", "2", "--alpha", "3", "--gamma", "9",
+      "--block-size", "8", "--out", "n9.srb"]],
+    ids=["metrics", "encode"],
+)
+def test_closed_stdout_exits_141_before_any_work(argv, unbuffered, replay_inputs):
+    """A stdout whose reader is gone ends the command with 141 and an empty
+    stderr, before it writes a file, with or without stdout buffering."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(srb.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "srb.cli", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (141, b"")
+    assert not Path("n9.srb").exists()
 
 
 @pytest.mark.parametrize(

@@ -270,14 +270,20 @@ def test_aes_polynomial_matches_clmul_oracle_exhaustive():
             assert clmul_oracle(a, f.inv(a), 0x11B) == 1
 
 
-def test_prime_validation():
-    with pytest.raises(ValueError):
+def test_prime_validation(monkeypatch):
+    with pytest.raises(ValueError, match="^12 is not prime$"):
         prime_field(12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^1 is not prime$"):
         prime_field(1)
     assert is_prime(65521)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("not supported (got 65537)")):
         prime_field(65537)  # above the 2^16 ceiling
+    # A 31-digit modulus is refused by the ceiling, before trial division up to
+    # its square root, which would not end.
+    huge = 10**30 + 57
+    monkeypatch.setattr("srb.field.is_prime", lambda n: pytest.fail(f"is_prime({n}) ran"))
+    with pytest.raises(ValueError, match=re.escape(f"not supported (got {huge})")):
+        parse_field(f"prime:{huge}")
 
 
 def test_reduction_poly_validation():
