@@ -10,7 +10,10 @@ Exit codes: 0 success, 2 usage or argument errors, 3 decode failures,
 4 invariant breaches, 141 stdout closed by its reader (128 + SIGPIPE, as a
 shell reports a writer the signal ended; nothing goes to stderr).  The
 configuration is flushed before any work, so a stdout closed from the start
-ends the command before it writes a file, whatever the buffering.
+ends the command before it writes a file, whatever the buffering.  Help
+text is flushed before its exit in the same way: into a closed stdout,
+``--help`` exits 141 when stdout is buffered, and 0 when it is not, where
+argparse drops the failed write itself; stderr stays empty either way.
 """
 
 from __future__ import annotations
@@ -208,8 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        finally:
+            # --help exits from inside parse_args: flush its text here, so
+            # that a closed stdout is caught below, not at the interpreter's exit
+            sys.stdout.flush()
         _print_config(args)
         code = args.func(args)
         sys.stdout.flush()

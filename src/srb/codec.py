@@ -398,8 +398,6 @@ def encode_nodes(
                               pad_lengths=pads)
     psis = field.vandermonde(gammas, alpha)
     stripes = stripe_blocks(blocks, field, block_size)
-    if not gammas:
-        return []
     first, n, z = message_layout(k, alpha), len(gammas), stripes.z
     if n == 1 and alpha <= z:
         # coded block j is row j: psi_i at the index of each cell (i, j) of M,

@@ -15,14 +15,15 @@ most e corruptions that f is unique, so a success is never a silently wrong
 answer within the error budget.
 
 Every solve is O(n^2) scalar field arithmetic; there is no elimination.
-The scalar layer keeps field.py's one rule: check once at the boundary, then
-compute unchecked.  rs_decode checks every point and value on entry,
-DecodeSetup its points, rs_decode_many its values, lagrange_basis its points
-and poly_divmod its operands; after that every loop runs on the field's
-unchecked_ops.  A product with
+The module keeps field.py's one rule: check once at the boundary, then
+compute unchecked.  Its three public entries are that boundary: rs_decode
+checks every point and value on entry, DecodeSetup its points and
+rs_decode_many its values.  Nothing else checks again; the private helpers
+below them (the Lagrange basis, polynomial division, the cofactor update)
+take checked input and run on the field's unchecked_ops.  A product with
 one word (an interpolant, a codeword) is a scalar dot product, since
 Field.matmul's fixed cost per row exceeds it at every decode shape.
-lagrange_basis gives a point set's master polynomial prod(x - x_i) and the
+_lagrange_basis gives a point set's master polynomial prod(x - x_i) and the
 inverse of its Vandermonde block, whose columns are the Lagrange basis.
 rs_decode decodes one word by Gao's algorithm: interpolate the word, run
 the extended Euclidean algorithm on the master polynomial and the
@@ -53,7 +54,6 @@ them.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import zip_longest
 
 import numpy as np
 
@@ -68,32 +68,26 @@ def _trim(poly: list[int]) -> list[int]:
     return poly
 
 
-def _poly_mul(field: Field, a: list[int], b: list[int]) -> list[int]:
-    add, _, mul = field.unchecked_ops()
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
+def _poly_submul(field: Field, a: list[int], q: list[int], b: list[int]) -> list[int]:
+    """a - q * b as a new list, trimmed."""
+    _, sub, mul = field.unchecked_ops()
+    out = a + [0] * (len(q) + len(b) - 1 - len(a))
+    for i, qi in enumerate(q):
         for j, bj in enumerate(b):
-            out[i + j] = add(out[i + j], mul(ai, bj))
-    return out
+            out[i + j] = sub(out[i + j], mul(qi, bj))
+    return _trim(out)
 
 
-def _poly_sub(field: Field, a: list[int], b: list[int]) -> list[int]:
-    sub = field.unchecked_ops()[1]
-    return _trim([sub(u, v) for u, v in zip_longest(a, b, fillvalue=0)])
-
-
-def lagrange_basis(field: Field, xs: list[int]) -> tuple[list[int], list[list[int]]]:
+def _lagrange_basis(field: Field, xs: list[int]) -> tuple[list[int], list[list[int]]]:
     """The master polynomial prod(x - x_i) of distinct points xs, and the
     inverse of their Vandermonde block (row i is [x_i^j for j < n]).
 
     Column i of the inverse is the Lagrange basis polynomial of x_i, one at
     x_i and zero at the other points: the master polynomial divided by
     (x - x_i), scaled by the inverse of that quotient's value at x_i.
-    Coefficients ascend; O(n^2) field operations.  The points are checked
-    once on entry, and the inner loops use the field's unchecked_ops.
+    Coefficients ascend; O(n^2) field operations, all unchecked: the callers
+    pass checked points.
     """
-    for x in xs:
-        field.check(x)
     add, sub, mul = field.unchecked_ops()
     n = len(xs)
     master = [1]
@@ -121,18 +115,14 @@ def _matvec(field: Field, matrix: list[list[int]], vector: list[int]) -> list[in
     return [reduce(add, map(mul, row, vector), 0) for row in matrix]
 
 
-def poly_divmod(field: Field, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+def _poly_divmod(field: Field, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of polynomial division; coefficients ascending.
 
-    Every coefficient of num and den is checked once on entry.
+    For trimmed num and den != [] of field elements, unchecked; a num
+    shorter than den gives the quotient [].
     """
-    den = _trim([field.check(c) for c in den])
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    rem = _trim([field.check(c) for c in num])
-    if len(rem) < len(den):
-        return [], rem
     _, sub, mul = field.unchecked_ops()
+    rem = list(num)
     lead_inv = field.inv(den[-1])
     quot = [0] * (len(rem) - len(den) + 1)
     for shift in range(len(quot) - 1, -1, -1):
@@ -181,14 +171,14 @@ def rs_decode(field: Field, points: list[tuple[int, int]], dim: int) -> list[int
     # remainder's degree first drops below (n + dim) / 2.  Within the error
     # budget v1 vanishes at the corrupted points and divides the remainder
     # exactly, with the message as quotient.
-    r0, inverse = lagrange_basis(field, xs)
+    r0, inverse = _lagrange_basis(field, xs)
     r1 = _trim(_matvec(field, inverse, ys))
     v0, v1 = [], [1]
     while 2 * (len(r1) - 1) >= n + dim:
-        quot, rem = poly_divmod(field, r0, r1)
+        quot, rem = _poly_divmod(field, r0, r1)
         r0, r1 = r1, rem
-        v0, v1 = v1, _poly_sub(field, v0, _poly_mul(field, quot, v1))
-    quot, rem = poly_divmod(field, r1, v1)
+        v0, v1 = v1, _poly_submul(field, v0, quot, v1)
+    quot, rem = _poly_divmod(field, r1, v1)
     if rem or len(quot) > dim:
         raise DecodeFailure("no consistent codeword within the error budget")
     return quot + [0] * (dim - len(quot))
@@ -233,7 +223,7 @@ class DecodeSetup:
         ones and enough of the others.
         """
         if points not in self._checks:
-            _, base = lagrange_basis(self.field, [self.xs[i] for i in points])
+            _, base = _lagrange_basis(self.field, [self.xs[i] for i in points])
             others = [i for i in range(len(self.xs)) if i not in points]
             self._checks[points] = np.array(base), others, self.rows[others, : self.dim]
         base, others, other_powers = self._checks[points]

@@ -42,6 +42,8 @@ from .mbr import MbrParams
 STRATEGIES = ("flip-random-symbols", "zero-out", "consistent-wrong-polynomial")
 
 CONFIG_VERSION = 1
+_BOOLS = {"true": True, "false": False}
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -114,9 +116,8 @@ class SimConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "SimConfig":
-        types = get_type_hints(cls)
+        types = {"config_version": int, **get_type_hints(cls)}
         seen: dict[str, object] = {}
-        version = None
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -126,21 +127,17 @@ class SimConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key in seen or (key == "config_version" and version is not None):
+            if key in seen:
                 raise ValueError(f"line {lineno}: repeated config key {key!r}")
-            if key == "config_version":
-                version = int(value)
-                continue
             if key not in types:
                 raise ValueError(f"line {lineno}: unknown config key {key!r}")
             typ = types[key]
-            if typ is bool:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(f"line {lineno}: {key} must be true or false")
-                seen[key] = value.lower() == "true"
-            else:
-                seen[key] = typ(value)
-        if version != CONFIG_VERSION:
+            try:
+                seen[key] = _BOOLS[value.lower()] if typ is bool else typ(value)
+            except (KeyError, ValueError):
+                kind = "true or false" if typ is bool else typ.__name__
+                raise ValueError(f"line {lineno}: {key} must be {kind}, got {value!r}") from None
+        if seen.pop("config_version", None) != CONFIG_VERSION:
             raise ValueError(f"config_version must be {CONFIG_VERSION}")
         missing = {"total_nodes", "shards"} - seen.keys()
         if missing:

@@ -529,6 +529,22 @@ def test_effective_config_replays_byte_identically(argv, keys, lists, replay_inp
     assert not Path("None").exists()
 
 
+def run_into_closed_stdout(argv, unbuffered):
+    """Run srb with argv in a new interpreter, its stdout a pipe whose read
+    end is closed before the start."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(srb.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "srb.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+
+
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize(
     "argv",
@@ -540,19 +556,18 @@ def test_effective_config_replays_byte_identically(argv, keys, lists, replay_inp
 def test_closed_stdout_exits_141_before_any_work(argv, unbuffered, replay_inputs):
     """A stdout whose reader is gone ends the command with 141 and an empty
     stderr, before it writes a file, with or without stdout buffering."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(srb.__file__).parents[1])
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        run = subprocess.run([sys.executable, "-m", "srb.cli", *argv], stdout=write_end,
-                             stderr=subprocess.PIPE, env=env, timeout=60)
-    finally:
-        os.close(write_end)
+    run = run_into_closed_stdout(argv, unbuffered)
     assert (run.returncode, run.stderr) == (141, b"")
     assert not Path("n9.srb").exists()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["encode", "--help"]], ids=["srb", "encode"])
+def test_help_into_a_closed_stdout_leaves_stderr_empty(argv, unbuffered):
+    """Buffered help text meets the closed pipe at main's flush: exit 141.
+    Unbuffered, argparse drops the failed write itself and exits 0."""
+    run = run_into_closed_stdout(argv, unbuffered)
+    assert (run.returncode, run.stderr) == (0 if unbuffered else 141, b"")
 
 
 @pytest.mark.parametrize(
@@ -613,13 +628,21 @@ def test_simulate_missing_config_exit_2(tmp_path, capsys):
         ("cap_malicious_per_shard=yes\n", "line 5: cap_malicious_per_shard must be true or false"),
         # refused by the config itself; no block is drawn here even if it were not
         ("block_size=4294967296\n", "block_size=4294967296 does not fit a u32 header field"),
+        ("cuckoo_eps=0.1x\n", "line 5: cuckoo_eps must be float, got '0.1x'"),
+        ("config_version=1\ntotal_nodes=abc\nshards=2\n",
+         "line 2: total_nodes must be int, got 'abc'"),
+        ("config_version=one\ntotal_nodes=12\nshards=2\n",
+         "line 1: config_version must be int, got 'one'"),
     ],
     ids=["nan-balance-limit", "repeated-key", "no-equals-sign", "non-boolean-cap",
-         "block-size-over-u32"],
+         "block-size-over-u32", "non-float-value", "non-integer-value", "non-integer-version"],
 )
 def test_simulate_malformed_config_exit_2(tmp_path, capsys, extra, message):
+    """extra follows four valid lines, unless it starts with config_version:
+    then it is the whole file."""
     config = tmp_path / "sim.cfg"
-    config.write_text("config_version=1\ntotal_nodes=12\nshards=2\nseed=1\n" + extra)
+    base = "config_version=1\ntotal_nodes=12\nshards=2\nseed=1\n"
+    config.write_text(extra if extra.startswith("config_version") else base + extra)
     assert main(["simulate", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") and message in line for line in err.splitlines())

@@ -257,6 +257,20 @@ def test_encode_nodes_wrong_arity_even_without_nodes():
         codec.encode_nodes([b"x"], [], MbrParams(2, 3), binary_field(16), block_size=1)
 
 
+@pytest.mark.parametrize("spec", ["binary:16", "prime:65521"])
+def test_encode_nodes_without_nodes_returns_no_state_and_still_checks_the_header(spec):
+    """No gammas take the block form with zero rows: no state, and a header
+    no state could hold is refused all the same."""
+    f = field.parse_field(spec)
+    params = MbrParams(2, 3)
+    blocks = [b"abc", b"", b"de", b"fghij", b"k"]
+    for some, block_size in ((blocks, 5), ([b""] * 5, 0)):  # Z > 0 and Z = 0
+        assert codec.encode_nodes(some, [], params, f, block_size=block_size) == []
+    for changes in ({"block_size": 1 << 32}, {"generation": 1 << 32}):
+        with pytest.raises(ValueError, match="does not fit a u32 header field"):
+            codec.encode_nodes(blocks, [], params, f, **changes)
+
+
 def test_serve_repair_examples():
     f = prime_field(13)
     params = MbrParams(2, 3, n=5)

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from field_helpers import poly_eval
+from srb import rs
 from srb.errors import DecodeFailure
 from srb.field import binary_field, parse_field, prime_field
-from srb.rs import DecodeSetup, lagrange_basis, poly_divmod, rs_decode, rs_decode_many
+from srb.rs import DecodeSetup, rs_decode, rs_decode_many
 
 
 def exhaustive_decode_oracle(f, points, dim, min_agree):
@@ -321,7 +322,7 @@ def test_lagrange_basis_inverts_vandermonde(f):
         point_sets.append(rng.sample(range(f.order), 50))  # the paper's alpha = 50
     for xs in point_sets:
         n = len(xs)
-        master, inverse = lagrange_basis(f, xs)
+        master, inverse = rs._lagrange_basis(f, xs)
         vandermonde = [f.vandermonde_row(x, n) for x in xs]
         assert f.matmul(inverse, vandermonde).tolist() == np.eye(n, dtype=int).tolist()
         assert len(master) == n + 1 and master[-1] == 1
@@ -329,10 +330,29 @@ def test_lagrange_basis_inverts_vandermonde(f):
 
 
 @pytest.mark.parametrize("f", [prime_field(13), binary_field(4)])
-def test_lagrange_basis_rejects_points_outside_the_field(f):
+def test_the_three_entries_refuse_bad_input_before_any_helper_runs(f, monkeypatch):
+    """rs_decode, DecodeSetup and rs_decode_many are the only checks: a point
+    or value outside the field, or a duplicate point, is refused before the
+    unchecked basis or division runs."""
+
+    def unreachable(*args):
+        raise AssertionError("an unchecked helper ran on unchecked input")
+
+    monkeypatch.setattr(rs, "_lagrange_basis", unreachable)
+    monkeypatch.setattr(rs, "_poly_divmod", unreachable)
     for bad in (f.order, -1, 1.5):
         with pytest.raises(ValueError):
-            lagrange_basis(f, [1, bad])
+            rs_decode(f, [(1, 3), (bad, 5), (2, 4)], 1)
+        with pytest.raises(ValueError):
+            DecodeSetup(f, [1, bad, 2], 1)
+        with pytest.raises(ValueError):
+            rs_decode(f, [(1, 3), (2, bad), (3, 4)], 1)
+        with pytest.raises(ValueError):
+            rs_decode_many(DecodeSetup(f, [1, 2, 3], 1), [[3, 3, 3], [3, bad, 4]])
+    with pytest.raises(ValueError):
+        rs_decode(f, [(1, 3), (1, 5), (2, 4)], 1)
+    with pytest.raises(ValueError):
+        DecodeSetup(f, [1, 1, 2], 1)
 
 
 @st.composite
@@ -367,11 +387,9 @@ def test_decode_matches_the_exhaustive_oracle(case):
 def test_poly_divmod():
     f = prime_field(13)
     # (x + 1)(x + 2) = x^2 + 3x + 2
-    quot, rem = poly_divmod(f, [2, 3, 1], [1, 1])
+    quot, rem = rs._poly_divmod(f, [2, 3, 1], [1, 1])
     assert quot == [2, 1] and rem == []
-    quot, rem = poly_divmod(f, [3, 3, 1], [1, 1])
+    quot, rem = rs._poly_divmod(f, [3, 3, 1], [1, 1])
     assert rem != []
-    quot, rem = poly_divmod(f, [], [1, 1])
+    quot, rem = rs._poly_divmod(f, [], [1, 1])
     assert quot == [] and rem == []
-    with pytest.raises(ZeroDivisionError):
-        poly_divmod(f, [1, 1], [0, 0])

@@ -148,7 +148,7 @@ def test_each_decode_builds_its_rows_and_bases_once(monkeypatch):
     _, states = generation(f, params, random.Random(4), 40, list(range(1, 9)))
     shares = [codec.serve_repair(st, 30) for st in states[: params.repair_degree]]
     built = {"blocks": 0, "rows": 0, "scalar rows": 0, "bases": 0}
-    block, row, basis = type(f).vandermonde, type(f).vandermonde_row, rs.lagrange_basis
+    block, row, basis = type(f).vandermonde, type(f).vandermonde_row, rs._lagrange_basis
 
     def counted_block(self, points, width):
         built["blocks"] += 1
@@ -165,7 +165,7 @@ def test_each_decode_builds_its_rows_and_bases_once(monkeypatch):
 
     monkeypatch.setattr(type(f), "vandermonde", counted_block)
     monkeypatch.setattr(type(f), "vandermonde_row", counted_row)
-    monkeypatch.setattr(rs, "lagrange_basis", counted_basis)
+    monkeypatch.setattr(rs, "_lagrange_basis", counted_basis)
     for call, n in ((lambda: codec.reconstruct_generation(states[:5], 1), 5),
                     (lambda: codec.bootstrap_node(shares, 30, 1), 7)):
         for _ in range(2):  # nothing is kept from one call to the next
