@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .mbr import MbrParams
@@ -33,7 +33,6 @@ DEFAULT_P_BOOTSTRAP = 2.0 ** -26.36
 class ProtocolParams:
     """Inputs for the protocol comparison; unused fields may stay at 0."""
 
-    protocol: str = SRB
     n_s: int = 0              # nodes per shard
     total_blocks: int = 0     # L, blocks processed per shard
     alpha: int = 0            # coded blocks stored per node (SRB)
@@ -52,8 +51,6 @@ class ProtocolParams:
     tau: float = 1.0          # latency factor
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         if not 0.0 <= self.p_frac < 1.0:
@@ -82,7 +79,6 @@ class ProtocolParams:
 def reference_example_params() -> ProtocolParams:
     """The published worked example: 2 MB blocks, 16000 nodes, 16 shards."""
     return ProtocolParams(
-        protocol=SRB,
         n_s=1000,
         total_blocks=1065,
         alpha=50,
@@ -104,70 +100,23 @@ def _sef_overhead_blocks(params: ProtocolParams) -> float:
     return l + params.c * math.sqrt(l) * math.log(l / params.delta) ** 2
 
 
-def storage_overhead(params: ProtocolParams) -> Fraction | float:
-    """Coded symbols stored across the shard divided by L."""
-    if params.protocol == RAPIDCHAIN:
-        return Fraction(params.n_s)
-    if params.protocol == SEF:
-        return 1.0 + params.delta
-    if params.total_blocks == 0:
-        raise ValueError("total_blocks must be > 0")
-    return Fraction(params.n_s * params.alpha, params.total_blocks)
-
-
-def storage_blocks_per_node(params: ProtocolParams) -> int:
-    if params.protocol == RAPIDCHAIN:
-        return params.total_blocks
-    if params.protocol == SEF:
-        return params.rho
-    return params.alpha
-
-
-def bootstrap_cost(params: ProtocolParams, secure: bool = False) -> float:
-    """Blocks a joining node downloads; secure=True adds the 2p SRB margin."""
-    if params.protocol == RAPIDCHAIN:
-        return float(params.total_blocks)
-    if params.protocol == SEF:
-        return _sef_overhead_blocks(params)
-    return float(params.alpha + (2 * params.p if secure else 0))
-
-
-@dataclass(frozen=True)
-class SecurityGuarantee:
-    nodes: int                     # floor, clamped at 0
-    exact: Fraction | float
-    clamped: bool = False
-
-
-def epoch_security(params: ProtocolParams) -> SecurityGuarantee:
-    """Maximum tolerable malicious nodes per shard, t_S."""
-    if params.protocol == RAPIDCHAIN:
-        exact: Fraction | float = Fraction(params.n_s, 2)
-    elif params.protocol == SEF:
-        exact = params.n_s - _sef_overhead_blocks(params) / params.rho
-    else:
-        exact = Fraction(params.n_s - params.alpha, 2)
-    if exact < 0:
-        return SecurityGuarantee(0, exact, clamped=True)
-    return SecurityGuarantee(math.floor(exact), exact)
-
-
 def hypergeom_tail(population: int, malicious: int, sample: int, threshold: int) -> float:
     """P[at least threshold malicious in a uniform sample], exactly.
 
-    Sum over l = threshold..sample of C(T,l) C(N-T, n-l) / C(N, n), with
-    big-integer binomials; impossible terms contribute zero.
+    Sum of C(T,l) C(N-T, n-l) / C(N, n) with big-integer binomials, over
+    only the l >= threshold that can occur: at most T malicious and at most
+    N-T honest members, so l runs from max(threshold, n-(N-T)) to min(n, T).
     """
     if not 0 <= malicious <= population:
         raise ValueError("need 0 <= malicious <= population")
     if not 0 <= threshold <= sample <= population:
         raise ValueError("need 0 <= threshold <= sample <= population")
-    total = math.comb(population, sample)
+    honest = population - malicious
     acc = sum(
-        math.comb(malicious, l) * math.comb(population - malicious, sample - l)
-        for l in range(threshold, sample + 1)
+        math.comb(malicious, l) * math.comb(honest, sample - l)
+        for l in range(max(threshold, sample - honest), min(sample, malicious) + 1)
     )
-    return float(Fraction(acc, total))
+    return float(Fraction(acc, math.comb(population, sample)))
 
 
 def hoeffding_bound(population: int, malicious: int, sample: int, threshold: int) -> float:
@@ -188,8 +137,6 @@ def hoeffding_bound(population: int, malicious: int, sample: int, threshold: int
         raise ValueError("bound regime violated: need threshold/sample > malicious/population")
     if r == 1.0:
         return g**sample
-    if g == 0.0:
-        return 0.0
     return ((g / r) ** r * ((1.0 - g) / (1.0 - r)) ** (1.0 - r)) ** sample
 
 
@@ -289,34 +236,35 @@ class MetricsReport:
 
 def comparison_report(params: ProtocolParams) -> MetricsReport:
     """Three-protocol comparison of storage, bootstrap, security and bounds."""
+    p = params
     rows = []
+    # Row order fixes which refusal a bad input meets first: RapidChain's
+    # hypergeometric check, then SeF's L > 0, before the SRB row divides by L.
     for proto in PROTOCOLS:
-        pp = replace(params, protocol=proto)
-        sec = epoch_security(pp)
+        secure = None
+        if proto == RAPIDCHAIN:
+            overhead, stored, boot = Fraction(p.n_s), p.total_blocks, float(p.total_blocks)
+            exact: Fraction | float = Fraction(p.n_s, 2)
+        elif proto == SEF:
+            boot = _sef_overhead_blocks(p)
+            overhead, stored, exact = 1.0 + p.delta, p.rho, p.n_s - boot / p.rho
+        else:
+            overhead, stored = Fraction(p.n_s * p.alpha, p.total_blocks), p.alpha
+            boot, secure = float(p.alpha), float(p.alpha + 2 * p.p)
+            exact = Fraction(p.n_s - p.alpha, 2)
+        t_s = 0 if exact < 0 else math.floor(exact)  # t_S, clamped at 0
         hyper = hoeff = upper = None
-        if params.total_nodes > 0 and params.shards > 0 and params.malicious > 0:
-            hyper = hypergeom_tail(params.total_nodes, params.malicious, params.n_s, sec.nodes)
+        if p.total_nodes > 0 and p.shards > 0 and p.malicious > 0:
+            hyper = hypergeom_tail(p.total_nodes, p.malicious, p.n_s, t_s)
             try:
-                hoeff = hoeffding_bound(
-                    params.total_nodes, params.malicious, params.n_s, sec.nodes
-                )
-                upper = failure_upper_bound(params.shards, hoeff)
+                hoeff = hoeffding_bound(p.total_nodes, p.malicious, p.n_s, t_s)
+                upper = failure_upper_bound(p.shards, hoeff)
             except ValueError:
                 pass  # outside the Hoeffding regime: the table prints "regime n/a"
-        rows.append(
-            ProtocolMetrics(
-                protocol=proto,
-                storage_overhead=storage_overhead(pp),
-                storage_blocks=storage_blocks_per_node(pp),
-                bootstrap_blocks=bootstrap_cost(pp),
-                bootstrap_blocks_secure=bootstrap_cost(pp, secure=True) if proto == SRB else None,
-                security_nodes=sec.nodes,
-                security_clamped=sec.clamped,
-                hypergeom=hyper,
-                hoeffding=hoeff,
-                upper_bound=upper,
-            )
-        )
+        rows.append(ProtocolMetrics(
+            protocol=proto, storage_overhead=overhead, storage_blocks=stored,
+            bootstrap_blocks=boot, bootstrap_blocks_secure=secure, security_nodes=t_s,
+            security_clamped=exact < 0, hypergeom=hyper, hoeffding=hoeff, upper_bound=upper))
     throughput = None
     throughput_note = ""
     if params.total_nodes > 1:

@@ -129,10 +129,9 @@ def cmd_simulate(args) -> int:
 
 # ProtocolParams fields whose metrics flag has another name.
 _METRICS_FLAGS = {"n_s": "shard_nodes", "total_blocks": "blocks"}
-# The metrics inputs: every ProtocolParams field but the protocol, in order,
-# each with its flag's dest.
+# The metrics inputs: every ProtocolParams field, in order, each with its flag's dest.
 _METRICS_INPUTS = [(f, _METRICS_FLAGS.get(f.name, f.name))
-                   for f in dataclasses.fields(analytics.ProtocolParams) if f.name != "protocol"]
+                   for f in dataclasses.fields(analytics.ProtocolParams)]
 
 
 def cmd_metrics(args) -> int:
@@ -147,7 +146,7 @@ def cmd_metrics(args) -> int:
                     f"{args.shards}; give --shard-nodes or make N = m * n_S"
                 )
             inputs["n_s"] = args.total_nodes // args.shards
-        params = analytics.ProtocolParams(protocol=analytics.SRB, **inputs)
+        params = analytics.ProtocolParams(**inputs)
     print(analytics.render_metrics(analytics.comparison_report(params)), end="")
     return 0
 

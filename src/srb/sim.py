@@ -575,7 +575,6 @@ def run_simulation(config: SimConfig) -> SimReport:
 
     metrics = analytics.comparison_report(
         analytics.ProtocolParams(
-            protocol=analytics.SRB,
             n_s=config.n_s,
             total_blocks=l_blocks,
             alpha=config.alpha,

@@ -91,9 +91,7 @@ def test_acceptance_1_reference_example_numbers():
     assert abs(rc_row.storage_blocks * block - 2_130_000_000) < 1024
     assert abs(rc_row.bootstrap_blocks * block - 2_130_000_000) < 1024
     assert abs(sef_row.storage_blocks * block - 4_000_000) < 1024
-    assert an.storage_overhead(replace(an.reference_example_params())) == Fraction(
-        1000 * 50, 1065
-    )
+    assert srb_row.storage_overhead == Fraction(1000 * 50, 1065)
     text = an.render_metrics(report)
     assert "100MB" in text and "2.13GB" in text and "4MB" in text
     elapsed = time.monotonic() - started

@@ -19,46 +19,46 @@ def hypergeom_oracle(population, malicious, sample, threshold):
     return Fraction(hits, total)
 
 
+def rows_for(**fields):
+    """The comparison's rows for these inputs, by protocol."""
+    return {r.protocol: r for r in an.comparison_report(an.ProtocolParams(**fields)).rows}
+
+
 def test_storage_overhead():
-    params = an.ProtocolParams(n_s=1000, total_blocks=1065, alpha=50, k=30)
-    assert an.storage_overhead(params) == Fraction(1000 * 50, 1065)
-    assert float(an.storage_overhead(params)) == pytest.approx(46.95, abs=0.01)
-    rc = an.ProtocolParams(protocol=an.RAPIDCHAIN, n_s=1000, total_blocks=1065)
-    assert an.storage_overhead(rc) == 1000
-    sef = an.ProtocolParams(protocol=an.SEF, n_s=1000, total_blocks=1065, delta=0.1)
-    assert an.storage_overhead(sef) == pytest.approx(1.1)
-    single = an.ProtocolParams(n_s=1, total_blocks=4, alpha=4, k=1)
-    assert an.storage_overhead(single) == 1
-    with pytest.raises(ValueError):
-        an.storage_overhead(an.ProtocolParams(n_s=10, total_blocks=0, alpha=3))
+    rows = rows_for(n_s=1000, total_blocks=1065, alpha=50, k=30, delta=0.1)
+    assert rows[an.SRB].storage_overhead == Fraction(1000 * 50, 1065)
+    assert float(rows[an.SRB].storage_overhead) == pytest.approx(46.95, abs=0.01)
+    assert rows[an.RAPIDCHAIN].storage_overhead == 1000
+    assert rows[an.SEF].storage_overhead == pytest.approx(1.1)
+    assert rows_for(n_s=1, total_blocks=4, alpha=4, k=1)[an.SRB].storage_overhead == 1
+    with pytest.raises(ValueError, match="total_blocks must be > 0"):
+        rows_for(n_s=10, total_blocks=0, alpha=3)
 
 
 def test_bootstrap_cost():
-    srb = an.ProtocolParams(n_s=1000, total_blocks=1065, alpha=50, k=30)
-    assert an.bootstrap_cost(srb) == 50
-    assert an.bootstrap_cost(srb) * 2_000_000 == 100_000_000  # 100 MB at 2 MB blocks
-    srb_p = an.ProtocolParams(n_s=1000, total_blocks=1065, alpha=50, k=30, p=2)
-    assert an.bootstrap_cost(srb_p, secure=True) == 54
-    rc = an.ProtocolParams(protocol=an.RAPIDCHAIN, total_blocks=1065)
-    assert an.bootstrap_cost(rc) == 1065
-    assert an.bootstrap_cost(rc) * 2_000_000 == 2_130_000_000  # 2.13 GB
-    sef = an.ProtocolParams(protocol=an.SEF, total_blocks=1065, delta=0.1, c=1.0)
+    rows = rows_for(n_s=1000, total_blocks=1065, alpha=50, k=30, delta=0.1, c=1.0)
+    assert rows[an.SRB].bootstrap_blocks == 50
+    assert rows[an.SRB].bootstrap_blocks * 2_000_000 == 100_000_000  # 100 MB at 2 MB blocks
+    srb_p = rows_for(n_s=1000, total_blocks=1065, alpha=50, k=30, p=2)[an.SRB]
+    assert srb_p.bootstrap_blocks == 50 and srb_p.bootstrap_blocks_secure == 54
+    rc = rows[an.RAPIDCHAIN]
+    assert rc.bootstrap_blocks == 1065
+    assert rc.bootstrap_blocks * 2_000_000 == 2_130_000_000  # 2.13 GB
+    sef = rows[an.SEF]
     expected = 1065 + math.sqrt(1065) * math.log(10650) ** 2
-    assert an.bootstrap_cost(sef) == pytest.approx(expected)
-    assert an.bootstrap_cost(sef) > 1065
+    assert sef.bootstrap_blocks == pytest.approx(expected)
+    assert sef.bootstrap_blocks > 1065
+    assert rc.bootstrap_blocks_secure is None and sef.bootstrap_blocks_secure is None
 
 
 def test_epoch_security():
-    srb = an.ProtocolParams(n_s=1000, total_blocks=1065, alpha=50, k=30)
-    got = an.epoch_security(srb)
-    assert got.nodes == 475 and got.exact == Fraction(950, 2)
-    rc = an.ProtocolParams(protocol=an.RAPIDCHAIN, n_s=1000)
-    assert an.epoch_security(rc).nodes == 500
-    flat = an.ProtocolParams(n_s=50, total_blocks=1065, alpha=50, k=30)  # alpha == n_S
-    assert an.epoch_security(flat).nodes == 0
-    sef_neg = an.ProtocolParams(protocol=an.SEF, n_s=10, total_blocks=1065, rho=2)
-    got = an.epoch_security(sef_neg)
-    assert got.nodes == 0 and got.clamped
+    rows = rows_for(n_s=1000, total_blocks=1065, alpha=50, k=30)
+    assert rows[an.SRB].security_nodes == 475 and not rows[an.SRB].security_clamped
+    assert rows[an.RAPIDCHAIN].security_nodes == 500
+    flat = rows_for(n_s=50, total_blocks=1065, alpha=50, k=30)[an.SRB]  # alpha == n_S
+    assert flat.security_nodes == 0 and not flat.security_clamped
+    sef_neg = rows_for(n_s=10, total_blocks=1065, rho=2)[an.SEF]
+    assert sef_neg.security_nodes == 0 and sef_neg.security_clamped
 
 
 def test_hypergeom_exact_value():
@@ -74,6 +74,29 @@ def test_hypergeom_edges():
         an.hypergeom_tail(10, 11, 5, 3)
     with pytest.raises(ValueError):
         an.hypergeom_tail(10, 4, 5, 6)
+
+
+def test_hypergeom_sums_only_possible_terms(monkeypatch):
+    """Only the l that can occur are summed: at most T malicious and at most
+    N - T honest members, so a large network with few liars stays cheap."""
+    comb = math.comb
+    calls = []
+
+    def counting_comb(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(an.math, "comb", counting_comb)
+    assert an.hypergeom_tail(20000, 3, 10000, 5000) == 0.0
+    assert len(calls) == 1  # C(N, n) alone: no l in 5000..3
+    calls.clear()
+    # P[X = 2] + P[X = 3] for 3 liars and a committee of half the network
+    expected = Fraction(3 * 10000 * 9999 * 10000 + 10000 * 9999 * 9998, 20000 * 19999 * 19998)
+    assert an.hypergeom_tail(20000, 3, 10000, 2) == float(expected)
+    assert len(calls) == 1 + 2 * 2
+    calls.clear()
+    assert an.hypergeom_tail(20000, 19997, 10000, 0) == 1.0
+    assert len(calls) == 1 + 2 * 4  # l in 9997..10000: at most 3 honest members
 
 
 def test_hypergeom_matches_enumeration_oracle():
@@ -213,11 +236,6 @@ def test_k_above_alpha_rejected():
         an.ProtocolParams(n_s=10, total_blocks=5, k=5, alpha=3)
     with pytest.raises(ValueError, match="alpha must be >= k"):
         an.ProtocolParams(k=5, alpha=3)
-
-
-def test_unknown_protocol_rejected():
-    with pytest.raises(ValueError, match="unknown protocol 'srb2'"):
-        an.ProtocolParams(protocol="srb2")
 
 
 def test_table1_reference_example():

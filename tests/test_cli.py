@@ -328,37 +328,166 @@ def test_metrics_reference_example(capsys):
     assert "4MB" in text
 
 
-def test_metrics_block_units_without_network(capsys):
-    """No block size and no network: cells in block units only, no H/G/U rows
-    and no throughput line."""
-    argv = ["metrics", "--shard-nodes", "10", "--blocks", "5", "--k", "2", "--alpha", "3"]
-    assert main(argv) == 0
-    table = capsys.readouterr().out.split("\n", 1)[1]
-    assert table == (
-        "protocol comparison\n"
-        "inputs: n_s=10 L=5 alpha=3 k=2 p=0 block_size=0 delta=0.1 rho=2 c=1.0 N=0 m=0 T=0\n"
-        "\n"
-        "metric                                    RapidChain                     SeF"
-        "                     SRB\n"
-        + "-" * 100 + "\n"
-        "storage overhead                                  10                     1.1"
-        "                       6\n"
-        "storage per node                            5 blocks                2 blocks"
-        "                3 blocks\n"
-        "bootstrap cost                              5 blocks          39.2206 blocks"
-        "                3 blocks\n"
-        "bootstrap cost (p tolerant)                        -                       -"
-        "                3 blocks\n"
-        "security guarantee t_S                       5 nodes       0 nodes (clamped)"
-        "                 3 nodes\n"
-        "\n"
-        "encoding (init): 27 mult-units [alpha^3 multiplications per node (nominal; one row "
-        "costs alpha^2 per stripe)]\n"
-        "encoding (bootstrap): 1.0216 units [r^2 ln^2 r ln ln r with r = alpha + 2p]\n"
-        "note: logarithms are natural; SeF O(.) constant c=1.0\n"
-        "note: p_bootstrap default 2^-26.36\n"
-        "note: SRB bootstrap figure assumes p=0; secure variant downloads alpha+2p blocks\n"
-    )
+# The whole stdout of srb metrics, the effective configuration first: no
+# block size and no network (cells in block units only, no H/G/U rows and no
+# throughput line), the published example, README's networked example (the
+# H/G/U rows, SeF's Hoeffding cell outside its regime), and a run whose
+# RapidChain and SRB Hoeffding cells are outside theirs, with byte units,
+# p > 0 and a throughput line.
+METRICS_BLOCK_UNITS = (
+    "effective-config: cmd=metrics paper-example=False shard-nodes=10 blocks=5 alpha=3 k=2 p=0"
+    " block-size=0 delta=0.1 rho=2 c=1.0 total-nodes=0 shards=0 malicious=0 mu=1.0"
+    " p-frac=0.0 v=1.0 tau=1.0\n"
+    "protocol comparison\n"
+    "inputs: n_s=10 L=5 alpha=3 k=2 p=0 block_size=0 delta=0.1 rho=2 c=1.0 N=0 m=0 T=0\n"
+    "\n"
+    "metric                                    RapidChain                     SeF"
+    "                     SRB\n"
+    + "-" * 100 + "\n"
+    "storage overhead                                  10                     1.1"
+    "                       6\n"
+    "storage per node                            5 blocks                2 blocks"
+    "                3 blocks\n"
+    "bootstrap cost                              5 blocks          39.2206 blocks"
+    "                3 blocks\n"
+    "bootstrap cost (p tolerant)                        -                       -"
+    "                3 blocks\n"
+    "security guarantee t_S                       5 nodes       0 nodes (clamped)"
+    "                 3 nodes\n"
+    "\n"
+    "encoding (init): 27 mult-units [alpha^3 multiplications per node (nominal; one row "
+    "costs alpha^2 per stripe)]\n"
+    "encoding (bootstrap): 1.0216 units [r^2 ln^2 r ln ln r with r = alpha + 2p]\n"
+    "note: logarithms are natural; SeF O(.) constant c=1.0\n"
+    "note: p_bootstrap default 2^-26.36\n"
+    "note: SRB bootstrap figure assumes p=0; secure variant downloads alpha+2p blocks\n"
+)
+
+
+METRICS_PAPER_EXAMPLE = (
+    "effective-config: cmd=metrics paper-example=True shard-nodes=0 blocks=0 alpha=0 k=0 p=0"
+    " block-size=0 delta=0.1 rho=2 c=1.0 total-nodes=0 shards=0 malicious=0 mu=1.0"
+    " p-frac=0.0 v=1.0 tau=1.0\n"
+    "protocol comparison\n"
+    "inputs: n_s=1000 L=1065 alpha=50 k=30 p=0 block_size=2000000 delta=0.1 rho=2 c=1.0"
+    " N=16000 m=16 T=0\n"
+    "\n"
+    "metric                                    RapidChain                     SeF"
+    "                     SRB\n"
+    + "-" * 100 + "\n"
+    "storage overhead                                1000                     1.1"
+    "                   46.95\n"
+    "storage per node                1065 blocks (2.13GB)          2 blocks (4MB)"
+    "       50 blocks (100MB)\n"
+    "bootstrap cost                  1065 blocks (2.13GB) 3871.37 blocks (7.74GB)"
+    "       50 blocks (100MB)\n"
+    "bootstrap cost (p tolerant)                        -                       -"
+    "       50 blocks (100MB)\n"
+    "security guarantee t_S                     500 nodes       0 nodes (clamped)"
+    "               475 nodes\n"
+    "\n"
+    "encoding (init): 125000 mult-units [alpha^3 multiplications per node (nominal; one row"
+    " costs alpha^2 per stripe)]\n"
+    "encoding (bootstrap): 52188.5 units [r^2 ln^2 r ln ln r with r = alpha + 2p]\n"
+    "throughput factor: n/a (resiliency exhausted: a - p_frac <= 0 for these parameters)\n"
+    "note: logarithms are natural; SeF O(.) constant c=1.0\n"
+    "note: p_bootstrap default 2^-26.36\n"
+    "note: SRB bootstrap figure assumes p=0; secure variant downloads alpha+2p blocks\n"
+)
+
+
+METRICS_README_NETWORK = (
+    "effective-config: cmd=metrics paper-example=False shard-nodes=0 blocks=30 alpha=8 k=5"
+    " p=0 block-size=0 delta=0.1 rho=2 c=1.0 total-nodes=100 shards=4 malicious=3 mu=1.0"
+    " p-frac=0.0 v=1.0 tau=1.0\n"
+    "protocol comparison\n"
+    "inputs: n_s=25 L=30 alpha=8 k=5 p=0 block_size=0 delta=0.1 rho=2 c=1.0 N=100 m=4 T=3\n"
+    "\n"
+    "metric                                    RapidChain                     SeF"
+    "                     SRB\n"
+    + "-" * 100 + "\n"
+    "storage overhead                                  25                     1.1"
+    "                   6.667\n"
+    "storage per node                           30 blocks                2 blocks"
+    "                8 blocks\n"
+    "bootstrap cost                             30 blocks          208.191 blocks"
+    "                8 blocks\n"
+    "bootstrap cost (p tolerant)                        -                       -"
+    "                8 blocks\n"
+    "security guarantee t_S                      12 nodes       0 nodes (clamped)"
+    "                 8 nodes\n"
+    "shard failure prob H                       0.000e+00               1.000e+00"
+    "               0.000e+00\n"
+    "Hoeffding bound G                          1.176e-11              regime n/a"
+    "               2.502e-06\n"
+    "system bound U                             1.166e-08                       -"
+    "               1.002e-05\n"
+    "\n"
+    "encoding (init): 512 mult-units [alpha^3 multiplications per node (nominal; one row"
+    " costs alpha^2 per stripe)]\n"
+    "encoding (bootstrap): 202.602 units [r^2 ln^2 r ln ln r with r = alpha + 2p]\n"
+    "throughput factor: n/a (resiliency exhausted: a - p_frac <= 0 for these parameters)\n"
+    "note: logarithms are natural; SeF O(.) constant c=1.0\n"
+    "note: p_bootstrap default 2^-26.36\n"
+    "note: SRB bootstrap figure assumes p=0; secure variant downloads alpha+2p blocks\n"
+)
+
+
+METRICS_REGIME_NA = (
+    "effective-config: cmd=metrics paper-example=False shard-nodes=0 blocks=2 alpha=2 k=1"
+    " p=1 block-size=2048 delta=0.1 rho=2 c=1.0 total-nodes=200 shards=4 malicious=100"
+    " mu=1.0 p-frac=0.0 v=1.0 tau=1.0\n"
+    "protocol comparison\n"
+    "inputs: n_s=50 L=2 alpha=2 k=1 p=1 block_size=2048 delta=0.1 rho=2 c=1.0 N=200 m=4"
+    " T=100\n"
+    "\n"
+    "metric                                    RapidChain                     SeF"
+    "                     SRB\n"
+    + "-" * 100 + "\n"
+    "storage overhead                                  50                     1.1"
+    "                      50\n"
+    "storage per node                    2 blocks (4.1kB)        2 blocks (4.1kB)"
+    "        2 blocks (4.1kB)\n"
+    "bootstrap cost                      2 blocks (4.1kB)14.6917 blocks (30.09kB)"
+    "        2 blocks (4.1kB)\n"
+    "bootstrap cost (p tolerant)                        -                       -"
+    "       4 blocks (8.19kB)\n"
+    "security guarantee t_S                      25 nodes                42 nodes"
+    "                24 nodes\n"
+    "shard failure prob H                       5.648e-01               1.307e-08"
+    "               6.878e-01\n"
+    "Hoeffding bound G                         regime n/a               3.132e-06"
+    "              regime n/a\n"
+    "system bound U                                     -               1.254e-05"
+    "                       -\n"
+    "\n"
+    "encoding (init): 8 mult-units [alpha^3 multiplications per node (nominal; one row costs"
+    " alpha^2 per stripe)]\n"
+    "encoding (bootstrap): 10.0437 units [r^2 ln^2 r ln ln r with r = alpha + 2p]\n"
+    "throughput factor: sigma_SRB < 1.58231 (a=0.311261) vs sigma_RC < 3.77478 (a=0.5)\n"
+    "note: logarithms are natural; SeF O(.) constant c=1.0\n"
+    "note: p_bootstrap default 2^-26.36\n"
+    "note: SRB bootstrap figure assumes p=0; secure variant downloads alpha+2p blocks\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--shard-nodes", "10", "--blocks", "5", "--k", "2", "--alpha", "3"],
+         METRICS_BLOCK_UNITS),
+        (["--paper-example"], METRICS_PAPER_EXAMPLE),
+        (["--total-nodes", "100", "--shards", "4", "--malicious", "3", "--blocks", "30",
+          "--alpha", "8", "--k", "5"], METRICS_README_NETWORK),
+        (["--total-nodes", "200", "--shards", "4", "--malicious", "100", "--blocks", "2",
+          "--alpha", "2", "--k", "1", "--p", "1", "--block-size", "2048"], METRICS_REGIME_NA),
+    ],
+    ids=["block-units", "paper-example", "readme-network", "regime-na"],
+)
+def test_metrics_whole_stdout(argv, expected, capsys):
+    assert main(["metrics", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (expected, "")
 
 
 def test_metrics_custom_params(capsys):

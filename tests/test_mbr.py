@@ -526,14 +526,14 @@ def test_storage_accounting_matches_analytics():
     rows = [encode_node(f, m, g) for g in range(n)]
     stored = sum(len(r.symbols) for r in rows)
     assert stored == n * params.alpha
-    overhead = analytics.storage_overhead(
+    report = analytics.comparison_report(
         analytics.ProtocolParams(
-            protocol=analytics.SRB,
             n_s=n,
             total_blocks=params.message_length,
             alpha=params.alpha,
             k=params.k,
         )
     )
+    overhead = {r.protocol: r for r in report.rows}[analytics.SRB].storage_overhead
     assert Fraction(stored, params.message_length) == overhead
     assert overhead == Fraction(n * params.alpha, params.message_length)
