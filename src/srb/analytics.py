@@ -101,22 +101,34 @@ def _sef_overhead_blocks(params: ProtocolParams) -> float:
 
 
 def hypergeom_tail(population: int, malicious: int, sample: int, threshold: int) -> float:
-    """P[at least threshold malicious in a uniform sample], exactly.
+    """P[at least threshold malicious in a uniform sample], exactly rounded.
 
-    Sum of C(T,l) C(N-T, n-l) / C(N, n) with big-integer binomials, over
-    only the l >= threshold that can occur: at most T malicious and at most
-    N-T honest members, so l runs from max(threshold, n-(N-T)) to min(n, T).
+    Sums C(T,l) C(N-T, n-l) over only the l >= threshold that can occur (at
+    most T malicious and at most N-T honest members, so l runs from
+    max(threshold, n-(N-T)) to min(n, T)), each term an exact integer from
+    the previous one, and divides by C(N, n).  The pmf is log-concave, so
+    once the terms fall they keep falling and the terms left sum to less
+    than the next one times their count; the sum stops when adding that
+    bound no longer changes the rounded quotient.  int / int rounds
+    correctly, as float(Fraction(acc, C(N, n))) does.
     """
     if not 0 <= malicious <= population:
         raise ValueError("need 0 <= malicious <= population")
     if not 0 <= threshold <= sample <= population:
         raise ValueError("need 0 <= threshold <= sample <= population")
     honest = population - malicious
-    acc = sum(
-        math.comb(malicious, l) * math.comb(honest, sample - l)
-        for l in range(max(threshold, sample - honest), min(sample, malicious) + 1)
-    )
-    return float(Fraction(acc, math.comb(population, sample)))
+    total = math.comb(population, sample)
+    lo, hi = max(threshold, sample - honest), min(sample, malicious)
+    if lo > hi:
+        return 0.0
+    acc, term = 0, math.comb(malicious, lo) * math.comb(honest, sample - lo)
+    for l in range(lo, hi + 1):
+        acc += term
+        nxt = term * (malicious - l) * (sample - l) // ((l + 1) * (honest - sample + l + 1))
+        if nxt < term and acc / total == (acc + nxt * (hi - l)) / total:
+            break
+        term = nxt
+    return acc / total
 
 
 def hoeffding_bound(population: int, malicious: int, sample: int, threshold: int) -> float:

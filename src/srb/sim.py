@@ -1,12 +1,13 @@
 """Round-based shard protocol simulator.
 
-Models a sharded network storing coded blocks: a trusted reference
-committee emits per-epoch reference blocks (membership, shard assignment,
-encoder coefficients, epoch randomness), joins follow the cuckoo rule,
-blocks arrive at a fixed per-epoch rate and each shard keeps every block
-that has arrived in one list, Network.blocks.  Generation g of a shard is the
-window blocks[g*L:(g+1)*L]; it completes on the arrival that fills it, and
-all of the shard's members then hold it.
+Models a sharded network storing coded blocks: Network.nodes is the
+membership a trusted reference committee publishes each epoch (shard
+assignment and encoder coefficients); the committee's epoch randomness is
+drawn but not read.  Joins follow the cuckoo rule, blocks arrive at a
+fixed per-epoch rate and each shard keeps every block that has arrived in
+one list, Network.blocks.  Generation g of a shard is the window
+blocks[g*L:(g+1)*L]; it completes on the arrival that fills it, and all of
+the shard's members then hold it.
 Each joining or displaced node obtains its coded state by bootstrap-as-repair
 from alpha + 2p helpers.  Malicious helpers corrupt their shares under a
 configurable strategy.
@@ -164,33 +165,6 @@ class NodeRecord:
     generations: set[int] = dc_field(default_factory=set)
 
 
-@dataclass(frozen=True)
-class ReferenceBlock:
-    """Per-epoch committee output: full membership with coefficients."""
-
-    epoch: int
-    randomness: int
-    entries: tuple[tuple[int, int, int], ...]  # (node_id, shard, gamma)
-
-
-@dataclass(frozen=True)
-class JoinResult:
-    node_id: int
-    shard: int
-    displaced: tuple[tuple[int, int, int], ...]  # (node_id, old_shard, new_shard)
-
-    @property
-    def needs_bootstrap(self) -> tuple[int, ...]:
-        movers = tuple(nid for nid, old, new in self.displaced if old != new)
-        return (self.node_id,) + movers
-
-
-@dataclass(frozen=True)
-class ChurnSummary:
-    joined: tuple[JoinResult, ...]
-    left: tuple[int, ...]
-
-
 @dataclass
 class Network:
     """Mutable simulation state shared by the per-epoch operations.
@@ -274,14 +248,16 @@ def _draw_position(net: Network, rng: random.Random, node: NodeRecord) -> float:
     raise IntegrityError("could not place a malicious node under the per-shard cap")
 
 
-def cuckoo_join(net: Network, node: NodeRecord, rng: random.Random) -> JoinResult:
+def cuckoo_join(
+    net: Network, node: NodeRecord, rng: random.Random
+) -> list[tuple[int, int, int]]:
     """Place a joining node and displace everyone in the surrounding interval.
 
     The joiner lands uniformly in (0, 1]; all nodes within eps/2 of its
     position are re-drawn uniformly over (0, 1] (one re-draw, no cascade).
     Displaced nodes that land in a new shard drop their stored state and
     receive a fresh coefficient there; bootstrapping them is the caller's
-    job.
+    job.  Returns each displacement as (node_id, old_shard, new_shard).
     """
     eps = net.config.cuckoo_eps
     node.position = _draw_position(net, rng, node)
@@ -302,17 +278,19 @@ def cuckoo_join(net: Network, node: NodeRecord, rng: random.Random) -> JoinResul
             rec.generations.clear()
             rec.gamma = net.alloc_gamma(rec.shard)
         displaced.append((rec.node_id, old_shard, rec.shard))
-    return JoinResult(node.node_id, node.shard, tuple(displaced))
+    return displaced
 
 
 def epoch_reconfigure(
-    net: Network,
-    epoch: int,
-    rng: random.Random,
-    joins: int = 0,
-    leaves: int = 0,
-) -> tuple[ReferenceBlock, ChurnSummary]:
-    """Apply one epoch of churn and emit the reference block.
+    net: Network, rng: random.Random, joins: int = 0, leaves: int = 0
+) -> tuple[list[int], int, int]:
+    """Apply one epoch of churn: the leaves, then the cuckoo joins.
+
+    Returns the nodes to bootstrap, the number of displacements and the
+    number of shard moves.  The nodes to bootstrap are each joiner, then the
+    nodes its join moved to another shard, each listed once at its first
+    appearance: a node displaced by several joins of the epoch bootstraps
+    once, at its final shard.
 
     Raises ShardUnderflowError as soon as any shard drops below alpha + 2p
     members: checked after each leave and after the joins.  Every epoch ends
@@ -324,7 +302,7 @@ def epoch_reconfigure(
     ShardUnderflowError then.
     """
     floor = net.config.params.repair_degree
-    randomness = rng.getrandbits(64)
+    rng.getrandbits(64)  # committee epoch randomness, unread; every report depends on this draw
 
     def check_floor():
         for shard, members in enumerate(net.shard_members()):
@@ -333,27 +311,25 @@ def epoch_reconfigure(
                     f"shard {shard} dropped to {len(members)} < alpha + 2p = {floor}"
                 )
 
-    left = []
     for _ in range(leaves):
-        victim_id = rng.choice(list(net.nodes))
-        del net.nodes[victim_id]
-        left.append(victim_id)
+        del net.nodes[rng.choice(list(net.nodes))]
         check_floor()
 
-    joined = []
+    to_bootstrap: dict[int, None] = {}  # insertion-ordered, each node once
+    displaced = moves = 0
     for _ in range(joins):
         node = NodeRecord(
             node_id=net.next_node_id, position=0.0, shard=-1, gamma=-1, malicious=False
         )
         net.next_node_id += 1
-        joined.append(cuckoo_join(net, node, rng))
+        to_bootstrap[node.node_id] = None
+        for node_id, old, new in cuckoo_join(net, node, rng):
+            displaced += 1
+            if old != new:
+                moves += 1
+                to_bootstrap[node_id] = None
     check_floor()
-
-    # Network.alloc_gamma never hands a shard's coefficient out twice, so the
-    # gammas of a shard's entries are distinct.
-    entries = tuple((n.node_id, n.shard, n.gamma) for n in net.nodes.values())
-    block = ReferenceBlock(epoch, randomness, entries)
-    return block, ChurnSummary(tuple(joined), tuple(left))
+    return list(to_bootstrap), displaced, moves
 
 
 def adversary_corrupt(
@@ -504,25 +480,11 @@ def run_simulation(config: SimConfig) -> SimReport:
     events: list[BootstrapEvent] = []
 
     for epoch in range(config.epochs):
-        ref, churn = epoch_reconfigure(
-            net,
-            epoch,
-            churn_rng,
-            joins=config.joins_per_epoch,
-            leaves=config.leaves_per_epoch,
+        to_bootstrap, displaced, shard_moves = epoch_reconfigure(
+            net, churn_rng, joins=config.joins_per_epoch, leaves=config.leaves_per_epoch
         )
         # Membership stays fixed for the rest of the epoch.
         members = net.shard_members()
-        displaced = sum(len(j.displaced) for j in churn.joined)
-        shard_moves = sum(
-            1 for j in churn.joined for _, old, new in j.displaced if old != new
-        )
-
-        # A node displaced by several joins in one epoch bootstraps once,
-        # at its final shard.
-        to_bootstrap = list(
-            dict.fromkeys(nid for join in churn.joined for nid in join.needs_bootstrap)
-        )
         epoch_events: list[BootstrapEvent] = []
         for node_id in to_bootstrap:
             rec = net.nodes[node_id]
@@ -553,8 +515,8 @@ def run_simulation(config: SimConfig) -> SimReport:
                 nodes=len(net.nodes),
                 shard_sizes=tuple(sizes),
                 shard_malicious=tuple(sum(n.malicious for n in shard) for shard in members),
-                joins=len(churn.joined),
-                leaves=len(churn.left),
+                joins=config.joins_per_epoch,
+                leaves=config.leaves_per_epoch,
                 displaced=displaced,
                 shard_moves=shard_moves,
                 bootstraps_attempted=len(epoch_events),

@@ -93,10 +93,36 @@ def test_hypergeom_sums_only_possible_terms(monkeypatch):
     # P[X = 2] + P[X = 3] for 3 liars and a committee of half the network
     expected = Fraction(3 * 10000 * 9999 * 10000 + 10000 * 9999 * 9998, 20000 * 19999 * 19998)
     assert an.hypergeom_tail(20000, 3, 10000, 2) == float(expected)
-    assert len(calls) == 1 + 2 * 2
+    assert len(calls) == 3  # C(N, n) and the first term; the next comes from it
     calls.clear()
     assert an.hypergeom_tail(20000, 19997, 10000, 0) == 1.0
-    assert len(calls) == 1 + 2 * 4  # l in 9997..10000: at most 3 honest members
+    assert len(calls) == 3  # l from 9997: at most 3 honest members
+
+
+def test_hypergeom_matches_the_full_sum():
+    """The term recurrence and the early stop give the float of the whole
+    exact sum over threshold..sample, thresholds near the mean included."""
+    # The first terms rise from values that divided by C(2000, 1000) > 2^1990
+    # round to 0.0, so only a falling tail may stop the sum.
+    cases = [(2000, 1000, 1000, 0), (2000, 1000, 1000, 50)]
+    rng = random.Random(5)
+    for _ in range(300):
+        population = rng.randint(1, 1000)
+        malicious = rng.randint(0, population)
+        sample = rng.randint(0, population)
+        mean = sample * malicious / population
+        cases.append((population, malicious, sample, rng.choice((
+            rng.randint(0, sample),
+            min(sample, max(0, round(rng.gauss(mean, 3 * math.sqrt(mean + 1))))),
+        ))))
+    for population, malicious, sample, threshold in cases:
+        acc = sum(
+            math.comb(malicious, l) * math.comb(population - malicious, sample - l)
+            for l in range(threshold, sample + 1)
+        )
+        assert an.hypergeom_tail(population, malicious, sample, threshold) == float(
+            Fraction(acc, math.comb(population, sample))
+        )
 
 
 def test_hypergeom_matches_enumeration_oracle():

@@ -115,8 +115,7 @@ def test_cuckoo_join_empty_network():
     net = initial_network(cfg)
     net.nodes.clear()
     node = NodeRecord(node_id=99, position=0.0, shard=-1, gamma=-1, malicious=False)
-    res = cuckoo_join(net, node, random.Random(0))
-    assert res.displaced == ()
+    assert cuckoo_join(net, node, random.Random(0)) == []
     assert net.nodes[99].shard == 0
 
 
@@ -127,8 +126,7 @@ def test_cuckoo_join_eps_zero_moves_nobody():
     rng = random.Random(7)
     for i in range(5):
         node = NodeRecord(node_id=100 + i, position=0.0, shard=-1, gamma=-1, malicious=False)
-        res = cuckoo_join(net, node, rng)
-        assert res.displaced == ()
+        assert cuckoo_join(net, node, rng) == []
     for nid, (pos, shard) in before.items():
         assert net.nodes[nid].position == pos and net.nodes[nid].shard == shard
 
@@ -141,11 +139,9 @@ def test_cuckoo_join_seeded_golden_run():
     net = initial_network(cfg)
     rng = random.Random("42:churn")
     node = NodeRecord(node_id=16, position=0.0, shard=-1, gamma=-1, malicious=False)
-    res = cuckoo_join(net, node, rng)
-    assert res.shard == 2
+    assert cuckoo_join(net, node, rng) == [(2, 2, 3)]
+    assert net.nodes[16].shard == 2
     assert round(net.nodes[16].position, 6) == 0.578688
-    assert res.displaced == ((2, 2, 3),)
-    assert res.needs_bootstrap == (16, 2)
     assert net.nodes[16].gamma == 4
     assert [len(m) for m in net.shard_members()] == [4, 4, 4, 5]
 
@@ -160,8 +156,7 @@ def test_displaced_node_changing_shard_drops_state_and_gets_fresh_gamma():
     moved = False
     for i in range(40):
         node = NodeRecord(node_id=100 + i, position=0.0, shard=-1, gamma=-1, malicious=False)
-        res = cuckoo_join(net, node, rng)
-        for nid, old, new in res.displaced:
+        for nid, old, new in cuckoo_join(net, node, rng):
             if nid == 0 and old != new:
                 moved = True
                 break
@@ -177,10 +172,48 @@ def test_epoch_reconfigure_zero_churn_identity():
     net = initial_network(cfg)
     before = {(nid, r.shard, r.gamma) for nid, r in net.nodes.items()}
     rng = random.Random(11)
-    ref, churn = epoch_reconfigure(net, 0, rng)
-    assert churn.joined == () and churn.left == ()
-    assert {(nid, s, g) for nid, s, g in ref.entries} == before
-    assert len(ref.entries) == len(net.nodes)
+    assert epoch_reconfigure(net, rng) == ([], 0, 0)
+    assert {(nid, r.shard, r.gamma) for nid, r in net.nodes.items()} == before
+    assert len(net.nodes) == cfg.total_nodes
+    # the committee's epoch randomness is the one draw
+    drawn = random.Random(11)
+    drawn.getrandbits(64)
+    assert rng.getstate() == drawn.getstate()
+
+
+def test_epoch_reconfigure_bootstrap_order_matches_a_replay_of_its_joins():
+    """Each joiner, then the nodes its join moved to another shard, each node
+    once at its first appearance; then every displacement, and the moves.
+
+    The replay runs cuckoo_join on a second network from the same seed.  Over
+    these epochs some node is moved by two joins of one epoch, and some
+    displacement stays within its shard.
+    """
+    cfg = small_config(total_nodes=24, shards=3, joins_per_epoch=3, cuckoo_eps=0.2)
+    net, replay = initial_network(cfg), initial_network(cfg)
+    rng, replay_rng = random.Random(4), random.Random(4)
+    moved_twice = stayed = False
+    for _ in range(3):
+        got = epoch_reconfigure(net, rng, joins=cfg.joins_per_epoch)
+        replay_rng.getrandbits(64)
+        listed, displacements = [], []
+        for _ in range(cfg.joins_per_epoch):
+            node = NodeRecord(
+                node_id=replay.next_node_id, position=0.0, shard=-1, gamma=-1, malicious=False
+            )
+            replay.next_node_id += 1
+            moved = cuckoo_join(replay, node, replay_rng)
+            listed += [node.node_id] + [nid for nid, old, new in moved if old != new]
+            displacements += moved
+        order = [nid for i, nid in enumerate(listed) if nid not in listed[:i]]
+        movers = [nid for nid, old, new in displacements if old != new]
+        assert got == (order, len(displacements), len(movers))
+        assert {nid: (r.position, r.shard, r.gamma) for nid, r in net.nodes.items()} == {
+            nid: (r.position, r.shard, r.gamma) for nid, r in replay.nodes.items()
+        }
+        moved_twice |= len(set(movers)) < len(movers)
+        stayed |= len(movers) < len(displacements)
+    assert moved_twice and stayed
 
 
 @pytest.mark.parametrize(
@@ -206,18 +239,19 @@ def test_reference_blocks_never_repeat_a_gamma_within_a_shard(kw, seed, epochs):
     net = initial_network(cfg)
     rng = random.Random(seed)
     moves = leaves = 0
-    for epoch in range(epochs):
-        ref, churn = epoch_reconfigure(
-            net, epoch, rng, joins=cfg.joins_per_epoch, leaves=cfg.leaves_per_epoch
+    for _ in range(epochs):
+        before = set(net.nodes)
+        _, _, shard_moves = epoch_reconfigure(
+            net, rng, joins=cfg.joins_per_epoch, leaves=cfg.leaves_per_epoch
         )
-        moves += sum(old != new for j in churn.joined for _, old, new in j.displaced)
-        leaves += len(churn.left)
+        moves += shard_moves
+        leaves += len(before - set(net.nodes))
         for shard in range(cfg.shards):
-            gammas = [gamma for _, s, gamma in ref.entries if s == shard]
+            gammas = [r.gamma for r in net.nodes.values() if r.shard == shard]
             assert len(set(gammas)) == len(gammas)
-        # Network.nodes iterates in node_id order, so the entries come sorted
-        ids = [node_id for node_id, _, _ in ref.entries]
-        assert ids == sorted(ids) and list(net.nodes) == ids
+        # Network.nodes iterates in node_id order
+        ids = list(net.nodes)
+        assert ids == sorted(ids)
     assert moves and leaves == epochs * cfg.leaves_per_epoch  # the churn under test happened
 
 
@@ -249,9 +283,9 @@ def test_epoch_reconfigure_underflow_boundary():
     )
     net = initial_network(cfg)
     rng = random.Random(17)
-    epoch_reconfigure(net, 0, rng, leaves=1)
+    epoch_reconfigure(net, rng, leaves=1)
     with pytest.raises(ShardUnderflowError):
-        epoch_reconfigure(net, 1, rng, leaves=1)
+        epoch_reconfigure(net, rng, leaves=1)
 
 
 def test_epoch_reconfigure_underflow_after_cuckoo_displacement():
@@ -260,7 +294,7 @@ def test_epoch_reconfigure_underflow_after_cuckoo_displacement():
     cfg = SimConfig(total_nodes=8, shards=2, k=1, alpha=3, p=0, cuckoo_eps=0.5)
     net = initial_network(cfg)
     with pytest.raises(ShardUnderflowError, match=r"^shard 0 dropped to 2 < alpha \+ 2p = 3$"):
-        epoch_reconfigure(net, 0, random.Random(0), joins=1)
+        epoch_reconfigure(net, random.Random(0), joins=1)
     assert [len(m) for m in net.shard_members()] == [2, 7]
 
 

@@ -9,19 +9,25 @@ with data/sim_sweep_share_digests.txt.  A change that alters reports or
 shares on purpose regenerates both files once, and says so:
 
     PYTHONPATH=src:tests python tests/test_sim_sweep.py
+
+Digests pin bytes and nothing else, so each outcome is also checked against
+invariants that hold whatever the bytes: see
+test_sweep_outcomes_keep_the_simulator_invariants.
 """
 
 import hashlib
 import random
+import re
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from srb import codec
-from srb.errors import SrbError
+from srb.errors import DecodeFailure, ShardUnderflowError, SrbError
+from srb.field import parse_field
 from srb.mbr import message_length
-from srb.sim import STRATEGIES, SimConfig, render_report, run_simulation
+from srb.sim import STRATEGIES, SimConfig, initial_network, render_report, run_simulation
 
 DIGESTS = Path(__file__).with_name("data") / "sim_sweep_digests.txt"
 SHARE_DIGESTS = DIGESTS.with_name("sim_sweep_share_digests.txt")
@@ -65,30 +71,46 @@ def sweep_configs() -> list[dict]:
     return configs
 
 
-def outcome_digests(kw: dict) -> tuple[str, str]:
-    """SHA-256 of the config's report, or of its exception's type and message,
-    and SHA-256 of every bootstrap's target gamma and shares, in call order."""
+def run_recorded(kw: dict) -> tuple:
+    """Run the config and return its report, or the exception its run raises;
+    SHA-256 of the report, or of the exception's type and message; SHA-256 of
+    every bootstrap's target gamma and shares, in call order; and, in that
+    order, whether each bootstrap rebuilt the joiner's directly encoded state."""
     sent = hashlib.sha256()
-    bootstrap = codec.bootstrap_node
+    rebuilt: list[bool] = []
+    encoded = []
+    encode, bootstrap = codec.encode_generation, codec.bootstrap_node
+
+    def encoding(*args, **kwargs):
+        encoded[:] = [encode(*args, **kwargs)]
+        return encoded[0]
 
     def recording(shares, target_gamma, p=0):
         sent.update(target_gamma.to_bytes(4, "little"))
         for share in shares:
             sent.update(codec.share_to_bytes(share))
-        return bootstrap(shares, target_gamma, p)
-
-    with mock.patch.object(codec, "bootstrap_node", recording):
         try:
-            text = render_report(run_simulation(SimConfig(**kw)))
+            state = bootstrap(shares, target_gamma, p)
+        except DecodeFailure:
+            rebuilt.append(False)
+            raise
+        rebuilt.append(codec.state_to_bytes(state) == codec.state_to_bytes(encoded[0]))
+        return state
+
+    with mock.patch.object(codec, "encode_generation", encoding), \
+            mock.patch.object(codec, "bootstrap_node", recording):
+        try:
+            outcome = run_simulation(SimConfig(**kw))
+            text = render_report(outcome)
         except (ValueError, SrbError) as exc:
-            text = f"{type(exc).__name__}: {exc}"
-    return hashlib.sha256(text.encode()).hexdigest(), sent.hexdigest()
+            outcome, text = exc, f"{type(exc).__name__}: {exc}"
+    return outcome, hashlib.sha256(text.encode()).hexdigest(), sent.hexdigest(), rebuilt
 
 
 @pytest.fixture(scope="module")
 def sweep():
     configs = sweep_configs()
-    return configs, [outcome_digests(kw) for kw in configs]
+    return configs, [run_recorded(kw) for kw in configs]
 
 
 def assert_recorded(path: Path, configs: list[dict], got: list[str]) -> None:
@@ -100,15 +122,55 @@ def assert_recorded(path: Path, configs: list[dict], got: list[str]) -> None:
 
 def test_sweep_reports_match_recorded_digests(sweep):
     configs, digests = sweep
-    assert_recorded(DIGESTS, configs, [report for report, _ in digests])
+    assert_recorded(DIGESTS, configs, [report for _, report, _, _ in digests])
 
 
 def test_sweep_helper_shares_match_recorded_digests(sweep):
     configs, digests = sweep
-    assert_recorded(SHARE_DIGESTS, configs, [shares for _, shares in digests])
+    assert_recorded(SHARE_DIGESTS, configs, [shares for _, _, shares, _ in digests])
+
+
+def test_sweep_outcomes_keep_the_simulator_invariants(sweep):
+    configs, runs = sweep
+    for kw, (outcome, _, _, rebuilt) in zip(configs, runs):
+        if isinstance(outcome, ShardUnderflowError):
+            continue
+        if isinstance(outcome, Exception):
+            # any other refusal is the config's, before the first epoch
+            assert type(outcome) is ValueError, kw
+            with pytest.raises(ValueError, match=f"^{re.escape(str(outcome))}$"):
+                initial_network(SimConfig(**kw))
+            continue
+        report = outcome
+        cfg, events = report.config, report.bootstrap_events
+        field = parse_field(cfg.field_spec)
+        z = codec.symbols_per_block(field, cfg.block_size)
+        helpers = cfg.params.repair_degree
+        payload = helpers * z * codec.stored_symbol_bytes(field)
+        headers = helpers * codec.share_header_size(cfg.generation_blocks)
+        assert [e.ok for e in events] == rebuilt, kw
+        for e in events:
+            assert e.ok or e.corrupted_shares > cfg.p, kw
+            assert (e.payload_bytes, e.header_bytes) == (payload, headers), kw
+        assert [st.epoch for st in report.epochs] == list(range(cfg.epochs))
+        for st in report.epochs:
+            mine = [e for e in events if e.epoch == st.epoch]
+            assert st.bootstraps_attempted == len(mine), kw
+            assert st.bootstraps_attempted == st.bootstraps_succeeded + st.bootstraps_failed, kw
+            assert st.bootstraps_failed == sum(not e.ok for e in mine), kw
+            assert st.bootstrap_payload_bytes == sum(e.payload_bytes for e in mine), kw
+            assert st.bootstrap_header_bytes == sum(e.header_bytes for e in mine), kw
+            if cfg.cap_malicious_per_shard:
+                assert max(st.shard_malicious) <= cfg.p, kw
+            if not report.total_bootstrap_failures:
+                assert st.storage_total_min == st.storage_total_max, kw
+        assert report.total_bootstraps == sum(st.bootstraps_attempted for st in report.epochs)
+        assert report.total_bootstrap_failures == sum(st.bootstraps_failed for st in report.epochs)
+        assert report.total_joins == sum(st.joins for st in report.epochs)
+        assert report.total_leaves == sum(st.leaves for st in report.epochs)
 
 
 if __name__ == "__main__":
-    digests = [outcome_digests(kw) for kw in sweep_configs()]
-    for column, path in enumerate((DIGESTS, SHARE_DIGESTS)):
-        path.write_text("".join(d[column] + "\n" for d in digests))
+    runs = [run_recorded(kw) for kw in sweep_configs()]
+    for column, path in ((1, DIGESTS), (2, SHARE_DIGESTS)):
+        path.write_text("".join(run[column] + "\n" for run in runs))
