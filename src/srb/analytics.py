@@ -103,32 +103,51 @@ def _sef_overhead_blocks(params: ProtocolParams) -> float:
 def hypergeom_tail(population: int, malicious: int, sample: int, threshold: int) -> float:
     """P[at least threshold malicious in a uniform sample], exactly rounded.
 
-    Sums C(T,l) C(N-T, n-l) over only the l >= threshold that can occur (at
-    most T malicious and at most N-T honest members, so l runs from
-    max(threshold, n-(N-T)) to min(n, T)), each term an exact integer from
-    the previous one, and divides by C(N, n).  The pmf is log-concave, so
-    once the terms fall they keep falling and the terms left sum to less
-    than the next one times their count; the sum stops when adding that
-    bound no longer changes the rounded quotient.  int / int rounds
-    correctly, as float(Fraction(acc, C(N, n))) does.
+    Only the l that can occur count: at most T malicious and at most N-T
+    honest members, so l runs from max(0, n-(N-T)) to min(n, T), and a
+    threshold outside that range gives 1.0 or 0.0 with no binomial at all.
+    Otherwise the sum runs over the terms C(T,l) C(N-T, n-l) on the side of
+    the threshold where they fall: l >= threshold when the threshold lies
+    above the pmf's mode, and else l < threshold, whose sum is taken from
+    C(N, n).  A sample with l malicious has n-l honest members, so that
+    lower tail is the upper tail of the honest count, summed by the same
+    _falling_sum.  int / int rounds correctly, as float(Fraction(acc,
+    C(N, n))) does.
     """
     if not 0 <= malicious <= population:
         raise ValueError("need 0 <= malicious <= population")
     if not 0 <= threshold <= sample <= population:
         raise ValueError("need 0 <= threshold <= sample <= population")
     honest = population - malicious
-    total = math.comb(population, sample)
-    lo, hi = max(threshold, sample - honest), min(sample, malicious)
-    if lo > hi:
+    least, most = max(0, sample - honest), min(sample, malicious)
+    if threshold <= least:
+        return 1.0
+    if threshold > most:
         return 0.0
-    acc, term = 0, math.comb(malicious, lo) * math.comb(honest, sample - lo)
+    total = math.comb(population, sample)
+    if threshold <= (sample + 1) * (malicious + 1) // (population + 2):  # the mode
+        lower = _falling_sum(honest, malicious, sample, sample - threshold + 1, sample - least,
+                             lambda acc: (total - acc) / total)
+        return (total - lower) / total
+    return _falling_sum(malicious, honest, sample, threshold, most, lambda acc: acc / total) / total
+
+
+def _falling_sum(hits: int, misses: int, sample: int, lo: int, hi: int, rounded) -> int:
+    """The sum of C(hits, l) C(misses, sample-l) over l = lo..hi, or enough of it.
+
+    Each term is an exact integer from the previous one.  The pmf is
+    log-concave, so once the terms fall they keep falling and the terms
+    left sum to less than the next one times their count; the sum stops
+    when adding that bound no longer changes rounded(sum).
+    """
+    acc, term = 0, math.comb(hits, lo) * math.comb(misses, sample - lo)
     for l in range(lo, hi + 1):
         acc += term
-        nxt = term * (malicious - l) * (sample - l) // ((l + 1) * (honest - sample + l + 1))
-        if nxt < term and acc / total == (acc + nxt * (hi - l)) / total:
+        nxt = term * (hits - l) * (sample - l) // ((l + 1) * (misses - sample + l + 1))
+        if nxt < term and rounded(acc) == rounded(acc + nxt * (hi - l)):
             break
         term = nxt
-    return acc / total
+    return acc
 
 
 def hoeffding_bound(population: int, malicious: int, sample: int, threshold: int) -> float:

@@ -36,10 +36,10 @@ Every header is untrusted input (up to p helpers are Byzantine), so
 GenerationHeader, and RepairShare for the target gamma, check every rule
 below whenever one is built by its constructor, parsed or replaced; derived
 objects keep the checked header.  encode_nodes' states (from the one
-header it checks before striping), serve_repair's and shares_from_target's
-shares and bootstrap_node's state take their header fields from an object
-that passed the checks, and only the gamma (and a share's target gamma)
-that they set afresh is checked again:
+header it checks before striping), serve_repair's shares and a bootstrap's
+state take their header fields from an object that passed the checks, and
+only the gamma (and a share's target gamma) that they set afresh is
+checked again:
   - (k, alpha) are valid MBR parameters (1 <= k <= alpha) and fit u16;
   - gamma, and a share's target gamma, are elements of the field;
   - a share's target gamma differs from its helper gamma;
@@ -71,8 +71,12 @@ Lagrange bases and the blame set.  Every rs_decode_many call of that
 decode takes it, so blame-then-erasure keeps a bootstrap or a reconstruct
 against p liars to at most p runs of the per-word fallback, rs_decode (a
 bounded-distance decode by Gao's algorithm), however many slices they
-corrupt.  Integrity checks on the recovered message wait until every slice
-has decoded, so a decode failure anywhere wins over them.  In GF(2^m) the
+corrupt.  A bootstrap decodes one n x Z payload array in bootstrap_payloads,
+which the simulator feeds from shares_from_target's product and which
+bootstrap_node, the list form, feeds by stacking its shares' payloads: that
+array is one copy of the list form's input, made before the first slice.
+Integrity checks on the recovered message wait until every slice has
+decoded, so a decode failure anywhere wins over them.  In GF(2^m) the
 payloads stay uint16 through every product and decode; nothing on this
 path widens them.
 srb.mbr is the one-stripe scalar reference that the tests compare this
@@ -428,33 +432,33 @@ def encode_generation(
 
     encode_nodes for the single node at gamma.
     """
-    (state,) = encode_nodes(blocks, [gamma], params, field, generation, block_size)
-    return state
+    return encode_nodes(blocks, [gamma], params, field, generation, block_size)[0]
 
 
 def serve_repair(state: CodedNodeState, target_gamma: int) -> RepairShare:
-    """The linear combination this node sends to the node at target_gamma."""
-    f = state.field
-    (symbols,) = f.matmul(f.vandermonde([target_gamma], state.alpha), state.payload)
+    """The linear combination this node sends to the node at target_gamma.
+
+    M is symmetric, so that is the payload target_gamma would serve this
+    node: shares_from_target's product for the one gamma.
+    """
+    (symbols,) = shares_from_target(state, [target_gamma])
     return RepairShare._derived(state, state.gamma, target_gamma, symbols)
 
 
-def shares_from_target(state: CodedNodeState, helper_gammas: list[int]) -> list[RepairShare]:
-    """The shares the nodes at helper_gammas serve to state's node, from its own state.
+def shares_from_target(state: CodedNodeState, helper_gammas: list[int]) -> np.ndarray:
+    """The payloads the nodes at helper_gammas serve to state's node, from its own state.
 
     M is symmetric, so the share helper h sends to target t,
     psi(h)^T M psi(t), is also psi(h)^T times t's coded state psi(t)^T M
-    (Rashmi, Shah, Kumar, IEEE T-IT 57(8), 2011): each share equals
-    serve_repair(encode_generation(blocks, h, ...), t), header and payload.
-    All of them come from one product of the helpers' Vandermonde rows with
-    state's payload, and each is derived from state's checked header with
-    the helper's gamma.  Raises ValueError for a helper gamma outside the
-    field or equal to state's gamma.
+    (Rashmi, Shah, Kumar, IEEE T-IT 57(8), 2011): row i equals the payload
+    of serve_repair(encode_generation(blocks, helper_gammas[i], ...), t).
+    All of them are one product of the helpers' Vandermonde rows with
+    state's payload, returned as a new writable n x Z array: uint16 in
+    GF(2^m), int64 in a prime field.  Raises ValueError for a helper gamma
+    outside the field; bootstrap_payloads refuses one equal to state's gamma.
     """
     f = state.field
-    rows = f.matmul(f.vandermonde(helper_gammas, state.alpha), state.payload)
-    return [RepairShare._derived(state, h, state.gamma, row)
-            for h, row in zip(helper_gammas, rows)]
+    return f.matmul(f.vandermonde(helper_gammas, state.alpha), state.payload)
 
 
 def _common_header(items: list[GenerationHeader], what: str) -> GenerationHeader:
@@ -484,29 +488,50 @@ def _slices(z: int, n: int, alpha: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, z, step)]
 
 
+def bootstrap_payloads(head: GenerationHeader, target_gamma: int, helper_gammas: list[int],
+                       payloads: np.ndarray, p: int = 0) -> CodedNodeState:
+    """Rebuild the coded state of the node at target_gamma from alpha + 2p payloads.
+
+    head is a checked header of the generation; its gamma is not read.
+    payloads is an n x Z integer array, row i the coded block the node at
+    helper_gammas[i] sent.  Its rows are not checked against any header, so
+    they must come from checked shares (bootstrap_node) or from products of
+    checked rows (shares_from_target).  The result, head's header with
+    target_gamma as its gamma, is byte-identical to what encode_generation
+    would have produced for target_gamma.  The Z words are decoded in
+    slices of stripes, with one DecodeSetup for all of them, into one
+    alpha x Z array.  Raises DecodeFailure when more than p payloads are
+    corrupt, ValueError on a negative p, a count other than alpha + 2p, a
+    helper gamma equal to target_gamma, helper gammas that are not distinct
+    field elements, or a target_gamma outside the field.
+    """
+    need = MbrParams(head.k, head.alpha, p=p).repair_degree
+    if len(helper_gammas) != need:
+        raise ValueError(f"need alpha + 2p = {need} shares, got {len(helper_gammas)}")
+    if target_gamma in helper_gammas:
+        raise ValueError("the target cannot be one of its own helpers")
+    setup = DecodeSetup(head.field, helper_gammas, head.alpha)
+    out = np.empty((head.alpha, head.z), np.uint16)
+    for part in _slices(head.z, need, head.alpha):
+        out[:, part] = _decode(setup, payloads[:, part], "repair")
+    return CodedNodeState._derived(head, target_gamma, out)
+
+
 def bootstrap_node(shares: list[RepairShare], target_gamma: int, p: int = 0) -> CodedNodeState:
     """Rebuild a node's full coded state from alpha + 2p repair shares.
 
-    The result is byte-identical to what encode_generation would have
-    produced for target_gamma.  The Z words of the shares are decoded in
-    slices of stripes, with one DecodeSetup for all of them, into one
-    alpha x Z array.  Raises DecodeFailure when more than p shares are
-    corrupt, ValueError on a negative p, inconsistent share headers or helper
-    gammas.
+    The list form of bootstrap_payloads: the shares must agree on every
+    header field but the helper's gamma and be produced for target_gamma;
+    their payloads are stacked into one n x Z array and decoded there.
+    Raises DecodeFailure when more than p shares are corrupt, ValueError on
+    a negative p, a share count other than alpha + 2p, inconsistent share
+    headers, a share for another target or a helper given twice.
     """
     h = _common_header(shares, "share")
-    alpha, z = h.alpha, h.z
-    need = MbrParams(h.k, alpha, p=p).repair_degree
-    if len(shares) != need:
-        raise ValueError(f"need alpha + 2p = {need} shares, got {len(shares)}")
-    for s in shares:
-        if s.target_gamma != target_gamma:
-            raise ValueError("share was produced for a different target")
-    setup = DecodeSetup(h.field, [s.gamma for s in shares], alpha)
-    out = np.empty((alpha, z), np.uint16)
-    for part in _slices(z, len(shares), alpha):
-        out[:, part] = _decode(setup, np.stack([s.payload[part] for s in shares]), "repair")
-    return CodedNodeState._derived(h, target_gamma, out)
+    if any(s.target_gamma != target_gamma for s in shares):
+        raise ValueError("share was produced for a different target")
+    payloads = np.stack([s.payload for s in shares])
+    return bootstrap_payloads(h, target_gamma, [s.gamma for s in shares], payloads, p)
 
 
 def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[bytes]:

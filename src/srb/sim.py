@@ -14,11 +14,18 @@ configurable strategy.
 
 No member's state is kept: a node records only the generations it holds.
 M is symmetric, so the share helper h sends to joiner t, psi(h)^T M psi(t),
-is psi(h)^T times t's own coded state.  Each bootstrap therefore encodes
-only the joiner's state, with one codec.encode_generation call; that state
-is the oracle the bootstrap is judged against, and codec.shares_from_target
-makes every honest share from it in one product.  Encoding is
-deterministic, so the shares and the report are those of serving every
+is psi(h)^T times t's own coded state.  Each bootstrap therefore needs only
+the joiner's state, its oracle: the state the bootstrap is judged against,
+from which codec.shares_from_target makes every honest payload in one
+product.  A malicious helper's row is replaced by the payload of
+adversary_corrupt, and codec.bootstrap_payloads decodes the rows as one
+array; no share object is built for an honest helper.  The oracles are
+encoded one epoch at a time: the first bootstrap of a (shard, generation)
+encodes the oracles of every node of that shard still to bootstrap, in one
+codec.encode_nodes call, and each is dropped once its bootstrap has used
+it, so at most the shard's unserved joiners times its generations are held
+at once, each alpha x Z symbols.  Encoding is deterministic and draws no
+random number, so the shares and the report are those of serving every
 helper's own encoded state.
 
 Consensus and transaction semantics are out of scope: blocks simply arrive
@@ -411,41 +418,35 @@ def _bootstrap_one(
     net: Network,
     members: list[NodeRecord],
     rec: NodeRecord,
-    generation: int,
+    expected: codec.CodedNodeState,
     epoch: int,
     helper_rng: random.Random,
 ) -> BootstrapEvent:
-    """Bootstrap rec's state of generation from helpers among members, rec's shard."""
-    cfg = net.config
-    need, l_blocks = cfg.params.repair_degree, cfg.generation_blocks
+    """Bootstrap rec's state expected from helpers among members, rec's shard.
+
+    expected is rec's directly encoded state of its generation: the oracle
+    the bootstrap is judged against, and the state every honest share comes
+    from.
+    """
+    cfg, generation = net.config, expected.generation
+    need = cfg.params.repair_degree
     pool = [n for n in members if n.node_id != rec.node_id and generation in n.generations]
     if len(pool) < need:
         raise ShardUnderflowError(
             f"shard {rec.shard} lacks alpha + 2p = {need} helpers holding generation {generation}"
         )
     helpers = helper_rng.sample(pool, need)
-    # The joiner's state is the oracle, and every honest share comes from it.
-    expected = codec.encode_generation(
-        net.blocks[rec.shard][generation * l_blocks : (generation + 1) * l_blocks],
-        rec.gamma,
-        cfg.params,
-        net.field,
-        generation=generation,
-        block_size=cfg.block_size,
-    )
-    honest = codec.shares_from_target(expected, [h.gamma for h in helpers])
+    gammas = [h.gamma for h in helpers]
+    payloads = codec.shares_from_target(expected, gammas)
     event_seed = f"{cfg.seed}:adversary:{epoch}:{rec.shard}:{rec.node_id}:{generation}"
-    shares = []
     corrupted = 0
-    for helper, share in zip(helpers, honest):
+    for row, helper in enumerate(helpers):
         if helper.malicious:
             corrupted += 1
-            share = adversary_corrupt(share, cfg.strategy, random.Random(event_seed))
-        shares.append(share)
-    payload = sum(s.payload_bytes() for s in shares)
-    headers = sum(s.header_bytes() for s in shares)
+            honest = codec.RepairShare._derived(expected, helper.gamma, rec.gamma, payloads[row])
+            payloads[row] = adversary_corrupt(honest, cfg.strategy, random.Random(event_seed)).payload
     try:
-        state = codec.bootstrap_node(shares, rec.gamma, cfg.p)
+        state = codec.bootstrap_payloads(expected, rec.gamma, gammas, payloads, cfg.p)
     except DecodeFailure:
         state = None
     # A bootstrap is ok when it rebuilds the directly encoded state.  The file
@@ -459,13 +460,23 @@ def _bootstrap_one(
         )
     if ok:
         rec.generations.add(generation)
+    payload = need * expected.z * codec.stored_symbol_bytes(net.field)
+    headers = need * codec.share_header_size(cfg.generation_blocks)
     return BootstrapEvent(
         epoch, rec.node_id, rec.shard, generation, ok, corrupted, payload, headers
     )
 
 
 def run_simulation(config: SimConfig) -> SimReport:
-    """Run the configured number of epochs; fully deterministic per seed."""
+    """Run the configured number of epochs; fully deterministic per seed.
+
+    Each epoch's bootstraps run in to_bootstrap order, each node through
+    every generation its shard holds.  The first bootstrap of a (shard,
+    generation) encodes the oracles of all the shard's nodes to bootstrap in
+    one codec.encode_nodes call, and each oracle is dropped once its
+    bootstrap has used it: at most the shard's unserved joiners times its
+    generations are held at once, each alpha x Z symbols.
+    """
     net = initial_network(config)
     churn_rng = random.Random(f"{config.seed}:churn")
     payload_rng = random.Random(f"{config.seed}:payload")
@@ -485,12 +496,26 @@ def run_simulation(config: SimConfig) -> SimReport:
         )
         # Membership stays fixed for the rest of the epoch.
         members = net.shard_members()
+        joiners: dict[int, list[NodeRecord]] = {}  # per shard, in to_bootstrap order
+        for node_id in to_bootstrap:
+            joiners.setdefault(net.nodes[node_id].shard, []).append(net.nodes[node_id])
+        oracles: dict[tuple[int, int], codec.CodedNodeState] = {}  # (node_id, generation)
         epoch_events: list[BootstrapEvent] = []
         for node_id in to_bootstrap:
             rec = net.nodes[node_id]
-            for generation in range(len(net.blocks[rec.shard]) // l_blocks):
+            arrived = net.blocks[rec.shard]
+            for generation in range(len(arrived) // l_blocks):
+                if (node_id, generation) not in oracles:  # the shard's first bootstrap of it
+                    group = joiners[rec.shard]
+                    states = codec.encode_nodes(
+                        arrived[generation * l_blocks : (generation + 1) * l_blocks],
+                        [j.gamma for j in group], config.params, net.field,
+                        generation=generation, block_size=config.block_size,
+                    )
+                    oracles.update(((j.node_id, generation), st) for j, st in zip(group, states))
+                expected = oracles.pop((node_id, generation))
                 epoch_events.append(
-                    _bootstrap_one(net, members[rec.shard], rec, generation, epoch, helper_rng)
+                    _bootstrap_one(net, members[rec.shard], rec, expected, epoch, helper_rng)
                 )
 
         for arrived, shard_members in zip(net.blocks, members):

@@ -88,7 +88,7 @@ def test_hypergeom_sums_only_possible_terms(monkeypatch):
 
     monkeypatch.setattr(an.math, "comb", counting_comb)
     assert an.hypergeom_tail(20000, 3, 10000, 5000) == 0.0
-    assert len(calls) == 1  # C(N, n) alone: no l in 5000..3
+    assert len(calls) == 0  # no binomial at all: no l in 5000..3
     calls.clear()
     # P[X = 2] + P[X = 3] for 3 liars and a committee of half the network
     expected = Fraction(3 * 10000 * 9999 * 10000 + 10000 * 9999 * 9998, 20000 * 19999 * 19998)
@@ -96,7 +96,7 @@ def test_hypergeom_sums_only_possible_terms(monkeypatch):
     assert len(calls) == 3  # C(N, n) and the first term; the next comes from it
     calls.clear()
     assert an.hypergeom_tail(20000, 19997, 10000, 0) == 1.0
-    assert len(calls) == 3  # l from 9997: at most 3 honest members
+    assert len(calls) == 0  # l from 9997 >= 0: at most 3 honest members, so certain
 
 
 def test_hypergeom_matches_the_full_sum():
@@ -105,6 +105,14 @@ def test_hypergeom_matches_the_full_sum():
     # The first terms rise from values that divided by C(2000, 1000) > 2^1990
     # round to 0.0, so only a falling tail may stop the sum.
     cases = [(2000, 1000, 1000, 0), (2000, 1000, 1000, 50)]
+    # Thresholds at the smallest possible l, just above it, and on either
+    # side of the mode, where the sum moves to the other tail.
+    for population, malicious, sample in ((2000, 1500, 1000), (2000, 500, 1000), (300, 290, 200),
+                                          (1000, 999, 500), (50, 7, 49)):
+        least = max(0, sample - (population - malicious))
+        mode = (sample + 1) * (malicious + 1) // (population + 2)
+        cases += [(population, malicious, sample, t)
+                  for t in (least, least + 1, mode - 1, mode, mode + 1) if 0 <= t <= sample]
     rng = random.Random(5)
     for _ in range(300):
         population = rng.randint(1, 1000)

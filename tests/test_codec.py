@@ -318,13 +318,10 @@ def test_shares_from_target_equal_the_shares_helpers_serve(spec, k, alpha, block
 
     for target in (0, 5):
         helpers = [h for h in (0, 1, 2, 5, 9, f.order - 1) if h != target]
-        shares = codec.shares_from_target(encode(target), helpers)
+        rows = codec.shares_from_target(encode(target), helpers)
         want = [codec.serve_repair(encode(h), target) for h in helpers]
-        assert [(s.gamma, s.target_gamma) for s in shares] == [(h, target) for h in helpers]
-        assert list(map(codec.share_to_bytes, shares)) == list(map(codec.share_to_bytes, want))
-        assert shares == want
-        with pytest.raises(ValueError, match="a node cannot serve a repair share to itself"):
-            codec.shares_from_target(encode(target), [1, target])
+        assert rows.shape == (len(helpers), want[0].z)
+        assert rows.tolist() == [share.payload.tolist() for share in want]
         with pytest.raises(ValueError, match=f"{f.order} is not an element of"):
             codec.shares_from_target(encode(target), [1, f.order])
 
@@ -413,8 +410,8 @@ def test_bootstrap_wrong_share_count():
     rng = random.Random(6)
     _, states = make_generation(f, params, rng, 8)
     shares = [codec.serve_repair(states[g], 9) for g in range(3)]
-    with pytest.raises(ValueError):
-        codec.bootstrap_node(shares, 9, p=1)  # needs alpha + 2 = 5
+    with pytest.raises(ValueError, match=r"^need alpha \+ 2p = 5 shares, got 3$"):
+        codec.bootstrap_node(shares, 9, p=1)
 
 
 def test_bootstrap_rejects_one_helper_given_twice():
@@ -474,6 +471,26 @@ def test_malformed_decode_inputs_rejected(decode, message):
     _, states = make_generation(binary_field(16), params, random.Random(6), 8)
     with pytest.raises(ValueError, match=message):
         decode(states)
+
+
+def test_bootstrap_payloads_refusals():
+    """The array core takes a checked header, so it checks only the rest: the
+    payload count, the target among its helpers, distinct helpers and p."""
+    f = binary_field(16)
+    params = MbrParams(2, 3, n=8, p=1)
+    _, states = make_generation(f, params, random.Random(6), 8)
+    head = states[7]  # the target's own state, as the simulator passes it
+    gammas = [0, 1, 2, 3, 4]
+    payloads = codec.shares_from_target(head, gammas)
+    assert codec.bootstrap_payloads(head, 7, gammas, payloads, p=1) == head
+    for args, message in [
+        ((7, gammas[:3], payloads[:3], 1), r"^need alpha \+ 2p = 5 shares, got 3$"),
+        ((7, [0, 1, 7, 3, 4], payloads, 1), "^the target cannot be one of its own helpers$"),
+        ((7, [0, 1, 2, 0, 4], payloads, 1), "duplicate"),
+        ((7, gammas, payloads, -1), "p must be >= 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            codec.bootstrap_payloads(head, *args)
 
 
 def test_negative_p_rejected():

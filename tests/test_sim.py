@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from field_helpers import poly_eval
+from test_sim_sweep import served_share
 from srb import codec, sim
 from srb.errors import DecodeFailure, IntegrityError, ShardUnderflowError
 from srb.field import binary_field, parse_field
@@ -465,17 +466,17 @@ def test_run_simulation_beyond_budget_counts_wrong_states_as_failures(monkeypatc
     """Most helpers collude on one wrong polynomial, so some bootstraps decode
     a valid but wrong codeword: a failed bootstrap, not an invariant breach."""
     returned = []
-    bootstrap_node = codec.bootstrap_node
+    bootstrap_payloads = codec.bootstrap_payloads
 
-    def record(shares, target_gamma, p=0):
+    def record(head, target_gamma, helper_gammas, payloads, p=0):
         state = None
         try:
-            state = bootstrap_node(shares, target_gamma, p)
+            state = bootstrap_payloads(head, target_gamma, helper_gammas, payloads, p)
             return state
         finally:
             returned.append(state)
 
-    monkeypatch.setattr(codec, "bootstrap_node", record)
+    monkeypatch.setattr(codec, "bootstrap_payloads", record)
     cfg = SimConfig.from_text(BEYOND_BUDGET_CONFIG)
     report = run_simulation(cfg)
     events = report.bootstrap_events
@@ -493,17 +494,17 @@ def test_run_simulation_beyond_budget_counts_wrong_states_as_failures(monkeypatc
 def test_run_simulation_within_budget_failure_is_integrity_error(monkeypatch, lie):
     """At most p corrupt shares: any bootstrap that does not rebuild the direct
     encoding, by failing or by returning another state, breaks the invariant."""
-    bootstrap_node = codec.bootstrap_node
+    bootstrap_payloads = codec.bootstrap_payloads
 
-    def fake(shares, target_gamma, p=0):
+    def fake(head, target_gamma, helper_gammas, payloads, p=0):
         if lie == "decode-failure":
             raise DecodeFailure("repair failed: error budget exceeded")
-        state = bootstrap_node(shares, target_gamma, p)
+        state = bootstrap_payloads(head, target_gamma, helper_gammas, payloads, p)
         blocks = state.payload.copy()
         blocks[0, 0] ^= 1
         return replace(state, blocks=blocks)
 
-    monkeypatch.setattr(codec, "bootstrap_node", fake)
+    monkeypatch.setattr(codec, "bootstrap_payloads", fake)
     cfg = small_config(
         total_nodes=16,
         shards=1,
@@ -657,58 +658,51 @@ def test_malicious_cap_holds_under_churn():
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_simulator_encodes_each_joiners_state_and_makes_every_share_from_it(
-    monkeypatch, strategy
-):
-    """Each bootstrap makes one encode_generation call, for the joiner's gamma (the
-    oracle), and then its shares from that state alone: no encode_nodes or
-    serve_repair call, and a generation nobody bootstraps is never encoded.  Every
-    honest share handed to bootstrap_node is byte for byte the one the helper
-    serves from its own directly encoded state, bootstrapped helpers included,
-    and every malicious one is adversary_corrupt of it under the event's seed."""
+def test_simulator_encodes_once_per_shard_and_generation(monkeypatch, strategy):
+    """Each epoch makes one encode_nodes call per (shard, generation) that has a
+    node to bootstrap, at the first bootstrap of it, over exactly that shard's
+    nodes to bootstrap in to_bootstrap order: at that point none of them has
+    been served that generation.  A generation nobody bootstraps is never
+    encoded, no encode_generation or serve_repair call is made, and every
+    oracle equals encode_generation of the generation's window for the
+    joiner's gamma and serves exactly one bootstrap.  Each bootstrap decodes
+    its oracle's header, and every honest payload it decodes is byte for byte
+    the share the helper serves from its own directly encoded state,
+    bootstrapped helpers included; every malicious one is adversary_corrupt
+    of it under the event's seed."""
     log = []
     nets = []
-    encode_generation, shares_from_target, bootstrap_node = (
-        codec.encode_generation, codec.shares_from_target, codec.bootstrap_node)
-    encode_nodes, start = codec.encode_nodes, sim.initial_network
-    inside_encode = []
+    encode_nodes, bootstrap_payloads = codec.encode_nodes, codec.bootstrap_payloads
+    reconfigure, start = sim.epoch_reconfigure, sim.initial_network
 
     def refuse(*args, **kw):
-        raise AssertionError("the simulator served a share from a helper's state")
+        raise AssertionError("the simulator encoded one node or served a share from a state")
 
-    def refuse_batch(*args, **kw):
-        assert inside_encode, "the simulator encoded a batch of nodes"
-        return encode_nodes(*args, **kw)
+    def record_epoch(net, rng, joins=0, leaves=0):
+        to_bootstrap, displaced, moves = reconfigure(net, rng, joins, leaves)
+        log.append(("epoch", [(net.nodes[i].shard, net.nodes[i].gamma) for i in to_bootstrap]))
+        return to_bootstrap, displaced, moves
 
-    def record_encode(blocks, gamma, params, field, generation=0, block_size=None):
-        inside_encode.append(gamma)
-        try:
-            state = encode_generation(blocks, gamma, params, field, generation, block_size)
-        finally:
-            inside_encode.pop()
-        # a generation's blocks are random bytes: they name its (shard, generation)
-        log.append(("encode", tuple(blocks), gamma, generation, state))
-        return state
+    def record_encode(blocks, gammas, params, field, generation=0, block_size=None):
+        states = encode_nodes(blocks, gammas, params, field, generation, block_size)
+        log.append(("encode", tuple(blocks), list(gammas), generation, states))
+        return states
 
-    def record_shares(state, helper_gammas):
-        log.append(("shares", state, list(helper_gammas)))
-        return shares_from_target(state, helper_gammas)
-
-    def record_bootstrap(shares, target_gamma, p=0):
+    def record_bootstrap(head, target_gamma, helper_gammas, payloads, p=0):
         (net,) = nets
         liars = {(n.shard, n.gamma) for n in net.nodes.values() if n.malicious}
-        log.append(("bootstrap", list(shares), target_gamma, liars))
-        return bootstrap_node(shares, target_gamma, p)
+        log.append(("bootstrap", head, target_gamma, list(helper_gammas), payloads.copy(), liars))
+        return bootstrap_payloads(head, target_gamma, helper_gammas, payloads, p)
 
     def record_network(config):
         nets.append(start(config))
         return nets[-1]
 
-    monkeypatch.setattr(codec, "encode_generation", record_encode)
-    monkeypatch.setattr(codec, "encode_nodes", refuse_batch)
+    monkeypatch.setattr(codec, "encode_generation", refuse)
     monkeypatch.setattr(codec, "serve_repair", refuse)
-    monkeypatch.setattr(codec, "shares_from_target", record_shares)
-    monkeypatch.setattr(codec, "bootstrap_node", record_bootstrap)
+    monkeypatch.setattr(codec, "encode_nodes", record_encode)
+    monkeypatch.setattr(codec, "bootstrap_payloads", record_bootstrap)
+    monkeypatch.setattr(sim, "epoch_reconfigure", record_epoch)
     monkeypatch.setattr(sim, "initial_network", record_network)
     cfg = small_config(
         total_nodes=24,
@@ -723,54 +717,86 @@ def test_simulator_encodes_each_joiners_state_and_makes_every_share_from_it(
     )
     report = run_simulation(cfg)
     monkeypatch.undo()
-    events = report.bootstrap_events
-    assert len(log) == 3 * len(events)
-    names = {}  # generation blocks -> (shard, generation)
-    bootstrapped, served_bootstrapped, corrupted = set(), 0, 0
-    for i, event in enumerate(events):
-        (kind, blocks, joiner, generation, state), made, boot = log[3 * i : 3 * i + 3]
-        assert (kind, made[0], boot[0]) == ("encode", "shares", "bootstrap")
-        (_, source, helpers), (_, shares, target, liars) = made, boot
-        assert joiner == target and generation == event.generation and source is state
-        name = (event.shard, event.generation)
-        assert names.setdefault(blocks, name) == name
-        assert [s.gamma for s in shares] == helpers
-        seed = f"{cfg.seed}:adversary:{event.epoch}:{event.shard}:{event.node_id}:{generation}"
+    (net,) = nets
+    l_blocks = cfg.generation_blocks
+    events = iter(report.bootstrap_events)
+    encodes, pending, oracles = 0, None, {}
+    bootstrapped, served_bootstrapped, corrupted, batched = set(), 0, 0, 0
+    for entry in log + [("epoch", [])]:
+        if entry[0] != "bootstrap":
+            assert pending is None  # an encode is followed by the bootstrap it is made for
+            if entry[0] == "epoch":
+                assert not oracles  # every oracle of the epoch served its bootstrap
+                to_bootstrap, seen = entry[1], set()
+            else:
+                pending, encodes = entry, encodes + 1
+            continue
+        _, head, target, helpers, payloads, liars = entry
+        event = next(events)
+        blocks = net.blocks[event.shard][event.generation * l_blocks:][:l_blocks]
+        if (event.shard, event.generation) not in seen:
+            # the first bootstrap of a (shard, generation) this epoch: one encode
+            # over the shard's nodes to bootstrap, in order, came just before it
+            seen.add((event.shard, event.generation))
+            assert pending is not None
+            _, encoded_blocks, gammas, generation, states = pending
+            assert (list(encoded_blocks), generation) == (blocks, event.generation)
+            assert gammas == [gamma for shard, gamma in to_bootstrap if shard == event.shard]
+            batched += len(gammas) > 1
+            for gamma, state in zip(gammas, states, strict=True):
+                assert state == codec.encode_generation(blocks, gamma, cfg.params, net.field,
+                                                        generation, cfg.block_size)
+                oracles[event.shard, gamma, generation] = state
+            pending = None
+        assert head is oracles.pop((event.shard, target, event.generation))
+        seed = f"{cfg.seed}:adversary:{event.epoch}:{event.shard}:{event.node_id}:{event.generation}"
         lies = 0
-        for share in shares:
-            own = codec.encode_generation(list(blocks), share.gamma, cfg.params, state.field,
-                                          generation, cfg.block_size)
-            want = codec.serve_repair(own, joiner)
-            if (event.shard, share.gamma) in liars:
+        for gamma, row in zip(helpers, payloads, strict=True):
+            own = codec.encode_generation(blocks, gamma, cfg.params, net.field,
+                                          event.generation, cfg.block_size)
+            want = codec.serve_repair(own, target)
+            if (event.shard, gamma) in liars:
                 lies += 1
                 want = adversary_corrupt(want, strategy, random.Random(seed))
-            assert codec.share_to_bytes(share) == codec.share_to_bytes(want)
-            served_bootstrapped += (blocks, share.gamma) in bootstrapped
+            got = served_share(head, gamma, target, row)
+            assert codec.share_to_bytes(got) == codec.share_to_bytes(want)
+            served_bootstrapped += (event.shard, event.generation, gamma) in bootstrapped
         assert lies == event.corrupted_shares
         corrupted += lies
         if event.ok:
-            bootstrapped.add((blocks, joiner))
+            bootstrapped.add((event.shard, event.generation, target))
+    assert next(events, None) is None
+    events = report.bootstrap_events
+    # one encode per (epoch, shard, generation) that has a bootstrap, and no other
+    assert encodes == len({(e.epoch, e.shard, e.generation) for e in events}) < len(events)
     done = report.epochs[-1].generations_done
     assert sum(done) > len(done)  # several generations per shard
-    # every encode belongs to a bootstrap, so no generation nobody bootstraps is encoded
-    assert len(set(names.values())) == len(names) < sum(done)
-    assert corrupted and served_bootstrapped  # liars, and bootstrapped nodes serving
+    # some generations nobody bootstraps, and these were never encoded
+    assert len({(e.shard, e.generation) for e in events}) < sum(done)
+    assert batched and corrupted and served_bootstrapped  # batches, liars, bootstrapped helpers
     assert any(not e.ok for e in events)  # a failed decode is judged as well
 
 
 def test_generation_g_of_a_shard_is_its_arrived_blocks_g_l_to_g_plus_one_l(monkeypatch):
-    """Reports show no block contents, so the window each bootstrap encodes is
-    checked against a replay of the payload draws: epoch, then shard, then block.
-    blocks_per_epoch=3 does not divide L=5, so windows straddle epochs, and a
-    leave an epoch shrinks the shards."""
-    encoded = []
-    encode_generation = codec.encode_generation
+    """Reports show no block contents, so the window each bootstrap's oracle
+    encodes is checked against a replay of the payload draws: epoch, then
+    shard, then block.  blocks_per_epoch=3 does not divide L=5, so windows
+    straddle epochs, and a leave an epoch shrinks the shards."""
+    windows = {}  # id of each oracle -> (its blocks, generation)
+    decoded = []
+    encode_nodes, bootstrap_payloads = codec.encode_nodes, codec.bootstrap_payloads
 
-    def record(blocks, gamma, params, field, generation=0, block_size=None):
-        encoded.append((list(blocks), generation))
-        return encode_generation(blocks, gamma, params, field, generation, block_size)
+    def record(blocks, gammas, params, field, generation=0, block_size=None):
+        states = encode_nodes(blocks, gammas, params, field, generation, block_size)
+        windows.update((id(state), (list(blocks), generation)) for state in states)
+        return states
 
-    monkeypatch.setattr(codec, "encode_generation", record)
+    def record_bootstrap(head, target_gamma, helper_gammas, payloads, p=0):
+        decoded.append(windows[id(head)])
+        return bootstrap_payloads(head, target_gamma, helper_gammas, payloads, p)
+
+    monkeypatch.setattr(codec, "encode_nodes", record)
+    monkeypatch.setattr(codec, "bootstrap_payloads", record_bootstrap)
     cfg = small_config(total_nodes=24, shards=3, block_size=16, blocks_per_epoch=3,
                        joins_per_epoch=2, leaves_per_epoch=1, cuckoo_eps=0.1, epochs=8, seed=0)
     report = run_simulation(cfg)
@@ -782,8 +808,8 @@ def test_generation_g_of_a_shard_is_its_arrived_blocks_g_l_to_g_plus_one_l(monke
             shard.extend(payload.randbytes(cfg.block_size) for _ in range(cfg.blocks_per_epoch))
     l_blocks = cfg.generation_blocks
     assert cfg.blocks_per_epoch % l_blocks and report.total_leaves
-    assert len(encoded) == len(report.bootstrap_events)
-    for (blocks, generation), event in zip(encoded, report.bootstrap_events):
+    assert len(decoded) == len(report.bootstrap_events)
+    for (blocks, generation), event in zip(decoded, report.bootstrap_events):
         assert generation == event.generation
         assert blocks == draws[event.shard][generation * l_blocks : (generation + 1) * l_blocks]
     done = report.epochs[-1].generations_done

@@ -3,10 +3,11 @@
 Each config's rendered report, or the type and message of the exception its
 run raises, is hashed and compared with the digest recorded for it in
 data/sim_sweep_digests.txt.  Reports count failed bootstraps but do not show
-what helpers sent, so every call of codec.bootstrap_node in a run is hashed
-too, in order (the target gamma, then each share's file bytes), and compared
-with data/sim_sweep_share_digests.txt.  A change that alters reports or
-shares on purpose regenerates both files once, and says so:
+what helpers sent, so every call of codec.bootstrap_payloads in a run is
+hashed too, in order (the target gamma, then the file bytes of the share each
+helper serves), and compared with data/sim_sweep_share_digests.txt.  A change
+that alters reports or shares on purpose regenerates both files once, and
+says so:
 
     PYTHONPATH=src:tests python tests/test_sim_sweep.py
 
@@ -15,6 +16,7 @@ invariants that hold whatever the bytes: see
 test_sweep_outcomes_keep_the_simulator_invariants.
 """
 
+import dataclasses
 import hashlib
 import random
 import re
@@ -71,34 +73,45 @@ def sweep_configs() -> list[dict]:
     return configs
 
 
+def served_share(head, helper_gamma, target_gamma, row) -> codec.RepairShare:
+    """The share the node at helper_gamma sends target_gamma, head's generation, row its payload."""
+    header = {f.name: getattr(head, f.name) for f in dataclasses.fields(codec.GenerationHeader)}
+    return codec.RepairShare(**{**header, "gamma": helper_gamma}, target_gamma=target_gamma,
+                             symbols=row)
+
+
 def run_recorded(kw: dict) -> tuple:
     """Run the config and return its report, or the exception its run raises;
     SHA-256 of the report, or of the exception's type and message; SHA-256 of
-    every bootstrap's target gamma and shares, in call order; and, in that
-    order, whether each bootstrap rebuilt the joiner's directly encoded state."""
+    every bootstrap's target gamma and the file bytes of the share each of its
+    helpers serves, in call order; and, in that order, whether each bootstrap
+    rebuilt its oracle, the joiner's state encode_nodes made."""
     sent = hashlib.sha256()
     rebuilt: list[bool] = []
-    encoded = []
-    encode, bootstrap = codec.encode_generation, codec.bootstrap_node
+    oracles = {}  # id -> every state encode_nodes made, kept alive
+    encode, bootstrap = codec.encode_nodes, codec.bootstrap_payloads
 
     def encoding(*args, **kwargs):
-        encoded[:] = [encode(*args, **kwargs)]
-        return encoded[0]
+        states = encode(*args, **kwargs)
+        oracles.update((id(state), state) for state in states)
+        return states
 
-    def recording(shares, target_gamma, p=0):
+    def recording(head, target_gamma, helper_gammas, payloads, p=0):
+        oracle = oracles[id(head)]
+        assert oracle.gamma == target_gamma
         sent.update(target_gamma.to_bytes(4, "little"))
-        for share in shares:
-            sent.update(codec.share_to_bytes(share))
+        for gamma, row in zip(helper_gammas, payloads, strict=True):
+            sent.update(codec.share_to_bytes(served_share(head, gamma, target_gamma, row)))
         try:
-            state = bootstrap(shares, target_gamma, p)
+            state = bootstrap(head, target_gamma, helper_gammas, payloads, p)
         except DecodeFailure:
             rebuilt.append(False)
             raise
-        rebuilt.append(codec.state_to_bytes(state) == codec.state_to_bytes(encoded[0]))
+        rebuilt.append(codec.state_to_bytes(state) == codec.state_to_bytes(oracle))
         return state
 
-    with mock.patch.object(codec, "encode_generation", encoding), \
-            mock.patch.object(codec, "bootstrap_node", recording):
+    with mock.patch.object(codec, "encode_nodes", encoding), \
+            mock.patch.object(codec, "bootstrap_payloads", recording):
         try:
             outcome = run_simulation(SimConfig(**kw))
             text = render_report(outcome)

@@ -116,6 +116,34 @@ def test_sliced_decodes_equal_one_slice_and_the_oracle(spec, liar, monkeypatch):
     assert got == one_blocks == oracle_blocks(f, nodes, params, block_size) == blocks
 
 
+@pytest.mark.parametrize("spec", FIELDS + ["binary:8:0x11b"])
+def test_bootstrap_payloads_equals_the_list_form(spec, monkeypatch):
+    """The array core, given the target's header and the shares' payloads as
+    one array, rebuilds the state bootstrap_node rebuilds from the shares,
+    over seven slices with a liar in the last, with as many rs_decode runs.
+    shares_from_target's int64 rows in a prime field decode alike."""
+    f = parse_field(spec)
+    params = MbrParams(2, 4, p=1)
+    rng = random.Random(f"core:{spec}")
+    block_size = 21 * codec.stripe_symbol_bytes(f)  # Z = 21: seven slices of 3 stripes
+    target = 9
+    blocks, states = generation(f, params, rng, block_size, list(range(1, 7)) + [target])
+    shares = [codec.serve_repair(st, target) for st in states[: params.repair_degree]]
+    shares[1] = corrupt_from(shares[1], 19, rng)  # among the alpha points interpolated from
+    gammas = [s.gamma for s in shares]
+    payloads = np.stack([s.payload for s in shares])
+    calls = count_rs_decode(monkeypatch)
+    with sliced(3, params.repair_degree, params.alpha):
+        listed = codec.bootstrap_node(shares, target, params.p)
+        runs = len(calls)
+        rebuilt = [codec.bootstrap_payloads(states[-1], target, gammas, rows, params.p)
+                   for rows in (payloads, payloads.astype(np.int64))]
+    assert 1 <= runs <= params.p and len(calls) == 3 * runs
+    want = codec.state_to_bytes(states[-1])
+    assert codec.state_to_bytes(listed) == want
+    assert [codec.state_to_bytes(state) for state in rebuilt] == [want, want]
+
+
 def test_a_liar_in_every_slice_costs_one_rs_decode_run(monkeypatch):
     f = parse_field("binary:16")
     params = MbrParams(3, 5, p=2)
