@@ -71,14 +71,16 @@ Lagrange bases and the blame set.  Every rs_decode_many call of that
 decode takes it, so blame-then-erasure keeps a bootstrap or a reconstruct
 against p liars to at most p runs of the per-word fallback, rs_decode (a
 bounded-distance decode by Gao's algorithm), however many slices they
-corrupt.  A bootstrap decodes one n x Z payload array in bootstrap_payloads,
-which the simulator feeds from shares_from_target's product and which
-bootstrap_node, the list form, feeds by stacking its shares' payloads: that
-array is one copy of the list form's input, made before the first slice.
-Integrity checks on the recovered message wait until every slice has
-decoded, so a decode failure anywhere wins over them.  In GF(2^m) the
-payloads stay uint16 through every product and decode; nothing on this
-path widens them.
+corrupt.  Each decode has one array core over a checked header, the n
+gammas and the n payloads, given as a list of arrays or as one array:
+bootstrap_payloads, which the simulator feeds from shares_from_target's
+n x Z product, and reconstruct_payloads.  bootstrap_node and
+reconstruct_generation, the list forms, check their items' headers and
+hand the core their payloads as they stand.  Each slice stacks only its own
+stripes of the payloads, so no decode copies its whole input.  Integrity
+checks on the recovered message wait until every slice has decoded, so a
+decode failure anywhere wins over them.  In GF(2^m) the payloads stay
+uint16 through every product and decode; nothing on this path widens them.
 srb.mbr is the one-stripe scalar reference that the tests compare this
 module against.
 """
@@ -461,14 +463,18 @@ def shares_from_target(state: CodedNodeState, helper_gammas: list[int]) -> np.nd
     return f.matmul(f.vandermonde(helper_gammas, state.alpha), state.payload)
 
 
-def _common_header(items: list[GenerationHeader], what: str) -> GenerationHeader:
-    """The first of items, once every item's header but its gamma equals it."""
+def _decode_inputs(items: list[GenerationHeader], what: str) -> tuple:
+    """(head, gammas, payloads) of a list form's items, for its array core.
+
+    head is the first item, once every item's header but its gamma equals
+    it; gammas and payloads are the items' own, in order, uncopied.
+    """
     if not items:
         raise ValueError(f"no {what}s supplied")
-    head = _common_fields(items[0])
-    if any(_common_fields(it) != head for it in items[1:]):
+    common = _common_fields(items[0])
+    if any(_common_fields(it) != common for it in items[1:]):
         raise ValueError(f"{what} headers disagree")
-    return items[0]
+    return items[0], [it.gamma for it in items], [it.payload for it in items]
 
 
 def _decode(setup: DecodeSetup, words: np.ndarray, what: str) -> np.ndarray:
@@ -489,21 +495,23 @@ def _slices(z: int, n: int, alpha: int) -> list[slice]:
 
 
 def bootstrap_payloads(head: GenerationHeader, target_gamma: int, helper_gammas: list[int],
-                       payloads: np.ndarray, p: int = 0) -> CodedNodeState:
+                       payloads: np.ndarray | list[np.ndarray], p: int = 0) -> CodedNodeState:
     """Rebuild the coded state of the node at target_gamma from alpha + 2p payloads.
 
     head is a checked header of the generation; its gamma is not read.
-    payloads is an n x Z integer array, row i the coded block the node at
-    helper_gammas[i] sent.  Its rows are not checked against any header, so
-    they must come from checked shares (bootstrap_node) or from products of
-    checked rows (shares_from_target).  The result, head's header with
-    target_gamma as its gamma, is byte-identical to what encode_generation
-    would have produced for target_gamma.  The Z words are decoded in
-    slices of stripes, with one DecodeSetup for all of them, into one
-    alpha x Z array.  Raises DecodeFailure when more than p payloads are
-    corrupt, ValueError on a negative p, a count other than alpha + 2p, a
-    helper gamma equal to target_gamma, helper gammas that are not distinct
-    field elements, or a target_gamma outside the field.
+    payloads is n payloads, a list of integer arrays of length Z or one
+    n x Z array, payload i the coded block the node at helper_gammas[i]
+    sent.  They are not checked against any header, so they must come from
+    checked shares (bootstrap_node) or from products of checked rows
+    (shares_from_target).  The result, head's header with target_gamma as
+    its gamma, is byte-identical to what encode_generation would have
+    produced for target_gamma.  The Z words are decoded in slices of
+    stripes, each stacked from its own stripes of the payloads, with one
+    DecodeSetup for all of them, into one alpha x Z array.  Raises
+    DecodeFailure when more than p payloads are corrupt, ValueError on a
+    negative p, a count other than alpha + 2p, a helper gamma equal to
+    target_gamma, helper gammas that are not distinct field elements, or a
+    target_gamma outside the field.
     """
     need = MbrParams(head.k, head.alpha, p=p).repair_degree
     if len(helper_gammas) != need:
@@ -513,7 +521,7 @@ def bootstrap_payloads(head: GenerationHeader, target_gamma: int, helper_gammas:
     setup = DecodeSetup(head.field, helper_gammas, head.alpha)
     out = np.empty((head.alpha, head.z), np.uint16)
     for part in _slices(head.z, need, head.alpha):
-        out[:, part] = _decode(setup, payloads[:, part], "repair")
+        out[:, part] = _decode(setup, np.stack([row[..., part] for row in payloads]), "repair")
     return CodedNodeState._derived(head, target_gamma, out)
 
 
@@ -521,27 +529,33 @@ def bootstrap_node(shares: list[RepairShare], target_gamma: int, p: int = 0) -> 
     """Rebuild a node's full coded state from alpha + 2p repair shares.
 
     The list form of bootstrap_payloads: the shares must agree on every
-    header field but the helper's gamma and be produced for target_gamma;
-    their payloads are stacked into one n x Z array and decoded there.
-    Raises DecodeFailure when more than p shares are corrupt, ValueError on
-    a negative p, a share count other than alpha + 2p, inconsistent share
+    header field but the helper's gamma and be produced for target_gamma,
+    and each slice reads their payloads as they stand.  Raises
+    DecodeFailure when more than p shares are corrupt, ValueError on a
+    negative p, a share count other than alpha + 2p, inconsistent share
     headers, a share for another target or a helper given twice.
     """
-    h = _common_header(shares, "share")
+    head, gammas, payloads = _decode_inputs(shares, "share")
     if any(s.target_gamma != target_gamma for s in shares):
         raise ValueError("share was produced for a different target")
-    payloads = np.stack([s.payload for s in shares])
-    return bootstrap_payloads(h, target_gamma, [s.gamma for s in shares], payloads, p)
+    return bootstrap_payloads(head, target_gamma, gammas, payloads, p)
 
 
-def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[bytes]:
-    """Recover the original L raw blocks from k + 2p coded node states.
+def reconstruct_payloads(head: GenerationHeader, gammas: list[int],
+                         payloads: np.ndarray | list[np.ndarray], p: int = 0) -> list[bytes]:
+    """Recover the original L raw blocks from the payloads of k + 2p node states.
 
+    head is a checked header of the generation; its gamma is not read.
+    payloads is n payloads, a list of alpha x Z integer arrays or one
+    n x alpha x Z array, payload i the coded state of the node at gammas[i].
+    Like bootstrap_payloads, it checks no payload against any header, so
+    they must come from checked states (reconstruct_generation).
     Stripes are independent message matrices, so they are decoded in slices
-    of stripes.  Each slice takes two batched decodes, as srb.mbr.
-    secure_reconstruct does per stripe: first V's columns, then, with the
-    V^T term subtracted, U's.  All of them share one DecodeSetup, so a state
-    blamed in one decode is erased in every later one.
+    of stripes, each stacked from its own stripes of the payloads.  Each
+    slice takes two batched decodes, as srb.mbr.secure_reconstruct does per
+    stripe: first V's columns, then, with the V^T term subtracted, U's.  All
+    of them share one DecodeSetup, so a state blamed in one decode is erased
+    in every later one.
     The decoded [U V] rows return to message order by one gather, at the
     cells of message_layout on or above its diagonal.
     The recovered message rows go into arrays of whole blocks allocated up
@@ -551,17 +565,15 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
     Raises DecodeFailure when more than p states are corrupt and no codeword
     is within budget (in any slice, before any IntegrityError), IntegrityError
     when the recovered U is not symmetric or a recovered symbol does not fit
-    in block bytes, ValueError on a negative p, inconsistent state headers or
-    node gammas.
+    in block bytes, ValueError on a negative p, a count other than k + 2p or
+    gammas that are not distinct field elements.
     """
-    h = _common_header(states, "state")
-    f, k, alpha, z, pads = h.field, h.k, h.alpha, h.z, h.pad_lengths
+    f, k, alpha, z, pads = head.field, head.k, head.alpha, head.z, head.pad_lengths
     params = MbrParams(k, alpha, p=p)
-    if len(states) != params.reconstruct_degree:
-        raise ValueError(f"need k + 2p = {params.reconstruct_degree} states, got {len(states)}")
-    n, width = len(states), alpha - k
-    setup = DecodeSetup(f, [s.gamma for s in states], k, width=alpha)
-    vt_coeffs = setup.rows[:, k:]
+    if len(gammas) != params.reconstruct_degree:
+        raise ValueError(f"need k + 2p = {params.reconstruct_degree} states, got {len(gammas)}")
+    n, width = len(gammas), alpha - k
+    setup = DecodeSetup(f, gammas, k, width=alpha)
     # the cell of [U V] that houses each message index, once on or above the diagonal
     upper = np.triu(np.ones((k, alpha), bool))
     cells = np.empty(len(pads), np.intp)
@@ -576,7 +588,7 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
 
         Its temporaries die when it returns, before the next slice's are made.
         """
-        received = np.stack([st.payload[:, part] for st in states])
+        received = np.stack([row[..., part] for row in payloads])
         s = received.shape[2]
         # V: node i's trailing alpha-k coordinates, one word per (column,
         # stripe), are evaluations at gamma_i of V's columns.
@@ -584,7 +596,7 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
         v = v.reshape(k, width, s)
         # U: node i's leading coordinate c is psi_i[:k] . U[:, c] plus
         # psi_i[k:] . V[c, :]; subtract the V^T term, then decode U's columns.
-        vt_term = f.matmul(vt_coeffs, v.transpose(1, 0, 2).reshape(width, k * s))
+        vt_term = f.matmul(setup.rows[:, k:], v.transpose(1, 0, 2).reshape(width, k * s))
         u = _decode(setup, f.subtract(received[:, :k].reshape(n, k * s), vt_term),
                     "reconstruction").reshape(k, k, s)
         message = np.concatenate([u, v], axis=1).reshape(k * alpha, s)[cells]
@@ -603,6 +615,17 @@ def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[byt
         start, group = groups.pop(0)
         blocks += unstripe_blocks(StripeSet(z, sb, group, pads[start : start + len(group)]))
     return blocks
+
+
+def reconstruct_generation(states: list[CodedNodeState], p: int = 0) -> list[bytes]:
+    """Recover the original L raw blocks from k + 2p coded node states.
+
+    The list form of reconstruct_payloads: the states must agree on every
+    header field but their gamma, and each slice reads their payloads as
+    they stand.  Raises as reconstruct_payloads does, and ValueError on no
+    states or inconsistent state headers.
+    """
+    return reconstruct_payloads(*_decode_inputs(states, "state"), p)
 
 
 # -- serialization -----------------------------------------------------------

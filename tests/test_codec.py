@@ -493,6 +493,24 @@ def test_bootstrap_payloads_refusals():
             codec.bootstrap_payloads(head, *args)
 
 
+def test_reconstruct_payloads_refusals():
+    """The reconstruct core takes a checked header, so it checks only the
+    rest: the payload count (as the list form words it), distinct gammas and p."""
+    f = binary_field(16)
+    params = MbrParams(2, 3, n=6, p=1)
+    blocks, states = make_generation(f, params, random.Random(6), 8)
+    head, gammas = states[0], [s.gamma for s in states[:4]]
+    payloads = np.stack([s.payload for s in states[:4]])
+    assert codec.reconstruct_payloads(head, gammas, payloads, p=1) == blocks
+    for args, message in [
+        ((gammas[:3], payloads[:3], 1), r"^need k \+ 2p = 4 states, got 3$"),
+        ((gammas[:3] + [gammas[0]], payloads, 1), "duplicate"),
+        ((gammas, payloads, -1), "p must be >= 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            codec.reconstruct_payloads(head, *args)
+
+
 def test_negative_p_rejected():
     f = binary_field(16)
     params = MbrParams(3, 4, n=6, p=0)

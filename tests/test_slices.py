@@ -119,9 +119,10 @@ def test_sliced_decodes_equal_one_slice_and_the_oracle(spec, liar, monkeypatch):
 @pytest.mark.parametrize("spec", FIELDS + ["binary:8:0x11b"])
 def test_bootstrap_payloads_equals_the_list_form(spec, monkeypatch):
     """The array core, given the target's header and the shares' payloads as
-    one array, rebuilds the state bootstrap_node rebuilds from the shares,
-    over seven slices with a liar in the last, with as many rs_decode runs.
-    shares_from_target's int64 rows in a prime field decode alike."""
+    one array or as a list of rows, rebuilds the state bootstrap_node
+    rebuilds from the shares, over seven slices with a liar in the last,
+    with as many rs_decode runs.  shares_from_target's int64 rows in a
+    prime field decode alike."""
     f = parse_field(spec)
     params = MbrParams(2, 4, p=1)
     rng = random.Random(f"core:{spec}")
@@ -137,11 +138,37 @@ def test_bootstrap_payloads_equals_the_list_form(spec, monkeypatch):
         listed = codec.bootstrap_node(shares, target, params.p)
         runs = len(calls)
         rebuilt = [codec.bootstrap_payloads(states[-1], target, gammas, rows, params.p)
-                   for rows in (payloads, payloads.astype(np.int64))]
-    assert 1 <= runs <= params.p and len(calls) == 3 * runs
+                   for rows in (payloads, payloads.astype(np.int64), list(payloads))]
+    assert 1 <= runs <= params.p and len(calls) == 4 * runs
     want = codec.state_to_bytes(states[-1])
     assert codec.state_to_bytes(listed) == want
-    assert [codec.state_to_bytes(state) for state in rebuilt] == [want, want]
+    assert [codec.state_to_bytes(state) for state in rebuilt] == [want] * 3
+
+
+@pytest.mark.parametrize("spec", FIELDS + ["binary:8:0x11b"])
+def test_reconstruct_payloads_equals_the_list_form(spec, monkeypatch):
+    """The reconstruct core, given one state's header and the states'
+    payloads as one n x alpha x Z array or as a list, in uint16 or int64,
+    recovers the blocks reconstruct_generation recovers from the states,
+    over seven slices with a liar in the last, with as many rs_decode runs."""
+    f = parse_field(spec)
+    params = MbrParams(2, 4, p=1)
+    rng = random.Random(f"reconstruct core:{spec}")
+    block_size = 21 * codec.stripe_symbol_bytes(f)  # Z = 21: seven slices of 3 stripes
+    blocks, states = generation(f, params, rng, block_size, list(range(1, 5)))
+    states[1] = corrupt_from(states[1], 19, rng)  # among the k points interpolated from
+    gammas = [s.gamma for s in states]
+    payloads = np.stack([s.payload for s in states])
+    calls = count_rs_decode(monkeypatch)
+    with sliced(3, params.reconstruct_degree, params.alpha):
+        listed = codec.reconstruct_generation(states, params.p)
+        runs = len(calls)
+        got = [codec.reconstruct_payloads(states[0], gammas, rows, params.p)
+               for array in (payloads, payloads.astype(np.int64))
+               for rows in (array, list(array))]
+    assert 1 <= runs <= params.p and len(calls) == 5 * runs
+    assert listed == blocks
+    assert got == [blocks] * 4
 
 
 def test_a_liar_in_every_slice_costs_one_rs_decode_run(monkeypatch):
@@ -301,3 +328,39 @@ def test_reconstruct_memory_above_its_output_does_not_grow_with_block_size():
     small = traced_extra(f, params, 64 << 10)
     large = traced_extra(f, params, 256 << 10)
     assert large <= small + (256 << 10), (small, large)
+
+
+def traced_bootstrap_extra(f, params, block_size) -> tuple[int, int]:
+    """Peak traced bytes of one bootstrap less its state's payload, and that payload's size.
+
+    The shares are built before tracing starts, so the input is not traced.
+    """
+    rng = random.Random(block_size)
+    blocks = [rng.randbytes(block_size) for _ in range(params.message_length)]
+    target = params.repair_degree + 1
+    state = codec.encode_generation(blocks, target, params, f, block_size=block_size)
+    # by symmetry, what target serves helper h is what h serves target
+    shares = [replace(codec.serve_repair(state, h), gamma=h, target_gamma=target)
+              for h in range(1, params.repair_degree + 1)]
+    shares[0] = corrupt_from(shares[0], 0, rng)
+    tracemalloc.start()
+    try:
+        got = codec.bootstrap_node(shares, target, params.p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == state
+    return peak - got.payload.nbytes, got.payload.nbytes
+
+
+def test_bootstrap_memory_above_its_output_does_not_grow_with_block_size():
+    """64 KiB and 1 MiB shares both span several slices at the module's slice
+    size.  The list form hands the core its shares' payloads as they stand,
+    so only the state's payload grows; the allowance covers the copy of it
+    that the derived state keeps."""
+    f = parse_field("binary:16")
+    params = MbrParams(4, 6, p=1)
+    assert len(codec._slices(codec.symbols_per_block(f, 64 << 10), 8, 6)) > 1
+    small, small_out = traced_bootstrap_extra(f, params, 64 << 10)
+    large, large_out = traced_bootstrap_extra(f, params, 1 << 20)
+    assert large - small <= large_out - small_out + (256 << 10), (small, large)
