@@ -171,17 +171,11 @@ def hoeffding_bound(population: int, malicious: int, sample: int, threshold: int
     return ((g / r) ** r * ((1.0 - g) / (1.0 - r)) ** (1.0 - r)) ** sample
 
 
-def failure_upper_bound(
-    shards: int,
-    shard_failure_bound: float,
-    p_bootstrap: float = DEFAULT_P_BOOTSTRAP,
-) -> float:
-    """U = p_bootstrap + m * G, clamped to 1."""
+def failure_upper_bound(shards: int, shard_failure_bound: float) -> float:
+    """U = p_bootstrap + m * G, clamped to 1, with p_bootstrap = DEFAULT_P_BOOTSTRAP."""
     if not 0.0 <= shard_failure_bound <= 1.0:
         raise ValueError("shard_failure_bound must be in [0, 1]")
-    if not 0.0 <= p_bootstrap <= 1.0:
-        raise ValueError("p_bootstrap must be in [0, 1]")
-    return min(1.0, p_bootstrap + shards * shard_failure_bound)
+    return min(1.0, DEFAULT_P_BOOTSTRAP + shards * shard_failure_bound)
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,21 @@ File formats (version 1, header integers little-endian, symbols big-endian):
 The pad-length words record each block's original byte length so that
 de-striping is exact.
 
-Every header is untrusted input (up to p helpers are Byzantine), so
-GenerationHeader, and RepairShare for the target gamma, check every rule
-below whenever one is built by its constructor, parsed or replaced; derived
-objects keep the checked header.  encode_nodes' states (from the one
-header it checks before striping), serve_repair's shares and a bootstrap's
-state take their header fields from an object that passed the checks, and
-only the gamma (and a share's target gamma) that they set afresh is
-checked again:
+Two rules decide what is checked and copied, so that no payload is checked
+or copied more than once:
+  - outside input is checked, and its payload copied, on entry: the public
+    constructors, and so parsing and dataclasses.replace, check the header
+    rules below and that the payload has its shape and holds field elements;
+  - a derived object (encode_nodes' states, serve_repair's shares, a
+    bootstrap's state) takes the header fields of an object that passed the
+    checks, and only the gamma (and a share's target gamma) that it sets
+    afresh is checked again.  Its payload is a product or decode of checked
+    operands, so it is not checked again: an array that owns its memory and
+    is already uint16 is adopted as it stands, and any other (a view, such
+    as a row of a larger product, or a prime field's int64 product) is
+    copied once, so that no object keeps another's rows alive.
+The header rules (every header is untrusted input: up to p helpers are
+Byzantine):
   - (k, alpha) are valid MBR parameters (1 <= k <= alpha) and fit u16;
   - gamma, and a share's target gamma, are elements of the field;
   - a share's target gamma differs from its helper gamma;
@@ -49,11 +56,10 @@ checked again:
     [0, block_size].
 
 A node state's payload is one read-only alpha x Z uint16 array and a
-share's one of length Z.  The constructor copies it and checks, once, its
-shape and that every symbol is in the field; encode, serve, decode and the
-file I/O then use that array as it stands and never build Python ints in
-bulk.  The .blocks and .symbols views return tuples of Python ints, built on
-each access, for scalar code and tests.
+share's one of length Z.  Encode, serve, decode and the file I/O use it as
+it stands and never build Python ints in bulk.  The .blocks and .symbols
+views return tuples of Python ints, built on each access, for scalar code
+and tests.
 
 Decoding goes through srb.rs.rs_decode_many, batched over the words of a
 slice of stripes.  Stripes are independent message matrices, so bootstrap
@@ -194,7 +200,8 @@ class GenerationHeader:
     Every instance is a valid header: __post_init__ runs on construction, on
     parse and on dataclasses.replace, and is the one place that decides.  A
     subclass object derived by _derived copies the fields of a header that
-    passed it, so only its new gamma needs checking again.
+    passed it, so only its new gamma needs checking again, and takes the
+    payload the codec computed for it (see _derived).
     """
 
     field: Field
@@ -207,18 +214,31 @@ class GenerationHeader:
     pad_lengths: tuple[int, ...]
 
     @classmethod
-    def _derived(cls, source: GenerationHeader, gamma: int, *rest):
-        """A cls on source's checked header, with gamma as its gamma.
+    def _derived(cls, source: GenerationHeader, gamma: int, payload: np.ndarray, *rest):
+        """A cls on source's checked header, with gamma and payload as its own.
 
         Only gamma is checked again; _finish(*rest) sets and checks the
-        rest, as the constructor does.
+        subclass's other fields, as the constructor does.  payload, computed
+        by the codec from checked operands, is not checked: an array that
+        owns its memory and is already uint16 is adopted, read-only and
+        uncopied, so the caller hands it over and writes to it no more; any
+        other array (a view, or an int64 prime-field product) is copied once.
+        flags.owndata makes that test: np.ascontiguousarray would pass a
+        view of a larger array through, and keep all of it alive.
         """
         obj = cls.__new__(cls)
         for name in _HEADER_FIELDS:
             object.__setattr__(obj, name, getattr(source, name))
         object.__setattr__(obj, "gamma", source.field.check(gamma))
         obj._finish(*rest)
+        if not (payload.flags.owndata and payload.dtype == np.uint16):
+            payload = payload.astype(np.uint16, order="C")
+        payload.flags.writeable = False
+        object.__setattr__(obj, "payload", payload)
         return obj
+
+    def _finish(self):
+        """Set and check the fields a subclass adds to the header, but its payload."""
 
     def __post_init__(self):
         want_l = MbrParams(self.k, self.alpha).message_length
@@ -264,19 +284,22 @@ _HEADER_FIELDS = tuple(f.name for f in fields(GenerationHeader))
 _common_fields = operator.attrgetter(*(name for name in _HEADER_FIELDS if name != "gamma"))
 
 
-def _frozen_payload(data, shape: tuple[int, ...], field: Field, what: str) -> np.ndarray:
-    """data (nested ints or an integer array) as a new read-only uint16 array.
+def _frozen_payload(obj: GenerationHeader, data, shape: tuple[int, ...], what: str) -> None:
+    """Set obj's payload to data (nested ints or an integer array) as a new read-only uint16 array.
 
-    The copy keeps a caller's later writes to its own array from reaching the
-    object.  Raises ValueError unless data has the given shape and
-    field.elements accepts it.
+    The public constructors, and so parsing and dataclasses.replace, take
+    every payload through here: outside input is checked, and copied, once
+    on entry.  The copy keeps a caller's later writes to its own array from
+    reaching the object.  Raises ValueError unless data has the given shape
+    and obj.field.elements accepts it.  _derived does neither for what the
+    codec computed itself.
     """
     arr = np.asarray(data)
     if arr.shape != shape:
         raise ValueError(f"{what} has shape {arr.shape}; its header needs {shape}")
-    out = field.elements(arr).astype(np.uint16, order="C")
+    out = obj.field.elements(arr).astype(np.uint16, order="C")
     out.flags.writeable = False
-    return out
+    object.__setattr__(obj, "payload", out)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -285,19 +308,17 @@ class CodedNodeState(GenerationHeader):
 
     payload holds the alpha coded blocks as the rows of a read-only alpha x Z
     uint16 array.  The constructor takes it as blocks= (nested ints or an
-    array, copied); blocks= wins over payload=, so that
-    dataclasses.replace(state, blocks=...) replaces the payload.
+    array, checked and copied); blocks= wins over payload=, so that
+    dataclasses.replace(state, blocks=...) replaces the payload.  A state
+    that encode or bootstrap derives adopts the array they computed for it.
     """
 
     payload: np.ndarray
 
     def __init__(self, *, blocks=None, payload=None, **header):
         super().__init__(**header)
-        self._finish(payload if blocks is None else blocks)
-
-    def _finish(self, blocks):
-        data = _frozen_payload(blocks, (self.alpha, self.z), self.field, "a node state")
-        object.__setattr__(self, "payload", data)
+        data = payload if blocks is None else blocks
+        _frozen_payload(self, data, (self.alpha, self.z), "a node state")
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -327,14 +348,14 @@ class RepairShare(GenerationHeader):
 
     def __init__(self, *, target_gamma, symbols=None, payload=None, **header):
         super().__init__(**header)
-        self._finish(target_gamma, payload if symbols is None else symbols)
+        self._finish(target_gamma)
+        data = payload if symbols is None else symbols
+        _frozen_payload(self, data, (self.z,), "a repair share")
 
-    def _finish(self, target_gamma, symbols):
+    def _finish(self, target_gamma):
         object.__setattr__(self, "target_gamma", self.field.check(target_gamma))
         if self.target_gamma == self.gamma:
             raise ValueError("a node cannot serve a repair share to itself")
-        data = _frozen_payload(symbols, (self.z,), self.field, "a repair share")
-        object.__setattr__(self, "payload", data)
 
     @property
     def symbols(self) -> tuple[int, ...]:
@@ -354,7 +375,8 @@ def encode_nodes(
     params: MbrParams,
     field: Field,
     generation: int = 0,
-    block_size: int | None = None,
+    *,
+    block_size: int,
 ) -> list[CodedNodeState]:
     """Encode one generation of L blocks for every node in gammas, in order.
 
@@ -383,7 +405,9 @@ def encode_nodes(
     rows are no larger than the L x Z blocks.  Past that (a wide alpha over
     short blocks, up to k=1, alpha=65535 over empty blocks) those rows would
     grow as alpha * L, so one node takes the block form too, whose gathers
-    are O(L * Z).  Each state copies its own rows of the product.
+    are O(L * Z).  The one node's state adopts its sparse product as it
+    stands; in the block form each state copies its own rows of the n x
+    alpha x Z product, so no state keeps another's rows alive.
 
     The generation's header (k, alpha, generation, block_size, Z and the L
     pad lengths) is built and checked first, then every gamma, and only
@@ -393,8 +417,6 @@ def encode_nodes(
     want, k, alpha = params.message_length, params.k, params.alpha
     if len(blocks) != want:
         raise ValueError(f"a generation encodes exactly L = {want} blocks, got {len(blocks)}")
-    if block_size is None:
-        block_size = max((len(b) for b in blocks), default=0)
     pads = tuple(len(b) for b in blocks)
     for i, pad in enumerate(pads):  # named by its index, not as the header's pad length
         if pad > block_size >= 0:
@@ -411,7 +433,7 @@ def encode_nodes(
         rows = np.zeros((alpha, want), psis.dtype)
         rows[np.arange(alpha), first] = psis[0, :k, None]
         rows[np.arange(k)[:, None], first[:, k:]] = psis[0, k:]
-        coded = field.matmul(rows, stripes.symbols).reshape(1, alpha, z)
+        coded = [field.matmul(rows, stripes.symbols)]  # handed to the one state uncopied
     else:
         coded = np.empty((n, alpha, z), np.uint16)
         left = stripes.symbols[np.concatenate((first[:, :k], first[:, k:].T))]
@@ -428,13 +450,14 @@ def encode_generation(
     params: MbrParams,
     field: Field,
     generation: int = 0,
-    block_size: int | None = None,
+    *,
+    block_size: int,
 ) -> CodedNodeState:
     """Encode one generation of L blocks into one node's alpha coded blocks.
 
     encode_nodes for the single node at gamma.
     """
-    return encode_nodes(blocks, [gamma], params, field, generation, block_size)[0]
+    return encode_nodes(blocks, [gamma], params, field, generation, block_size=block_size)[0]
 
 
 def serve_repair(state: CodedNodeState, target_gamma: int) -> RepairShare:
@@ -444,7 +467,7 @@ def serve_repair(state: CodedNodeState, target_gamma: int) -> RepairShare:
     node: shares_from_target's product for the one gamma.
     """
     (symbols,) = shares_from_target(state, [target_gamma])
-    return RepairShare._derived(state, state.gamma, target_gamma, symbols)
+    return RepairShare._derived(state, state.gamma, symbols, target_gamma)
 
 
 def shares_from_target(state: CodedNodeState, helper_gammas: list[int]) -> np.ndarray:
@@ -507,11 +530,11 @@ def bootstrap_payloads(head: GenerationHeader, target_gamma: int, helper_gammas:
     its gamma, is byte-identical to what encode_generation would have
     produced for target_gamma.  The Z words are decoded in slices of
     stripes, each stacked from its own stripes of the payloads, with one
-    DecodeSetup for all of them, into one alpha x Z array.  Raises
-    DecodeFailure when more than p payloads are corrupt, ValueError on a
-    negative p, a count other than alpha + 2p, a helper gamma equal to
-    target_gamma, helper gammas that are not distinct field elements, or a
-    target_gamma outside the field.
+    DecodeSetup for all of them, into one alpha x Z array, which the state
+    adopts as its payload.  Raises DecodeFailure when more than p payloads
+    are corrupt, ValueError on a negative p, a count other than alpha + 2p,
+    a helper gamma equal to target_gamma, helper gammas that are not
+    distinct field elements, or a target_gamma outside the field.
     """
     need = MbrParams(head.k, head.alpha, p=p).repair_degree
     if len(helper_gammas) != need:

@@ -61,10 +61,6 @@ class MbrParams:
             )
 
     @property
-    def d(self) -> int:
-        return self.alpha
-
-    @property
     def message_length(self) -> int:
         return message_length(self.k, self.alpha)
 

@@ -430,7 +430,9 @@ def _bootstrap_one(
     """
     cfg, generation = net.config, expected.generation
     need = cfg.params.repair_degree
-    pool = [n for n in members if n.node_id != rec.node_id and generation in n.generations]
+    # rec is never in it: a joiner starts empty, a mover's generations were
+    # cleared, and each (node, generation) bootstraps once an epoch
+    pool = [n for n in members if generation in n.generations]
     if len(pool) < need:
         raise ShardUnderflowError(
             f"shard {rec.shard} lacks alpha + 2p = {need} helpers holding generation {generation}"
@@ -443,7 +445,7 @@ def _bootstrap_one(
     for row, helper in enumerate(helpers):
         if helper.malicious:
             corrupted += 1
-            honest = codec.RepairShare._derived(expected, helper.gamma, rec.gamma, payloads[row])
+            honest = codec.RepairShare._derived(expected, helper.gamma, payloads[row], rec.gamma)
             payloads[row] = adversary_corrupt(honest, cfg.strategy, random.Random(event_seed)).payload
     try:
         state = codec.bootstrap_payloads(expected, rec.gamma, gammas, payloads, cfg.p)

@@ -200,15 +200,12 @@ def test_hoeffding_dominates_hypergeom():
 
 
 def test_failure_upper_bound():
-    assert an.failure_upper_bound(5, 0.0, p_bootstrap=0.25) == 0.25
-    assert an.failure_upper_bound(1, 0.5, p_bootstrap=0.0) == 0.5
+    assert an.failure_upper_bound(5, 0.0) == an.DEFAULT_P_BOOTSTRAP
     got = an.failure_upper_bound(16, 1e-9)
     assert got == pytest.approx(2.0**-26.36 + 1.6e-8)
     assert an.failure_upper_bound(10, 0.5) == 1.0  # clamped
     with pytest.raises(ValueError):
         an.failure_upper_bound(2, 1.5)
-    with pytest.raises(ValueError, match="p_bootstrap must be in"):
-        an.failure_upper_bound(2, 0.5, p_bootstrap=2)
 
 
 def test_throughput_example():

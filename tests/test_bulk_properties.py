@@ -121,9 +121,11 @@ def test_encode_nodes_matches_one_node_encodes_and_oracle(data):
     n = params.message_length
     blocks = data.draw(st.lists(block, min_size=n, max_size=n))
     gammas = data.draw(st.lists(st.integers(0, f.order - 1), max_size=6))  # repeats allowed
-    states = codec.encode_nodes(blocks, gammas, params, f, 2, block_size)
+    states = codec.encode_nodes(blocks, gammas, params, f, 2, block_size=block_size)
     assert [codec.state_to_bytes(s) for s in states] == [
-        codec.state_to_bytes(codec.encode_generation(blocks, g, params, f, 2, block_size))
+        codec.state_to_bytes(
+            codec.encode_generation(blocks, g, params, f, 2, block_size=block_size)
+        )
         for g in gammas
     ]
     messages = stripe_messages(f, blocks, block_size)
@@ -138,7 +140,8 @@ def test_encode_nodes_matches_one_node_encodes_and_oracle(data):
 @given(generations(), st.integers(0, 2**32 - 1))
 def test_serialization_round_trip(case, generation):
     f, params, block_size, blocks, target, helpers, _, _ = case
-    state = codec.encode_generation(blocks, helpers[0], params, f, generation, block_size)
+    state = codec.encode_generation(blocks, helpers[0], params, f, generation,
+                                   block_size=block_size)
     parsed = codec.state_from_bytes(codec.state_to_bytes(state))
     assert parsed == state and hash(parsed) == hash(state)
     share = codec.serve_repair(state, target)

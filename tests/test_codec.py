@@ -221,14 +221,6 @@ def test_one_node_encode_of_a_wide_generation_takes_memory_in_l_not_alpha_times_
     assert state == codec.encode_nodes(blocks, [7, 8], params, f, block_size=block_size)[0]
 
 
-def test_encode_nodes_block_size_defaults_to_longest_block():
-    f = binary_field(16)
-    params = MbrParams(2, 3)
-    blocks = [b"abc", b"", b"de", b"fghij", b"k"]
-    default = codec.encode_nodes(blocks, [1, 2], params, f)
-    assert default == codec.encode_nodes(blocks, [1, 2], params, f, block_size=5)
-
-
 @pytest.mark.parametrize(
     "blocks, gammas, changes, message",
     [
@@ -268,7 +260,7 @@ def test_encode_nodes_without_nodes_returns_no_state_and_still_checks_the_header
         assert codec.encode_nodes(some, [], params, f, block_size=block_size) == []
     for changes in ({"block_size": 1 << 32}, {"generation": 1 << 32}):
         with pytest.raises(ValueError, match="does not fit a u32 header field"):
-            codec.encode_nodes(blocks, [], params, f, **changes)
+            codec.encode_nodes(blocks, [], params, f, **({"block_size": 5} | changes))
 
 
 def test_serve_repair_examples():

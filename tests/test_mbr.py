@@ -57,7 +57,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         MbrParams(0, 1)
     p = MbrParams(3, 4, n=7, p=1)
-    assert p.d == 4 and p.repair_degree == 6 and p.reconstruct_degree == 5
+    assert p.repair_degree == 6 and p.reconstruct_degree == 5
 
 
 def test_reconstruct_degree_above_n_is_refused_by_the_other_rules():

@@ -569,6 +569,37 @@ def test_render_report_golden_lazy_states(name):
     assert got == golden
 
 
+@pytest.mark.parametrize("name", ["acceptance_6", "churn_liar", None])
+def test_a_node_to_bootstrap_does_not_hold_the_generation_it_bootstraps(monkeypatch, name):
+    """_bootstrap_one's helper pool is every member of the shard that holds the
+    generation, and the node to bootstrap is never one of them: a joiner
+    starts empty, a mover's generations were cleared when it moved, and each
+    (node, generation) bootstraps once an epoch.  None is a config with
+    leaves and many cuckoo moves, where initial nodes that held every
+    generation move and bootstrap again."""
+    seen = set()
+    bootstrap_one = sim._bootstrap_one
+
+    def checked(net, members, rec, expected, epoch, helper_rng):
+        assert expected.generation not in rec.generations
+        assert rec in members and (epoch, rec.node_id, expected.generation) not in seen
+        seen.add((epoch, rec.node_id, expected.generation))
+        return bootstrap_one(net, members, rec, expected, epoch, helper_rng)
+
+    monkeypatch.setattr(sim, "_bootstrap_one", checked)
+    if name is None:
+        cfg = small_config(total_nodes=45, shards=3, malicious=3, p=1, joins_per_epoch=2,
+                           leaves_per_epoch=1, cuckoo_eps=0.25, epochs=6)
+    else:
+        data = Path(__file__).with_name("data")
+        cfg = SimConfig.from_text((data / f"sim_{name}.cfg").read_text())
+    report = run_simulation(cfg)
+    assert len(seen) == report.total_bootstraps > 0
+    if name is None:  # leaves happened, and initial nodes moved and bootstrapped
+        movers = [e for e in report.bootstrap_events if e.node_id < cfg.total_nodes]
+        assert report.total_leaves and movers
+
+
 def test_simulator_serves_stored_states_without_files(monkeypatch):
     """Nodes keep their checked states: no state or share is serialized or parsed."""
 
@@ -683,8 +714,8 @@ def test_simulator_encodes_once_per_shard_and_generation(monkeypatch, strategy):
         log.append(("epoch", [(net.nodes[i].shard, net.nodes[i].gamma) for i in to_bootstrap]))
         return to_bootstrap, displaced, moves
 
-    def record_encode(blocks, gammas, params, field, generation=0, block_size=None):
-        states = encode_nodes(blocks, gammas, params, field, generation, block_size)
+    def record_encode(blocks, gammas, params, field, generation=0, *, block_size):
+        states = encode_nodes(blocks, gammas, params, field, generation, block_size=block_size)
         log.append(("encode", tuple(blocks), list(gammas), generation, states))
         return states
 
@@ -745,7 +776,7 @@ def test_simulator_encodes_once_per_shard_and_generation(monkeypatch, strategy):
             batched += len(gammas) > 1
             for gamma, state in zip(gammas, states, strict=True):
                 assert state == codec.encode_generation(blocks, gamma, cfg.params, net.field,
-                                                        generation, cfg.block_size)
+                                                        generation, block_size=cfg.block_size)
                 oracles[event.shard, gamma, generation] = state
             pending = None
         assert head is oracles.pop((event.shard, target, event.generation))
@@ -753,7 +784,7 @@ def test_simulator_encodes_once_per_shard_and_generation(monkeypatch, strategy):
         lies = 0
         for gamma, row in zip(helpers, payloads, strict=True):
             own = codec.encode_generation(blocks, gamma, cfg.params, net.field,
-                                          event.generation, cfg.block_size)
+                                          event.generation, block_size=cfg.block_size)
             want = codec.serve_repair(own, target)
             if (event.shard, gamma) in liars:
                 lies += 1
@@ -786,8 +817,8 @@ def test_generation_g_of_a_shard_is_its_arrived_blocks_g_l_to_g_plus_one_l(monke
     decoded = []
     encode_nodes, bootstrap_payloads = codec.encode_nodes, codec.bootstrap_payloads
 
-    def record(blocks, gammas, params, field, generation=0, block_size=None):
-        states = encode_nodes(blocks, gammas, params, field, generation, block_size)
+    def record(blocks, gammas, params, field, generation=0, *, block_size):
+        states = encode_nodes(blocks, gammas, params, field, generation, block_size=block_size)
         windows.update((id(state), (list(blocks), generation)) for state in states)
         return states
 

@@ -330,8 +330,8 @@ def test_reconstruct_memory_above_its_output_does_not_grow_with_block_size():
     assert large <= small + (256 << 10), (small, large)
 
 
-def traced_bootstrap_extra(f, params, block_size) -> tuple[int, int]:
-    """Peak traced bytes of one bootstrap less its state's payload, and that payload's size.
+def traced_bootstrap_extra(f, params, block_size) -> int:
+    """Peak traced bytes of one bootstrap, less its state's payload.
 
     The shares are built before tracing starts, so the input is not traced.
     """
@@ -350,17 +350,75 @@ def traced_bootstrap_extra(f, params, block_size) -> tuple[int, int]:
     finally:
         tracemalloc.stop()
     assert got == state
-    return peak - got.payload.nbytes, got.payload.nbytes
+    return peak - got.payload.nbytes
 
 
 def test_bootstrap_memory_above_its_output_does_not_grow_with_block_size():
     """64 KiB and 1 MiB shares both span several slices at the module's slice
     size.  The list form hands the core its shares' payloads as they stand,
-    so only the state's payload grows; the allowance covers the copy of it
-    that the derived state keeps."""
+    and the state takes the array the core decoded into, uncopied, so
+    nothing above the state's payload grows."""
     f = parse_field("binary:16")
     params = MbrParams(4, 6, p=1)
     assert len(codec._slices(codec.symbols_per_block(f, 64 << 10), 8, 6)) > 1
-    small, small_out = traced_bootstrap_extra(f, params, 64 << 10)
-    large, large_out = traced_bootstrap_extra(f, params, 1 << 20)
-    assert large - small <= large_out - small_out + (256 << 10), (small, large)
+    small = traced_bootstrap_extra(f, params, 64 << 10)
+    large = traced_bootstrap_extra(f, params, 1 << 20)
+    assert large - small <= 256 << 10, (small, large)
+
+
+def traced_encode_extra(f, params, block_size) -> int:
+    """Peak traced bytes of one one-node encode, less its state's payload.
+
+    The blocks are built before tracing starts, so the input is not traced.
+    """
+    rng = random.Random(block_size)
+    blocks = [rng.randbytes(block_size) for _ in range(params.message_length)]
+    tracemalloc.start()
+    try:
+        state = codec.encode_generation(blocks, 7, params, f, block_size=block_size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.z >= params.alpha  # the sparse form, one product of alpha rows
+    return peak - state.payload.nbytes
+
+
+def test_one_node_encode_memory_above_its_output_grows_only_with_its_striped_blocks():
+    """The state takes the product it is, uncopied: from 64 KiB to 1 MiB
+    blocks, what an encode holds above its payload grows by the L x Z striped
+    blocks and by nothing else."""
+    f = parse_field("binary:16")
+    params = MbrParams(4, 6)
+    small = traced_encode_extra(f, params, 64 << 10)
+    large = traced_encode_extra(f, params, 1 << 20)
+    grown_z = codec.symbols_per_block(f, 1 << 20) - codec.symbols_per_block(f, 64 << 10)
+    striped = params.message_length * grown_z * 2  # 17.69 MB of uint16 symbols
+    assert large - small <= striped + (256 << 10), (small, large, striped)
+
+
+@pytest.mark.parametrize("spec", ["binary:16", "prime:65521"])
+def test_derived_payloads_share_no_memory_with_each_other_or_their_inputs(spec):
+    """A state or share the codec derives owns its payload: the states of one
+    encode_nodes call are not views of one product, a share is not a view of
+    its state's product, and a bootstrapped state is not a view of the
+    payloads it was decoded from."""
+    f = parse_field(spec)
+    params = MbrParams(3, 4, p=1)
+    rng = random.Random(spec)
+    gammas = list(range(1, params.repair_degree + 2))
+    _, states = generation(f, params, rng, 64, gammas)
+    for i, a in enumerate(states):
+        assert not a.payload.flags.writeable
+        for b in states[i + 1:]:
+            assert not np.shares_memory(a.payload, b.payload)
+    target, helpers = states[-1], states[:-1]
+    shares = [codec.serve_repair(h, target.gamma) for h in helpers]
+    assert not any(np.shares_memory(s.payload, h.payload) for s, h in zip(shares, helpers))
+    rows = codec.shares_from_target(target, [h.gamma for h in helpers])
+    for got, inputs in (
+        (codec.bootstrap_node(shares, target.gamma, params.p), [s.payload for s in shares]),
+        (codec.bootstrap_payloads(target, target.gamma, [h.gamma for h in helpers], rows,
+                                  params.p), [rows]),
+    ):
+        assert got == target and not got.payload.flags.writeable
+        assert not any(np.shares_memory(got.payload, x) for x in inputs + [target.payload])
