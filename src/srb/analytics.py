@@ -31,7 +31,12 @@ DEFAULT_P_BOOTSTRAP = 2.0 ** -26.36
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Inputs for the protocol comparison; unused fields may stay at 0."""
+    """Inputs for the protocol comparison; unused fields may stay at 0.
+
+    n_s left at 0 with total_nodes and shards given is derived as N / m, and
+    an N that is not a multiple of m is refused; a given n_s must satisfy
+    N = m * n_S whenever all three are nonzero.
+    """
 
     n_s: int = 0              # nodes per shard
     total_blocks: int = 0     # L, blocks processed per shard
@@ -61,6 +66,11 @@ class ProtocolParams:
                 raise ValueError(f"{name} must be >= 0")
         if self.rho < 1:
             raise ValueError("rho must be >= 1")
+        if self.n_s == 0 and self.total_nodes and self.shards:
+            if self.total_nodes % self.shards:
+                raise ValueError(f"total_nodes={self.total_nodes} is not a multiple of "
+                                 f"shards={self.shards}; give n_s or make N = m * n_S")
+            object.__setattr__(self, "n_s", self.total_nodes // self.shards)
         known = 0 not in (self.n_s, self.total_nodes, self.shards)
         if known and self.total_nodes != self.shards * self.n_s:
             raise ValueError(
@@ -100,6 +110,14 @@ def _sef_overhead_blocks(params: ProtocolParams) -> float:
     return l + params.c * math.sqrt(l) * math.log(l / params.delta) ** 2
 
 
+def _check_draw(population: int, malicious: int, sample: int, threshold: int) -> None:
+    """Refuse a draw that no population of N with T malicious members allows."""
+    if not 0 <= malicious <= population:
+        raise ValueError("need 0 <= malicious <= population")
+    if not 0 <= threshold <= sample <= population:
+        raise ValueError("need 0 <= threshold <= sample <= population")
+
+
 def hypergeom_tail(population: int, malicious: int, sample: int, threshold: int) -> float:
     """P[at least threshold malicious in a uniform sample], exactly rounded.
 
@@ -114,10 +132,7 @@ def hypergeom_tail(population: int, malicious: int, sample: int, threshold: int)
     _falling_sum.  int / int rounds correctly, as float(Fraction(acc,
     C(N, n))) does.
     """
-    if not 0 <= malicious <= population:
-        raise ValueError("need 0 <= malicious <= population")
-    if not 0 <= threshold <= sample <= population:
-        raise ValueError("need 0 <= threshold <= sample <= population")
+    _check_draw(population, malicious, sample, threshold)
     honest = population - malicious
     least, most = max(0, sample - honest), min(sample, malicious)
     if threshold <= least:
@@ -156,10 +171,7 @@ def hoeffding_bound(population: int, malicious: int, sample: int, threshold: int
     G = ((g/r)^r ((1-g)/(1-r))^(1-r))^sample with g = T/N, r = t/n;
     valid only for r > g.
     """
-    if not 0 <= malicious <= population:
-        raise ValueError("need 0 <= malicious <= population")
-    if not 0 <= threshold <= sample <= population:
-        raise ValueError("need 0 <= threshold <= sample <= population")
+    _check_draw(population, malicious, sample, threshold)
     if sample == 0:
         raise ValueError("bound undefined for an empty sample")
     g = malicious / population

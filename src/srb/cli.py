@@ -139,13 +139,6 @@ def cmd_metrics(args) -> int:
         params = analytics.reference_example_params()
     else:
         inputs = {f.name: getattr(args, dest) for f, dest in _METRICS_INPUTS}
-        if not inputs["n_s"] and args.total_nodes and args.shards:
-            if args.total_nodes % args.shards:
-                raise ValueError(
-                    f"--total-nodes {args.total_nodes} is not a multiple of --shards "
-                    f"{args.shards}; give --shard-nodes or make N = m * n_S"
-                )
-            inputs["n_s"] = args.total_nodes // args.shards
         params = analytics.ProtocolParams(**inputs)
     print(analytics.render_metrics(analytics.comparison_report(params)), end="")
     return 0

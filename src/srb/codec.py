@@ -39,12 +39,15 @@ or copied more than once:
     rules below and that the payload has its shape and holds field elements;
   - a derived object (encode_nodes' states, serve_repair's shares, a
     bootstrap's state) takes the header fields of an object that passed the
-    checks, and only the gamma (and a share's target gamma) that it sets
-    afresh is checked again.  Its payload is a product or decode of checked
-    operands, so it is not checked again: an array that owns its memory and
-    is already uint16 is adopted as it stands, and any other (a view, such
-    as a row of a larger product, or a prime field's int64 product) is
-    copied once, so that no object keeps another's rows alive.
+    checks, and its gamma is checked by the operation that computed it:
+    encode's gammas by Field.vandermonde, a bootstrap's target on entry to
+    bootstrap_payloads, and serve_repair's gamma is its state's.  Only a
+    share's target gamma, which it sets afresh, is checked again.  Its
+    payload is a product or decode of checked operands, so it is not
+    checked again: an array that owns its memory and is already uint16 is
+    adopted as it stands, and any other (a view, such as a row of a larger
+    product, or a prime field's int64 product) is copied once, so that no
+    object keeps another's rows alive.
 The header rules (every header is untrusted input: up to p helpers are
 Byzantine):
   - (k, alpha) are valid MBR parameters (1 <= k <= alpha) and fit u16;
@@ -52,8 +55,10 @@ Byzantine):
   - a share's target gamma differs from its helper gamma;
   - generation and block_size fit u32;
   - Z = ceil(block_size / stripe symbol bytes);
-  - there are exactly L = k*alpha - k(k-1)/2 pad lengths, each in
-    [0, block_size].
+  - there are exactly L = k*alpha - k(k-1)/2 pad lengths, one per block,
+    each in [0, block_size].  encode_nodes takes its blocks' lengths as the
+    pad lengths, so these two rules are its block count and block length
+    checks, and their messages name blocks.
 
 A node state's payload is one read-only alpha x Z uint16 array and a
 share's one of length Z.  Encode, serve, decode and the file I/O use it as
@@ -198,10 +203,10 @@ class GenerationHeader:
     """The generation a node state or repair share belongs to, and its gamma.
 
     Every instance is a valid header: __post_init__ runs on construction, on
-    parse and on dataclasses.replace, and is the one place that decides.  A
-    subclass object derived by _derived copies the fields of a header that
-    passed it, so only its new gamma needs checking again, and takes the
-    payload the codec computed for it (see _derived).
+    parse, on dataclasses.replace and on every encode, and is the one place
+    that decides.  A subclass object derived by _derived copies the fields
+    of a header that passed it, with a gamma its caller checked, and takes
+    the payload the codec computed for it (see _derived).
     """
 
     field: Field
@@ -217,19 +222,21 @@ class GenerationHeader:
     def _derived(cls, source: GenerationHeader, gamma: int, payload: np.ndarray, *rest):
         """A cls on source's checked header, with gamma and payload as its own.
 
-        Only gamma is checked again; _finish(*rest) sets and checks the
-        subclass's other fields, as the constructor does.  payload, computed
-        by the codec from checked operands, is not checked: an array that
-        owns its memory and is already uint16 is adopted, read-only and
-        uncopied, so the caller hands it over and writes to it no more; any
-        other array (a view, or an int64 prime-field product) is copied once.
+        gamma is not checked: the caller computed it and checked it on its
+        way in (see the module docstring).  _finish(*rest) sets and checks
+        the subclass's other fields, as the constructor does.  payload,
+        computed by the codec from checked operands, is not checked: an
+        array that owns its memory and is already uint16 is adopted,
+        read-only and uncopied, so the caller hands it over and writes to it
+        no more; any other array (a view, or an int64 prime-field product)
+        is copied once.
         flags.owndata makes that test: np.ascontiguousarray would pass a
         view of a larger array through, and keep all of it alive.
         """
         obj = cls.__new__(cls)
         for name in _HEADER_FIELDS:
             object.__setattr__(obj, name, getattr(source, name))
-        object.__setattr__(obj, "gamma", source.field.check(gamma))
+        object.__setattr__(obj, "gamma", gamma)
         obj._finish(*rest)
         if not (payload.flags.owndata and payload.dtype == np.uint16):
             payload = payload.astype(np.uint16, order="C")
@@ -253,12 +260,12 @@ class GenerationHeader:
             raise ValueError(f"Z={self.z} does not match block_size={self.block_size} (Z={want_z})")
         if self.message_count != want_l:
             raise ValueError(
-                f"{self.message_count} pad lengths; (k, alpha) = ({self.k}, {self.alpha}) "
+                f"{self.message_count} blocks; (k, alpha) = ({self.k}, {self.alpha}) "
                 f"needs L = {want_l}"
             )
-        for pad in self.pad_lengths:
+        for i, pad in enumerate(self.pad_lengths):
             if not 0 <= pad <= self.block_size:
-                raise ValueError(f"pad length {pad} is outside [0, block_size={self.block_size}]")
+                raise ValueError(f"block {i} is {pad} bytes; block_size is {self.block_size}")
 
     @property
     def message_count(self) -> int:
@@ -409,28 +416,25 @@ def encode_nodes(
     stands; in the block form each state copies its own rows of the n x
     alpha x Z product, so no state keeps another's rows alive.
 
-    The generation's header (k, alpha, generation, block_size, Z and the L
-    pad lengths) is built and checked first, then every gamma, and only
-    then are the blocks striped, so a value no header can hold is refused
-    before any block is padded.  Every state is derived from that header.
+    The generation's header (k, alpha, generation, block_size, Z and the
+    blocks' lengths as its pad lengths) is built and checked first, then
+    every gamma, and only then are the blocks striped, so a value no header
+    can hold is refused before any block is padded.  The header is the one
+    check of the block count ("{n} blocks; ... needs L = {L}") and of each
+    block's length ("block {i} is {n} bytes; block_size is {b}").  Every
+    state is derived from that header.
     """
-    want, k, alpha = params.message_length, params.k, params.alpha
-    if len(blocks) != want:
-        raise ValueError(f"a generation encodes exactly L = {want} blocks, got {len(blocks)}")
-    pads = tuple(len(b) for b in blocks)
-    for i, pad in enumerate(pads):  # named by its index, not as the header's pad length
-        if pad > block_size >= 0:
-            raise ValueError(f"block {i} is {pad} bytes; block_size is {block_size}")
+    k, alpha = params.k, params.alpha
     header = GenerationHeader(field=field, k=k, alpha=alpha, gamma=0, generation=generation,
                               block_size=block_size, z=symbols_per_block(field, block_size),
-                              pad_lengths=pads)
+                              pad_lengths=tuple(len(b) for b in blocks))
     psis = field.vandermonde(gammas, alpha)
     stripes = stripe_blocks(blocks, field, block_size)
     first, n, z = message_layout(k, alpha), len(gammas), stripes.z
     if n == 1 and alpha <= z:
         # coded block j is row j: psi_i at the index of each cell (i, j) of M,
         # first[i, j] for i < k and, by symmetry, first[j, i] for i >= k
-        rows = np.zeros((alpha, want), psis.dtype)
+        rows = np.zeros((alpha, len(blocks)), psis.dtype)
         rows[np.arange(alpha), first] = psis[0, :k, None]
         rows[np.arange(k)[:, None], first[:, k:]] = psis[0, k:]
         coded = [field.matmul(rows, stripes.symbols)]  # handed to the one state uncopied
@@ -533,12 +537,14 @@ def bootstrap_payloads(head: GenerationHeader, target_gamma: int, helper_gammas:
     DecodeSetup for all of them, into one alpha x Z array, which the state
     adopts as its payload.  Raises DecodeFailure when more than p payloads
     are corrupt, ValueError on a negative p, a count other than alpha + 2p,
-    a helper gamma equal to target_gamma, helper gammas that are not
-    distinct field elements, or a target_gamma outside the field.
+    a target_gamma outside the field or equal to a helper gamma, or helper
+    gammas that are not distinct field elements; target_gamma is checked on
+    entry, before any slice decodes.
     """
     need = MbrParams(head.k, head.alpha, p=p).repair_degree
     if len(helper_gammas) != need:
         raise ValueError(f"need alpha + 2p = {need} shares, got {len(helper_gammas)}")
+    head.field.check(target_gamma)
     if target_gamma in helper_gammas:
         raise ValueError("the target cannot be one of its own helpers")
     setup = DecodeSetup(head.field, helper_gammas, head.alpha)

@@ -301,19 +301,22 @@ class PrimeField(Field):
 
 
 class BinaryField(Field):
-    """GF(2^m) with an explicit irreducible reduction polynomial."""
+    """GF(2^m) with an explicit irreducible reduction polynomial.
+
+    poly has no default here: binary_field resolves a degree's default
+    polynomial, and passes None on for a degree that has none, which is
+    refused after the degree checks.
+    """
 
     kind = "binary"
 
-    def __init__(self, degree: int, poly: int | None = None):
+    def __init__(self, degree: int, poly: int | None):
         if degree < 1:
             raise ValueError("degree must be >= 1")
         if degree > 16:
             raise ValueError(f"fields larger than 2^16 are not supported (got degree {degree})")
         if poly is None:
-            poly = DEFAULT_REDUCTION_POLY.get(degree)
-            if poly is None:
-                raise ValueError(f"no default reduction polynomial for degree {degree}")
+            raise ValueError(f"no default reduction polynomial for degree {degree}")
         if poly.bit_length() - 1 != degree:
             raise ValueError(f"reduction polynomial {poly:#x} does not have degree {degree}")
         if not gf2_is_irreducible(poly):

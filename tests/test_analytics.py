@@ -304,6 +304,19 @@ def test_format_bytes():
     assert an.format_bytes(2048) == "2.05kB"
 
 
+def test_shard_nodes_default_to_total_nodes_over_shards():
+    derived = an.ProtocolParams(total_nodes=16000, shards=16, malicious=4000, alpha=50, k=30,
+                                total_blocks=1065)
+    given = an.ProtocolParams(n_s=1000, total_nodes=16000, shards=16, malicious=4000, alpha=50,
+                              k=30, total_blocks=1065)
+    assert an.ProtocolParams(total_nodes=16000, shards=16).n_s == 1000
+    assert derived == given
+    assert an.comparison_report(derived).rows == an.comparison_report(given).rows
+    with pytest.raises(ValueError, match=r"^total_nodes=100 is not a multiple of shards=3; "
+                       r"give n_s or make N = m \* n_S$"):
+        an.ProtocolParams(total_nodes=100, shards=3)
+
+
 def test_total_nodes_must_be_shards_times_shard_nodes():
     with pytest.raises(ValueError, match="N = m \\* n_S"):
         an.ProtocolParams(n_s=25, total_nodes=100, shards=3)

@@ -705,8 +705,7 @@ def test_help_into_a_closed_stdout_leaves_stderr_empty(argv, unbuffered):
         (["--total-nodes", "100", "--shards", "3", "--shard-nodes", "25"],
          "total_nodes=100 is not shards * n_s = 3 * 25 (N = m * n_S)"),
         (["--total-nodes", "100", "--shards", "3"],
-         "--total-nodes 100 is not a multiple of --shards 3; give --shard-nodes or make "
-         "N = m * n_S"),
+         "total_nodes=100 is not a multiple of shards=3; give n_s or make N = m * n_S"),
     ],
     ids=["inconsistent-shard-nodes", "total-not-a-multiple"],
 )

@@ -485,6 +485,24 @@ def test_bootstrap_payloads_refusals():
             codec.bootstrap_payloads(head, *args)
 
 
+def test_bootstrap_payloads_refuses_a_target_outside_the_field_before_decoding(monkeypatch):
+    f = binary_field(16)
+    params = MbrParams(2, 3, n=8, p=1)
+    _, states = make_generation(f, params, random.Random(6), 8)
+    gammas = [0, 1, 2, 3, 4]
+    payloads = codec.shares_from_target(states[7], gammas)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rs.rs_decode_many(*args)
+
+    monkeypatch.setattr(codec, "rs_decode_many", counted)
+    with pytest.raises(ValueError, match="70000 is not an element of"):
+        codec.bootstrap_payloads(states[7], 70000, gammas, payloads, p=1)
+    assert calls == []
+
+
 def test_reconstruct_payloads_refusals():
     """The reconstruct core takes a checked header, so it checks only the
     rest: the payload count (as the list form words it), distinct gammas and p."""
@@ -768,15 +786,15 @@ def _put_field(data, kind, param=None):
 @pytest.mark.parametrize(
     "what, patch, message",
     [
-        ("state", lambda d: _put_u32(d, PADS, 5), r"pad length 5 is outside \[0, block_size=4\]"),
+        ("state", lambda d: _put_u32(d, PADS, 5), r"^block 0 is 5 bytes; block_size is 4$"),
         ("state", lambda d: _put_u32(d, COUNT, 4)[: PADS + 16] + d[PADS + 20 :],
-         r"4 pad lengths; \(k, alpha\) = \(2, 3\) needs L = 5"),
+         r"^4 blocks; \(k, alpha\) = \(2, 3\) needs L = 5$"),
         ("state", lambda d: _put_u32(d, GAMMA, 1 << 16), "65536 is not an element of"),
         ("share", lambda d: _put_u32(d, PADS + 20, 1 << 16), "65536 is not an element of"),
         ("share", lambda d: _put_u32(d, PADS + 20, 1), "a node cannot serve a repair share to itself"),
         ("state", lambda d: _put_u32(d, BLOCK_SIZE, 8), r"Z=2 does not match block_size=8 \(Z=4\)"),
         ("state", lambda d: _put_u32(_put_u32(d, PADS + 4, 7), PADS + 12, 9),
-         r"pad length 7 is outside \[0, block_size=4\]"),
+         r"^block 1 is 7 bytes; block_size is 4$"),
         ("state", lambda d: _put_field(d, 0), r"^unknown field kind code 0$"),
         ("share", lambda d: _put_field(d, 3), r"^unknown field kind code 3$"),
         ("state", lambda d: _put_field(d, 1, 4), r"^4 is not prime$"),
@@ -1047,13 +1065,44 @@ def test_replace_on_derived_objects_checks_every_header_rule(spec):
         ({"generation": 1 << 32}, "generation=4294967296 does not fit a u32 header field"),
         ({"block_size": 1 << 32}, "block_size=4294967296 does not fit a u32 header field"),
         ({"z": z + 1}, rf"Z={z + 1} does not match block_size=4 \(Z={z}\)"),
-        ({"pad_lengths": (4,) * 4}, r"4 pad lengths; \(k, alpha\) = \(2, 3\) needs L = 5"),
-        ({"pad_lengths": (4, 5, 0, 0, 0)}, r"pad length 5 is outside \[0, block_size=4\]"),
+        ({"pad_lengths": (4,) * 4}, r"^4 blocks; \(k, alpha\) = \(2, 3\) needs L = 5$"),
+        ({"pad_lengths": (4, 5, 0, 0, 0)}, r"^block 1 is 5 bytes; block_size is 4$"),
     ]
     for obj in derived:
         for changes, message in rules:
             with pytest.raises(ValueError, match=message):
                 replace(obj, **changes)
+
+
+def _refuse_pads(entry, pads):
+    """Hand pads to entry as the lengths of a generation's blocks at k=2,
+    alpha=3 (L = 5) and block_size=4."""
+    f, params = binary_field(16), MbrParams(2, 3)
+    state = codec.encode_generation([b"abcd"] * 5, 1, params, f, block_size=4)
+    if entry == "encode_nodes":
+        codec.encode_nodes([bytes(n) for n in pads], [1], params, f, block_size=4)
+    elif entry == "state_from_bytes":
+        data = codec.state_to_bytes(state)
+        words = b"".join(n.to_bytes(4, "little") for n in (len(pads), *pads))
+        codec.state_from_bytes(data[:COUNT] + words + data[PADS + 20 :])
+    else:
+        replace(state, pad_lengths=tuple(pads))
+
+
+@pytest.mark.parametrize("entry", ["encode_nodes", "state_from_bytes", "replace"])
+@pytest.mark.parametrize(
+    "pads, message",
+    [
+        ((4, 5, 4, 4, 4), r"^block 1 is 5 bytes; block_size is 4$"),
+        ((4, 4, 4, 4), r"^4 blocks; \(k, alpha\) = \(2, 3\) needs L = 5$"),
+    ],
+    ids=["block-one-byte-too-long", "one-block-short"],
+)
+def test_every_entry_refuses_block_lengths_with_one_message(entry, pads, message):
+    """Encode, parse and replace decide the block count and each block's
+    length by one rule, the header's, and word it in blocks."""
+    with pytest.raises(ValueError, match=message):
+        _refuse_pads(entry, pads)
 
 
 @pytest.mark.parametrize("spec", DERIVED_SPECS)
